@@ -28,7 +28,8 @@ class ParamStore:
     def add(self, name: str, data: np.ndarray, trainable: bool = True) -> Tensor:
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data, dtype=np.float32), requires_grad=trainable)
+        # an owned copy: adam_step updates parameter arrays in place
+        t = Tensor(np.array(data, dtype=np.float32), requires_grad=trainable)
         self.params[name] = t
         return t
 
@@ -47,10 +48,6 @@ class ParamStore:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Parameter values keyed by name (the checkpointable view)."""
-        return {n: p.data for n, p in self.params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for name, arr in arrays.items():
@@ -87,8 +84,21 @@ def adam_step(
             store.adam[name] = st
         g = p.grad
         st.t += 1
-        st.m = beta1 * st.m + (1.0 - beta1) * g
-        st.v = beta2 * st.v + (1.0 - beta2) * (g * g)
-        m_hat = st.m / (1.0 - beta1**st.t)
-        v_hat = st.v / (1.0 - beta2**st.t)
-        p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
+        # in place, with two scratch arrays, in the operation order of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        #   p = p - lr * (m/c1) / (sqrt(v/c2) + eps)
+        # so every float32 rounding matches the out-of-place formula
+        a = (1.0 - beta1) * g
+        st.m *= beta1
+        st.m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        st.v *= beta2
+        st.v += a
+        np.divide(st.m, 1.0 - beta1**st.t, out=a)
+        a *= lr
+        b = st.v / (1.0 - beta2**st.t)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p.data -= a

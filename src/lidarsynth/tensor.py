@@ -242,8 +242,27 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; stacked leading dims follow numpy.matmul semantics."""
+    """Matrix product; stacked leading dims follow numpy.matmul semantics.
+
+    A product of an [..., D] input with a [D, O] weight runs as one 2-D GEMM
+    over the folded leading dims, forward and backward, rather than one
+    small GEMM per leading index; its weight gradient is one [D, M] @ [M, O]
+    product, with no [..., D, O] stack to sum down.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim >= 2 and b.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        out_data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+
+        def backward_folded(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accumulate(a2.T @ g2)
+
+        return _make(out_data, (a, b), backward_folded)
+
     out_data = np.matmul(a.data, b.data)
 
     def backward(g):

@@ -20,7 +20,7 @@ import numpy as np
 from lidarsynth import formats
 from lidarsynth import tensor as T
 from lidarsynth.geometry import GridSpec, PolarRaster
-from lidarsynth.model import MODALITIES, Model, ModelConfig
+from lidarsynth.model import EMBED_DIM, MODALITIES, Model, ModelConfig
 from lidarsynth.optim import adam_step
 from lidarsynth.synthgen import RadarParams, build_sample, generate_scene, resolve_profiles
 from lidarsynth.tensor import Tensor
@@ -215,10 +215,6 @@ class TrainResult:
     model: Model  # carries the final parameters
 
 
-def _sample_arrays(s: Sample) -> dict[str, np.ndarray]:
-    return {name: s.modality(name) for name in MODALITIES}
-
-
 def _batch_arrays(samples: list[Sample], idx: np.ndarray) -> dict[str, np.ndarray]:
     return {
         name: np.stack([samples[i].modality(name) for i in idx]) for name in MODALITIES
@@ -234,12 +230,19 @@ def _snapshot(model: Model, epoch: int, val_mmse: float) -> Checkpoint:
     )
 
 
-def _cached_embeddings(model: Model, samples: list[Sample]) -> np.ndarray:
-    """Precompute [N, 4, 768] embeddings once when every encoder is frozen."""
-    out = np.empty((len(samples), len(MODALITIES), 768), dtype=np.float32)
+def _cached_embeddings(model: Model, samples: list[Sample], batch_size: int) -> np.ndarray:
+    """Precompute [N, 4, EMBED_DIM] embeddings once when every encoder is frozen.
+
+    Encoders run on chunks of up to ``batch_size`` samples; they hold no
+    batch statistics, so a chunk embeds each sample as it would alone.
+    """
+    out = np.empty((len(samples), len(MODALITIES), EMBED_DIM), dtype=np.float32)
     with T.no_grad():
-        for i, s in enumerate(samples):
-            out[i] = model.embed(_sample_arrays(s)).data
+        for start in range(0, len(samples), batch_size):
+            idx = np.arange(start, min(start + batch_size, len(samples)))
+            batch = _batch_arrays(samples, idx)
+            for j, name in enumerate(MODALITIES):
+                out[idx, j] = model.encode_batch(name, batch[name]).data
     return out
 
 
@@ -302,8 +305,8 @@ def train(
     )
 
     frozen = all(model_cfg.encoder(m).frozen for m in MODALITIES)
-    emb_tr = _cached_embeddings(model, tr) if frozen else None
-    emb_va = _cached_embeddings(model, va) if frozen and va else None
+    emb_tr = _cached_embeddings(model, tr, train_cfg.batch_size) if frozen else None
+    emb_va = _cached_embeddings(model, va, train_cfg.batch_size) if frozen and va else None
 
     history: list[EpochStats] = []
     best: Checkpoint | None = None

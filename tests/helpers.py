@@ -316,6 +316,8 @@ GRAD_SUITE: list[tuple[str, Callable]] = [
     ("matmul/2d", _binary_case("mm/a", T.matmul, (2, 3), (3, 4))),
     ("matmul/tall", _binary_case("mm/b", T.matmul, (5, 2), (2, 2))),
     ("matmul/batched", _binary_case("mm/c", T.matmul, (2, 3, 4), (2, 4, 2))),
+    ("matmul/stacked-weight", _binary_case("mm/d", T.matmul, (2, 3, 4), (4, 5))),
+    ("matmul/4d-weight", _binary_case("mm/e", T.matmul, (2, 2, 3, 4), (4, 3))),
     ("reshape/flatten", _reshape_case("rs/a", (2, 3), (6,))),
     ("reshape/split", _reshape_case("rs/b", (4, 3), (2, 2, 3))),
     ("reshape/swap", _reshape_case("rs/c", (2, 3, 2), (3, 4))),

@@ -112,6 +112,27 @@ def test_matmul_matches_numpy():
     np.testing.assert_allclose(T.matmul(T.Tensor(a), T.Tensor(b)).data, a @ b)
 
 
+@pytest.mark.parametrize("a_shape", [(3, 4, 5), (2, 3, 4, 5)])
+@pytest.mark.parametrize("grad_a,grad_b", [(True, False), (False, True)])
+def test_matmul_folded_weight_matches_numpy(a_shape, grad_a, grad_b):
+    rng = np.random.default_rng(len(a_shape))
+    a, b = rng.standard_normal(a_shape), rng.standard_normal((5, 2))
+    ta, tb = T.Tensor(a, requires_grad=grad_a), T.Tensor(b, requires_grad=grad_b)
+    out = T.matmul(ta, tb)
+    np.testing.assert_allclose(out.data, np.matmul(a, b), rtol=1e-12, atol=1e-12)
+    g = rng.standard_normal(out.shape)
+    out.backward(g)
+    if grad_a:
+        np.testing.assert_allclose(ta.grad, np.matmul(g, b.T), rtol=1e-12, atol=1e-12)
+    else:
+        assert ta.grad is None
+    if grad_b:
+        gb = np.matmul(np.swapaxes(a, -1, -2), g).reshape(-1, 5, 2).sum(axis=0)
+        np.testing.assert_allclose(tb.grad, gb, rtol=1e-12, atol=1e-12)
+    else:
+        assert tb.grad is None
+
+
 def test_operator_sugar():
     x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
     y = T.Tensor(np.array([3.0, 4.0]))

@@ -7,7 +7,7 @@ from dataclasses import replace
 from lidarsynth import config as C
 from lidarsynth import training as TR
 from lidarsynth.geometry import PolarRaster, default_grid
-from lidarsynth.model import Model, MODALITIES
+from lidarsynth.model import EMBED_DIM, Model, MODALITIES
 from lidarsynth.synthgen import PROFILE_ORDER, PROFILES, export_sample, generate_scene
 from lidarsynth.tensor import Tensor
 
@@ -210,6 +210,16 @@ def test_training_diverges_on_nan_input(tiny_cfg, tiny_dataset):
 def test_train_rejects_empty_split(tiny_cfg):
     with pytest.raises(ValueError):
         TR.train([], tiny_cfg.model, tiny_cfg.train, tiny_cfg.split)
+
+
+def test_cached_embeddings_match_per_sample_embed(tiny_cfg, tiny_dataset):
+    model = Model(tiny_cfg.model)
+    samples = tiny_dataset[:7]  # two full chunks of 3 and a trailing chunk of 1
+    cached = TR._cached_embeddings(model, samples, batch_size=3)
+    assert cached.shape == (7, len(MODALITIES), EMBED_DIM)
+    for i, s in enumerate(samples):
+        single = model.embed({name: s.modality(name) for name in MODALITIES}).data
+        np.testing.assert_allclose(cached[i], single, rtol=0, atol=1e-5)
 
 
 # -- checkpoints --------------------------------------------------------------------
