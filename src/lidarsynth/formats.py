@@ -17,6 +17,7 @@ LSPC is "LSPC" | u32 count | count x 3 float32 (x, y, z).
 from __future__ import annotations
 
 import io
+import os
 import struct
 from pathlib import Path
 
@@ -52,18 +53,34 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return buf
 
 
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedFileError(f"{what} is not valid UTF-8") from e
+
+
 # -- LSTF ---------------------------------------------------------------------
 
 
-def lstf_bytes(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype=np.float32)
+def _lstf_header(arr: np.ndarray) -> bytes:
     if arr.ndim < 1 or arr.ndim > 255:
         raise ValueError(f"unsupported rank {arr.ndim}")
     if arr.size == 0:
         raise ValueError("zero-sized dimensions are not representable")
-    head = LSTF_MAGIC + struct.pack("<BB", 1, arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + dims + arr.astype("<f4").tobytes()
+    return LSTF_MAGIC + struct.pack(f"<BB{arr.ndim}I", 1, arr.ndim, *arr.shape)
+
+
+def lstf_bytes(arr: np.ndarray) -> bytes:
+    arr = np.ascontiguousarray(arr, dtype=np.float32)
+    return _lstf_header(arr) + arr.astype("<f4").tobytes()
+
+
+def _remaining(f) -> int:
+    pos = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(pos)
+    return end - pos
 
 
 def lstf_from_bytes(f) -> np.ndarray:
@@ -83,8 +100,13 @@ def lstf_from_bytes(f) -> np.ndarray:
         if d < 1:
             raise MalformedFileError("zero-sized dimension")
         count *= d
-    payload = _read_exact(f, 4 * count, "payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+    # checked before allocating, so a corrupted dims field cannot ask for terabytes
+    if 4 * count > _remaining(f):
+        raise MalformedFileError("truncated file while reading payload")
+    arr = np.empty(dims, dtype="<f4")
+    if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+        raise MalformedFileError("truncated file while reading payload")
+    return arr.astype(np.float32, copy=False)
 
 
 def write_lstf(path, arr: np.ndarray) -> None:
@@ -103,24 +125,33 @@ def read_lstf(path) -> np.ndarray:
 
 
 def write_lsck(path, config_text: str, tensors: dict[str, np.ndarray]) -> None:
-    names = list(tensors)
-    if len(set(names)) != len(names):
-        raise ValueError("tensor names must be unique")
-    out = io.BytesIO()
-    out.write(LSCK_MAGIC)
-    out.write(struct.pack("<B", 1))
-    blob = config_text.encode("utf-8")
-    out.write(struct.pack("<I", len(blob)))
-    out.write(blob)
-    out.write(struct.pack("<I", len(names)))
-    for name in names:
-        nb = name.encode("utf-8")
+    """Stream a checkpoint to a temporary file beside ``path``, then rename it over ``path``.
+
+    Names are validated before any file is opened, and a failed write removes
+    the temporary file, so ``path`` always holds either its old content or
+    the whole new checkpoint.  The rename makes the write atomic for readers
+    and against a crash of this process; no fsync is made, so it is not
+    durable across a power loss.
+    """
+    encoded = [name.encode("utf-8") for name in tensors]
+    for name, nb in zip(tensors, encoded):
         if len(nb) > 0xFFFF:
             raise ValueError(f"tensor name too long: {name!r}")
-        out.write(struct.pack("<H", len(nb)))
-        out.write(nb)
-        out.write(lstf_bytes(tensors[name]))
-    Path(path).write_bytes(out.getvalue())
+    blob = config_text.encode("utf-8")
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(LSCK_MAGIC + struct.pack("<BI", 1, len(blob)) + blob)
+            f.write(struct.pack("<I", len(encoded)))
+            for nb, arr in zip(encoded, tensors.values()):
+                arr = np.ascontiguousarray(arr, dtype="<f4")
+                f.write(struct.pack("<H", len(nb)) + nb + _lstf_header(arr))
+                f.write(memoryview(arr).cast("B"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_lsck(path) -> tuple[str, dict[str, np.ndarray]]:
@@ -132,12 +163,14 @@ def read_lsck(path) -> tuple[str, dict[str, np.ndarray]]:
         if version != 1:
             raise MalformedFileError(f"unrecognized LSCK version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
-        config_text = _read_exact(f, cfg_len, "config blob").decode("utf-8")
+        if cfg_len > _remaining(f):
+            raise MalformedFileError("truncated file while reading config blob")
+        config_text = _decode(_read_exact(f, cfg_len, "config blob"), "config blob")
         (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, name_len, "name").decode("utf-8")
+            name = _decode(_read_exact(f, name_len, "name"), "tensor name")
             if name in tensors:
                 raise MalformedFileError(f"duplicate tensor name {name!r}")
             tensors[name] = lstf_from_bytes(f)

@@ -26,10 +26,17 @@ class ParamStore:
     adam: dict[str, AdamState] = field(default_factory=dict)
 
     def add(self, name: str, data: np.ndarray, trainable: bool = True) -> Tensor:
+        """Store an owned float32 copy of ``data``; frozen parameters become read-only.
+
+        Trainable arrays must be owned because adam_step updates them in
+        place.  Frozen arrays never change, so copy_values may share them;
+        making them read-only turns any write into one into a ValueError.
+        """
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        # an owned copy: adam_step updates parameter arrays in place
-        t = Tensor(np.array(data, dtype=np.float32), requires_grad=trainable)
+        arr = np.array(data, dtype=np.float32)
+        arr.flags.writeable = trainable
+        t = Tensor(arr, requires_grad=trainable)
         self.params[name] = t
         return t
 
@@ -49,17 +56,9 @@ class ParamStore:
         for p in self.params.values():
             p.zero_grad()
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, arr in arrays.items():
-            if name not in self.params:
-                raise KeyError(f"unknown parameter {name!r}")
-            p = self.params[name]
-            if p.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name!r}: {p.data.shape} vs {arr.shape}")
-            p.data = arr.astype(np.float32, copy=True)
-
     def copy_values(self) -> dict[str, np.ndarray]:
-        return {n: p.data.copy() for n, p in self.params.items()}
+        """Every parameter's values: trainable ones copied, read-only frozen ones shared."""
+        return {n: p.data.copy() if p.requires_grad else p.data for n, p in self.params.items()}
 
 
 def adam_step(

@@ -20,8 +20,8 @@ import numpy as np
 from lidarsynth import formats
 from lidarsynth import tensor as T
 from lidarsynth.geometry import GridSpec, PolarRaster
-from lidarsynth.model import EMBED_DIM, MODALITIES, Model, ModelConfig
-from lidarsynth.optim import adam_step
+from lidarsynth.model import EMBED_DIM, MODALITIES, Model, ModelConfig, _param_shapes
+from lidarsynth.optim import ParamStore, adam_step
 from lidarsynth.synthgen import RadarParams, build_sample, generate_scene, resolve_profiles
 from lidarsynth.tensor import Tensor
 
@@ -396,8 +396,21 @@ class EvalReport:
 
 
 def model_from_checkpoint(model_cfg: ModelConfig, ckpt: Checkpoint) -> Model:
-    model = Model(model_cfg)
-    model.store.load_arrays(ckpt.params)
+    """An eval-mode model holding copies of the checkpoint's parameters.
+
+    The store is built straight from ``ckpt.params``, in the model's
+    parameter order, without drawing fresh weights first.  An unknown name
+    raises KeyError; a missing parameter or a wrong shape raises ValueError.
+    """
+    shapes = _param_shapes(model_cfg)
+    unknown = set(ckpt.params).difference(name for name, _, _, _ in shapes)
+    if unknown:
+        raise KeyError(f"unknown parameter {min(unknown)!r}")
+    store = ParamStore()
+    for name, _, _, trainable in shapes:
+        if name in ckpt.params:
+            store.add(name, ckpt.params[name], trainable=trainable)
+    model = Model(model_cfg, store)
     model.load_bn_state_arrays(ckpt.bn_state)
     return model.eval_mode()
 

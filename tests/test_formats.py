@@ -1,8 +1,12 @@
 """On-disk containers: lossless round trips and strict malformed-input rejection."""
 
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidarsynth import formats as F
@@ -63,7 +67,103 @@ def test_lstf_rejects_zero_dims():
         F.lstf_bytes(np.zeros((2, 0), dtype=np.float32))
 
 
+def test_lstf_rejects_huge_dims_before_allocating(tmp_path):
+    # 2**31 x 2**31 float32 would be 16 EiB; the size check must fire first
+    blob = b"LSTF" + struct.pack("<BB2I", 1, 2, 2**31, 2**31) + bytes(16)
+    with pytest.raises(F.MalformedFileError):
+        F.lstf_from_bytes(blob)
+    path = tmp_path / "huge.lstf"
+    path.write_bytes(blob)
+    with pytest.raises(F.MalformedFileError):
+        F.read_lstf(path)
+
+
 # -- LSCK ---------------------------------------------------------------------
+
+
+def _lsck_reference_bytes(config_text: str, tensors: dict) -> bytes:
+    """The LSCK layout assembled in memory, record by record, from lstf_bytes."""
+    blob = config_text.encode("utf-8")
+    out = b"LSCK" + struct.pack("<BI", 1, len(blob)) + blob + struct.pack("<I", len(tensors))
+    for name, arr in tensors.items():
+        nb = name.encode("utf-8")
+        out += struct.pack("<H", len(nb)) + nb + F.lstf_bytes(arr)
+    return out
+
+
+def _golden_tensors() -> dict:
+    rng = np.random.default_rng(5)
+    return {
+        "fusion.proj.weight": rng.standard_normal((4, 3)).astype(np.float32),
+        "decoder.fc.bias": rng.standard_normal(5),  # float64, narrowed on write
+        "strided": rng.standard_normal((3, 6)).astype(np.float32)[:, ::2],
+        "kernel.é": rng.standard_normal((2, 1, 3, 3)).astype(np.float32),
+        "adam.fusion.proj.weight.m": np.zeros((4, 3), dtype=np.float32),
+    }
+
+
+_LSCK_GOOD = _lsck_reference_bytes("comment = café\n", _golden_tensors())
+_LSTF_GOOD = F.lstf_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+
+
+def test_write_lsck_bytes_match_record_by_record_encoding(tmp_path):
+    path = tmp_path / "g.lsck"
+    F.write_lsck(path, "comment = café\n", _golden_tensors())
+    assert path.read_bytes() == _LSCK_GOOD
+
+
+def test_write_lsck_failure_keeps_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "c.lsck"
+    good = {"w": np.arange(4, dtype=np.float32)}
+    F.write_lsck(path, "a = 1\n", good)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        F.write_lsck(path, "a = 2\n", {"x" * 0x10000: np.ones(1, dtype=np.float32)})
+    # a tensor rejected after the temporary file is open
+    with pytest.raises(ValueError):
+        F.write_lsck(path, "a = 3\n", {"w": np.ones(2), "empty": np.zeros((2, 0))})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["c.lsck"]
+    text, back = F.read_lsck(path)
+    assert text == "a = 1\n"
+    np.testing.assert_array_equal(back["w"], good["w"])
+
+
+def _mutants(good: bytes):
+    """Copies of ``good`` with 1-4 bytes XOR-flipped, or cut short."""
+
+    def flip(edits):
+        raw = bytearray(good)
+        for at, mask in edits:
+            raw[at] ^= mask
+        return bytes(raw)
+
+    edits = st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255)), min_size=1, max_size=4)
+    return st.one_of(edits.map(flip), st.integers(0, len(good) - 1).map(lambda n: good[:n]))
+
+
+def _parse_or_reject(reader, raw: bytes) -> None:
+    # tempfile instead of tmp_path: function-scoped fixtures do not mix with @given
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.bin")
+        with open(path, "wb") as f:
+            f.write(raw)
+        try:
+            reader(path)
+        except F.MalformedFileError:
+            pass
+
+
+@settings(max_examples=300)
+@given(_mutants(_LSCK_GOOD))
+def test_lsck_mutants_parse_or_raise_malformed(raw):
+    _parse_or_reject(F.read_lsck, raw)
+
+
+@settings(max_examples=150)
+@given(_mutants(_LSTF_GOOD))
+def test_lstf_mutants_parse_or_raise_malformed(raw):
+    _parse_or_reject(F.read_lstf, raw)
 
 
 def test_lsck_round_trip(tmp_path):

@@ -5,9 +5,11 @@ import pytest
 from dataclasses import replace
 
 from lidarsynth import config as C
+from lidarsynth import model as M
 from lidarsynth import training as TR
 from lidarsynth.geometry import PolarRaster, default_grid
 from lidarsynth.model import EMBED_DIM, Model, MODALITIES
+from lidarsynth.optim import adam_step
 from lidarsynth.synthgen import PROFILE_ORDER, PROFILES, export_sample, generate_scene
 from lidarsynth.tensor import Tensor
 
@@ -261,6 +263,69 @@ def test_model_from_checkpoint_restores_predictions(tiny_run, tiny_cfg, tiny_dat
     a = TR.evaluate(model, test, tiny_cfg.train)
     b = TR.evaluate(tiny_run.model.eval_mode(), test, tiny_cfg.train)
     assert a.overall == pytest.approx(b.overall, rel=1e-6)
+
+
+def test_model_from_checkpoint_draws_no_fresh_weights(monkeypatch, tiny_run, tiny_cfg):
+    def no_init(*args, **kwargs):
+        raise AssertionError("init_params must not run when loading a checkpoint")
+
+    monkeypatch.setattr(M, "init_params", no_init)
+    model = TR.model_from_checkpoint(tiny_cfg.model, tiny_run.best)
+    assert model.store.names() == [name for name, _, _, _ in M._param_shapes(tiny_cfg.model)]
+    assert model.store.trainable_names() == tiny_run.model.store.trainable_names()
+    for name, arr in tiny_run.best.params.items():
+        got = model.store[name].data
+        assert got is not arr
+        np.testing.assert_array_equal(got.view(np.uint32), arr.view(np.uint32))
+
+
+def test_adam_step_on_loaded_model_leaves_checkpoint_unchanged(tiny_run, tiny_cfg):
+    model = TR.model_from_checkpoint(tiny_cfg.model, tiny_run.best)
+    trainable = model.store.trainable_names()
+    before = {name: tiny_run.best.params[name].copy() for name in trainable}
+    for name in trainable:
+        model.store[name].grad = np.ones_like(model.store[name].data)
+    adam_step(model.store, 1e-2)
+    assert not np.array_equal(model.store["fusion.proj.weight"].data, before["fusion.proj.weight"])
+    for name in trainable:
+        np.testing.assert_array_equal(tiny_run.best.params[name], before[name])
+
+
+def test_model_from_checkpoint_rejects_mismatched_params(tiny_run, tiny_cfg):
+    params = tiny_run.best.params
+    unknown = {**params, "decoder.extra.weight": np.zeros(3, dtype=np.float32)}
+    missing = {n: a for n, a in params.items() if n != "decoder.fc.bias"}
+    reshaped = {**params, "decoder.fc.bias": np.zeros(3, dtype=np.float32)}
+    with pytest.raises(KeyError):
+        TR.model_from_checkpoint(tiny_cfg.model, replace(tiny_run.best, params=unknown))
+    with pytest.raises(ValueError):
+        TR.model_from_checkpoint(tiny_cfg.model, replace(tiny_run.best, params=missing))
+    with pytest.raises(ValueError):
+        TR.model_from_checkpoint(tiny_cfg.model, replace(tiny_run.best, params=reshaped))
+
+
+def test_snapshots_share_frozen_params_and_copy_trainable_ones(tiny_cfg, tiny_dataset):
+    # a run of its own: the adam_step below would change the shared tiny_run model
+    result = TR.train(tiny_dataset[:20], tiny_cfg.model, replace(tiny_cfg.train, epochs=2), tiny_cfg.split)
+    store = result.model.store
+    trainable = store.trainable_names()
+    frozen = [name for name in store.names() if name not in trainable]
+    assert frozen and trainable
+    for snap in (result.best, result.final):
+        for name in frozen:
+            assert snap.params[name] is store[name].data
+            assert not snap.params[name].flags.writeable
+        for name in trainable:
+            assert snap.params[name] is not store[name].data
+    before = {name: (result.best.params[name].copy(), result.final.params[name].copy()) for name in trainable}
+    for name in trainable:
+        store[name].grad = np.ones_like(store[name].data)
+    adam_step(store, 1e-2)
+    for name in trainable:
+        np.testing.assert_array_equal(result.best.params[name], before[name][0])
+        np.testing.assert_array_equal(result.final.params[name], before[name][1])
+    with pytest.raises(ValueError):
+        store[frozen[0]].data[...] = 0.0
 
 
 # -- evaluation ---------------------------------------------------------------------
