@@ -59,11 +59,7 @@ def main() -> int:
         report = replace(report, ablation_no_fusion=ablation_report.overall)
 
     training.save_checkpoint(out / "model.lsck", configmod.config_text(cfg), result.best)
-    (out / "history.txt").write_text(
-        "".join(f"{h.epoch}\t{h.train_mmse:.8f}\t{h.val_mmse:.8f}\t{h.lr:g}\n"
-                for h in result.history),
-        encoding="utf-8",
-    )
+    training.write_history(out / "history.txt", result.history)
     (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
 
     print(f"\ntest MMSE by scenario (meters^2, band-weighted):")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from lidarsynth import formats, training
 from lidarsynth.geometry import PolarRaster, derasterize_arrays, rasterize_with_stats
 from lidarsynth.model import Model
 from lidarsynth.radar import RadarCube, range_angle_map, range_transform, range_velocity_map
-from lidarsynth.synthgen import export_sample, generate_scene, resolve_profiles
+from lidarsynth.synthgen import export_sample, plan_scenes
 from lidarsynth.training import TrainingDiverged
 
 EXIT_OK = 0
@@ -50,10 +49,6 @@ def _load_config(path: str | None) -> configmod.AppConfig:
     return configmod.parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _grid_from_config(path: str | None):
-    return _load_config(path).grid
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -61,11 +56,7 @@ def cmd_synth(args) -> int:
     cfg = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    profiles = resolve_profiles(args.profile)
-    for i in range(args.num):
-        prof = profiles[i % len(profiles)]
-        scene = generate_scene(args.seed + i, prof)
-        radar = replace(cfg.radar, noise_sigma=prof.noise_sigma)
+    for i, (seed, prof, scene, radar) in enumerate(plan_scenes(args.num, args.profile, cfg.radar, args.seed)):
         export_sample(
             scene,
             cfg.grid,
@@ -73,7 +64,7 @@ def cmd_synth(args) -> int:
             cfg.cam_width,
             cfg.cam_height,
             out / f"sample_{i:06d}",
-            seed=args.seed + i,
+            seed=seed,
             scenario=prof.name,
         )
     print(f"wrote {args.num} samples to {out}")
@@ -89,7 +80,7 @@ def cmd_preprocess_radar(args) -> int:
 
 
 def cmd_rasterize(args) -> int:
-    grid = _grid_from_config(args.grid)
+    grid = _load_config(args.grid).grid
     points = formats.read_lspc(args.points)
     raster, dropped = rasterize_with_stats(points.astype(np.float64), grid)
     formats.write_lstf(args.out, raster.data)
@@ -99,7 +90,7 @@ def cmd_rasterize(args) -> int:
 
 
 def cmd_derasterize(args) -> int:
-    grid = _grid_from_config(args.grid)
+    grid = _load_config(args.grid).grid
     raster = PolarRaster(grid=grid, data=formats.read_lstf(args.raster))
     formats.write_lspc(args.out, derasterize_arrays(raster).astype(np.float32))
     return EXIT_OK
@@ -115,11 +106,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     training.save_checkpoint(out, configmod.config_text(cfg), result.best)
-    history_path = out.parent / "history.txt"
-    lines = [
-        f"{h.epoch}\t{h.train_mmse:.8f}\t{h.val_mmse:.8f}\t{h.lr:g}" for h in result.history
-    ]
-    history_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    training.write_history(out.parent / "history.txt", result.history)
     print(
         f"trained {cfg.train.epochs} epochs; best epoch {result.best.epoch} "
         f"(val {result.best.val_mmse:.6f}); checkpoint {out}"

@@ -198,6 +198,9 @@ def read_lspc(path) -> np.ndarray:
         if magic != LSPC_MAGIC:
             raise MalformedFileError(f"bad magic {magic!r}, expected LSPC")
         (count,) = struct.unpack("<I", _read_exact(f, 4, "count"))
+        # checked before reading, so a corrupted count cannot ask for 48 GiB
+        if 12 * count > _remaining(f):
+            raise MalformedFileError("truncated file while reading points")
         payload = _read_exact(f, 12 * count, "points")
         if f.read(1):
             raise MalformedFileError("trailing bytes after LSPC payload")

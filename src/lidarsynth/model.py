@@ -192,6 +192,26 @@ _INIT_ZEROS = "zeros"
 _INIT_ONES = "ones"
 
 
+def _block_shapes(prefix: str, d: int, ffn_dim: int, trainable: bool) -> list[tuple[str, tuple, str, bool]]:
+    """One pre-norm transformer block: attention then feedforward, each behind a layer norm."""
+    out = [
+        (f"{prefix}.ln1.gain", (d,), _INIT_ONES, trainable),
+        (f"{prefix}.ln1.bias", (d,), _INIT_ZEROS, trainable),
+    ]
+    for proj in ("wq", "wk", "wv", "wo"):
+        out.append((f"{prefix}.attn.{proj}", (d, d), _INIT_NORMAL, trainable))
+    for b in ("bq", "bk", "bv", "bo"):
+        out.append((f"{prefix}.attn.{b}", (d,), _INIT_ZEROS, trainable))
+    return out + [
+        (f"{prefix}.ln2.gain", (d,), _INIT_ONES, trainable),
+        (f"{prefix}.ln2.bias", (d,), _INIT_ZEROS, trainable),
+        (f"{prefix}.ffn.w1", (d, ffn_dim), _INIT_NORMAL, trainable),
+        (f"{prefix}.ffn.b1", (ffn_dim,), _INIT_ZEROS, trainable),
+        (f"{prefix}.ffn.w2", (ffn_dim, d), _INIT_NORMAL, trainable),
+        (f"{prefix}.ffn.b2", (d,), _INIT_ZEROS, trainable),
+    ]
+
+
 def _encoder_shapes(name: str, cfg: EncoderConfig) -> list[tuple[str, tuple, str, bool]]:
     train = not cfg.frozen
     d = cfg.d_model
@@ -202,23 +222,7 @@ def _encoder_shapes(name: str, cfg: EncoderConfig) -> list[tuple[str, tuple, str
         (f"{name}.pos_embed", (cfg.n_patches + 1, d), _INIT_NORMAL, train),
     ]
     for i in range(cfg.depth):
-        p = f"{name}.layers.{i}"
-        out += [
-            (f"{p}.ln1.gain", (d,), _INIT_ONES, train),
-            (f"{p}.ln1.bias", (d,), _INIT_ZEROS, train),
-        ]
-        for proj in ("wq", "wk", "wv", "wo"):
-            out.append((f"{p}.attn.{proj}", (d, d), _INIT_NORMAL, train))
-        for b in ("bq", "bk", "bv", "bo"):
-            out.append((f"{p}.attn.{b}", (d,), _INIT_ZEROS, train))
-        out += [
-            (f"{p}.ln2.gain", (d,), _INIT_ONES, train),
-            (f"{p}.ln2.bias", (d,), _INIT_ZEROS, train),
-            (f"{p}.ffn.w1", (d, cfg.ffn_dim), _INIT_NORMAL, train),
-            (f"{p}.ffn.b1", (cfg.ffn_dim,), _INIT_ZEROS, train),
-            (f"{p}.ffn.w2", (cfg.ffn_dim, d), _INIT_NORMAL, train),
-            (f"{p}.ffn.b2", (d,), _INIT_ZEROS, train),
-        ]
+        out += _block_shapes(f"{name}.layers.{i}", d, cfg.ffn_dim, train)
     out += [
         (f"{name}.final_ln.gain", (d,), _INIT_ONES, train),
         (f"{name}.final_ln.bias", (d,), _INIT_ZEROS, train),
@@ -239,23 +243,7 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
     if not cfg.fusion_bypass:
         shapes.append(("fusion.type_embed", (len(MODALITIES), d), _INIT_NORMAL, True))
         for i in range(f.n_layers):
-            p = f"fusion.layers.{i}"
-            shapes += [
-                (f"{p}.ln1.gain", (d,), _INIT_ONES, True),
-                (f"{p}.ln1.bias", (d,), _INIT_ZEROS, True),
-            ]
-            for proj in ("wq", "wk", "wv", "wo"):
-                shapes.append((f"{p}.attn.{proj}", (d, d), _INIT_NORMAL, True))
-            for b in ("bq", "bk", "bv", "bo"):
-                shapes.append((f"{p}.attn.{b}", (d,), _INIT_ZEROS, True))
-            shapes += [
-                (f"{p}.ln2.gain", (d,), _INIT_ONES, True),
-                (f"{p}.ln2.bias", (d,), _INIT_ZEROS, True),
-                (f"{p}.ffn.w1", (d, f.ffn_dim), _INIT_NORMAL, True),
-                (f"{p}.ffn.b1", (f.ffn_dim,), _INIT_ZEROS, True),
-                (f"{p}.ffn.w2", (f.ffn_dim, d), _INIT_NORMAL, True),
-                (f"{p}.ffn.b2", (d,), _INIT_ZEROS, True),
-            ]
+            shapes += _block_shapes(f"fusion.layers.{i}", d, f.ffn_dim, True)
         shapes += [
             ("fusion.final_ln.gain", (d,), _INIT_ONES, True),
             ("fusion.final_ln.bias", (d,), _INIT_ZEROS, True),
@@ -382,7 +370,7 @@ class Model:
         x = T.concat([cls, x], axis=1)
         x = T.add(x, s[f"{name}.pos_embed"])
         for i in range(cfg.depth):
-            x = self._encoder_layer(x, f"{name}.layers.{i}", cfg.n_heads)
+            x, _ = self._block(x, f"{name}.layers.{i}", cfg.n_heads, 0.0)
         x = T.layer_norm(x, s[f"{name}.final_ln.gain"], s[f"{name}.final_ln.bias"])
         cls_out = x[:, 0]
         return T.linear(cls_out, s[f"{name}.head.weight"], s[f"{name}.head.bias"])
@@ -399,14 +387,16 @@ class Model:
             bq=s[f"{prefix}.bq"], bk=s[f"{prefix}.bk"], bv=s[f"{prefix}.bv"], bo=s[f"{prefix}.bo"],
         )
 
-    def _encoder_layer(self, x: Tensor, p: str, n_heads: int) -> Tensor:
+    def _block(self, x: Tensor, p: str, n_heads: int, dropout: float) -> tuple[Tensor, np.ndarray]:
+        """One pre-norm block; returns its output and the attention weights it computed."""
         s = self.store
         h = T.layer_norm(x, s[f"{p}.ln1.gain"], s[f"{p}.ln1.bias"])
-        x = T.add(x, T.multi_head_self_attention(h, self._attn_params(f"{p}.attn"), n_heads))
+        att, weights = T.multi_head_self_attention(h, self._attn_params(f"{p}.attn"), n_heads, return_weights=True)
+        x = T.add(x, T.dropout(att, dropout, self.training, self.rng))
         h = T.layer_norm(x, s[f"{p}.ln2.gain"], s[f"{p}.ln2.bias"])
         h = T.relu(T.linear(h, s[f"{p}.ffn.w1"], s[f"{p}.ffn.b1"]))
         h = T.linear(h, s[f"{p}.ffn.w2"], s[f"{p}.ffn.b2"])
-        return T.add(x, h)
+        return T.add(x, T.dropout(h, dropout, self.training, self.rng)), weights
 
     # fusion
 
@@ -427,22 +417,9 @@ class Model:
         else:
             x = T.add(x, s["fusion.type_embed"])
             for i in range(f.n_layers):
-                p = f"fusion.layers.{i}"
-                h = T.layer_norm(x, s[f"{p}.ln1.gain"], s[f"{p}.ln1.bias"])
-                att = T.multi_head_self_attention(
-                    h, self._attn_params(f"{p}.attn"), f.n_heads, return_weights=return_attention
-                )
-                if return_attention:
-                    att, w = att
-                    if attn_weights is None:
-                        attn_weights = w
-                att = T.dropout(att, f.dropout, self.training, self.rng)
-                x = T.add(x, att)
-                h = T.layer_norm(x, s[f"{p}.ln2.gain"], s[f"{p}.ln2.bias"])
-                h = T.relu(T.linear(h, s[f"{p}.ffn.w1"], s[f"{p}.ffn.b1"]))
-                h = T.linear(h, s[f"{p}.ffn.w2"], s[f"{p}.ffn.b2"])
-                h = T.dropout(h, f.dropout, self.training, self.rng)
-                x = T.add(x, h)
+                x, w = self._block(x, f"fusion.layers.{i}", f.n_heads, f.dropout)
+                if attn_weights is None:
+                    attn_weights = w
             x = T.layer_norm(x, s["fusion.final_ln.gain"], s["fusion.final_ln.bias"])
 
         flat = T.reshape(x, (b, t * d))

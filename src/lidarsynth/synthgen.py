@@ -14,7 +14,8 @@ measured counterclockwise from +x (positive toward +y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "PROFILES",
     "PROFILE_ORDER",
     "resolve_profiles",
+    "plan_scenes",
     "generate_scene",
     "raycast_lidar",
     "render_camera",
@@ -190,6 +192,16 @@ def resolve_profiles(name: str) -> tuple[SceneProfile, ...]:
         known = ", ".join(sorted(PROFILES) + ["mixed"])
         raise ValueError(f"unknown profile {name!r} (known: {known})")
     return (PROFILES[name],)
+
+
+def plan_scenes(
+    n: int, profile_name: str, radar: RadarParams, seed: int = 0
+) -> Iterator[tuple[int, SceneProfile, Scene, RadarParams]]:
+    """Sample i of a dataset: (seed + i, its profile, its scene, radar at the profile's noise)."""
+    profiles = resolve_profiles(profile_name)
+    for i in range(n):
+        prof = profiles[i % len(profiles)]
+        yield seed + i, prof, generate_scene(seed + i, prof), replace(radar, noise_sigma=prof.noise_sigma)
 
 
 def generate_scene(seed: int, profile: SceneProfile) -> Scene:

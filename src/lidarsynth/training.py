@@ -22,7 +22,7 @@ from lidarsynth import tensor as T
 from lidarsynth.geometry import GridSpec, PolarRaster
 from lidarsynth.model import EMBED_DIM, MODALITIES, Model, ModelConfig, _param_shapes
 from lidarsynth.optim import ParamStore, adam_step
-from lidarsynth.synthgen import RadarParams, build_sample, generate_scene, resolve_profiles
+from lidarsynth.synthgen import RadarParams, build_sample, plan_scenes
 from lidarsynth.tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -42,6 +42,7 @@ __all__ = [
     "lr_for_epoch",
     "split",
     "train",
+    "write_history",
     "evaluate",
     "baseline_all_zeros",
     "ablation_no_fusion",
@@ -63,6 +64,12 @@ class Sample:
     range_velocity: np.ndarray
     target: PolarRaster
     scenario_id: str
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], grid: GridSpec, scenario_id: str) -> "Sample":
+        """A sample from arrays keyed as ``synthgen.build_sample`` keys them."""
+        target = PolarRaster(grid=grid, data=arrays["target_raster"])
+        return cls(**{name: arrays[name] for name in MODALITIES}, target=target, scenario_id=scenario_id)
 
     def modality(self, name: str) -> np.ndarray:
         if name not in MODALITIES:
@@ -231,7 +238,8 @@ def _snapshot(model: Model, epoch: int, val_mmse: float) -> Checkpoint:
 
 
 def _cached_embeddings(model: Model, samples: list[Sample], batch_size: int) -> np.ndarray:
-    """Precompute [N, 4, EMBED_DIM] embeddings once when every encoder is frozen.
+    """[N, 4, EMBED_DIM] embeddings without gradients: once per run when every
+    encoder is frozen, otherwise at the start of each inference pass.
 
     Encoders run on chunks of up to ``batch_size`` samples; they hold no
     batch statistics, so a chunk embeds each sample as it would alone.
@@ -246,6 +254,26 @@ def _cached_embeddings(model: Model, samples: list[Sample], batch_size: int) -> 
     return out
 
 
+def _predict(model: Model, samples: list[Sample], batch_size: int, embeddings: np.ndarray | None = None) -> np.ndarray:
+    """[N, rows, cols] outputs in eval mode, without gradients, batch by batch.
+
+    Fusion and decoder run from ``embeddings``; without them the encoders
+    compute them first over the same chunks.  The model's mode is restored.
+    """
+    was_training = model.training
+    model.eval_mode()
+    if embeddings is None:
+        embeddings = _cached_embeddings(model, samples, batch_size)
+    out = np.empty((len(samples), model.cfg.grid.n_rows, model.cfg.grid.n_cols), dtype=np.float32)
+    with T.no_grad():
+        for start in range(0, len(samples), batch_size):
+            chunk = slice(start, start + batch_size)
+            out[chunk] = model.forward_batch(embeddings=Tensor(embeddings[chunk])).data
+    if was_training:
+        model.train_mode()
+    return out
+
+
 def _eval_mmse(
     model: Model,
     samples: list[Sample],
@@ -254,20 +282,10 @@ def _eval_mmse(
     batch_size: int,
     embeddings: np.ndarray | None = None,
 ) -> float:
-    """Mean training-unit MMSE over a split, in eval mode, without gradients."""
-    was_training = model.training
-    model.eval_mode()
-    total = 0.0
-    with T.no_grad():
-        for start in range(0, len(samples), batch_size):
-            idx = np.arange(start, min(start + batch_size, len(samples)))
-            if embeddings is not None:
-                out = model.forward_batch(embeddings=Tensor(embeddings[idx]))
-            else:
-                out = model.forward_batch(_batch_arrays(samples, idx))
-            total += mmse_numpy(out.data, targets[idx], mask) * len(idx)
-    if was_training:
-        model.train_mode()
+    """Mean training-unit MMSE over a split, accumulated batch by batch."""
+    preds = _predict(model, samples, batch_size, embeddings)
+    chunks = [slice(start, start + batch_size) for start in range(0, len(samples), batch_size)]
+    total = sum(mmse_numpy(preds[c], targets[c], mask) * len(preds[c]) for c in chunks)
     return total / max(len(samples), 1)
 
 
@@ -351,6 +369,12 @@ def train(
     return TrainResult(best=best, final=final, history=history, model=model)
 
 
+def write_history(path, history: list[EpochStats]) -> None:
+    """One tab-separated line per epoch: epoch, train MMSE, val MMSE, lr."""
+    lines = [f"{h.epoch}\t{h.train_mmse:.8f}\t{h.val_mmse:.8f}\t{h.lr:g}\n" for h in history]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
 # -- evaluation ---------------------------------------------------------------
 
 
@@ -416,7 +440,6 @@ def model_from_checkpoint(model_cfg: ModelConfig, ckpt: Checkpoint) -> Model:
 
 
 _META_NAME = "meta.state"
-_ADAM_PREFIX = "adam."
 
 
 def save_checkpoint(
@@ -431,44 +454,26 @@ def save_checkpoint(
     tensors[_META_NAME] = np.array([float(ckpt.epoch), ckpt.val_mmse], dtype=np.float32)
     if adam:
         for name, arr in adam.items():
-            tensors[_ADAM_PREFIX + name] = arr
+            tensors[formats.ADAM_PREFIX + name] = arr
     formats.write_lsck(path, config_text, tensors)
 
 
 def load_checkpoint(path) -> tuple[str, Checkpoint, dict[str, np.ndarray]]:
     """Read back (config text, checkpoint, adam state) from an LSCK file."""
     config_text, tensors = formats.read_lsck(path)
-    adam = {k[len(_ADAM_PREFIX):]: v for k, v in tensors.items() if k.startswith(_ADAM_PREFIX)}
+    adam = {k[len(formats.ADAM_PREFIX):]: v for k, v in tensors.items() if k.startswith(formats.ADAM_PREFIX)}
     meta = tensors.get(_META_NAME)
     epoch, val = (int(meta[0]), float(meta[1])) if meta is not None else (0, float("nan"))
     params: dict[str, np.ndarray] = {}
     bn: dict[str, np.ndarray] = {}
     for name, arr in tensors.items():
-        if name.startswith(_ADAM_PREFIX) or name == _META_NAME:
+        if name.startswith(formats.ADAM_PREFIX) or name == _META_NAME:
             continue
         if ".running_mean" in name or ".running_var" in name:
             bn[name] = arr
         else:
             params[name] = arr
     return config_text, Checkpoint(params=params, bn_state=bn, epoch=epoch, val_mmse=val), adam
-
-
-def _predict_meters(
-    model: Model,
-    samples: list[Sample],
-    batch_size: int,
-    denormalize: bool,
-) -> np.ndarray:
-    grid = model.cfg.grid
-    scale = grid.max_range if denormalize else 1.0
-    preds = []
-    model.eval_mode()
-    with T.no_grad():
-        for start in range(0, len(samples), batch_size):
-            idx = np.arange(start, min(start + batch_size, len(samples)))
-            out = model.forward_batch(_batch_arrays(samples, idx))
-            preds.append(np.clip(out.data * scale, 0.0, grid.max_range))
-    return np.concatenate(preds, axis=0)
 
 
 def evaluate(
@@ -482,7 +487,8 @@ def evaluate(
         raise ValueError("evaluation split is empty")
     grid = model.cfg.grid
     mask = weight_mask(grid, train_cfg.band, train_cfg.alpha)
-    preds = _predict_meters(model, samples, batch_size, train_cfg.normalize_ranges)
+    scale = grid.max_range if train_cfg.normalize_ranges else 1.0
+    preds = np.clip(_predict(model, samples, batch_size) * scale, 0.0, grid.max_range)
     per_sample = np.array(
         [mmse_numpy(preds[i], s.target.data, mask) for i, s in enumerate(samples)]
     )
@@ -545,24 +551,10 @@ def synthetic_dataset(
     seed: int = 0,
 ) -> list[Sample]:
     """Generate n aligned samples; "mixed" cycles the four profiles round-robin."""
-    profiles = resolve_profiles(profile_name)
-    out = []
-    for i in range(n):
-        prof = profiles[i % len(profiles)]
-        scene = generate_scene(seed + i, prof)
-        radar_i = replace(radar, noise_sigma=prof.noise_sigma)
-        arrays = build_sample(scene, grid, radar_i, cam_width, cam_height, seed + i)
-        out.append(
-            Sample(
-                camera=arrays["camera"],
-                depth=arrays["depth"],
-                range_angle=arrays["range_angle"],
-                range_velocity=arrays["range_velocity"],
-                target=PolarRaster(grid=grid, data=arrays["target_raster"]),
-                scenario_id=prof.name,
-            )
-        )
-    return out
+    return [
+        Sample.from_arrays(build_sample(scene, grid, radar_i, cam_width, cam_height, seed_i), grid, prof.name)
+        for seed_i, prof, scene, radar_i in plan_scenes(n, profile_name, radar, seed)
+    ]
 
 
 def load_dataset(root, grid: GridSpec) -> list[Sample]:
@@ -574,7 +566,7 @@ def load_dataset(root, grid: GridSpec) -> list[Sample]:
     samples = []
     for d in dirs:
         arrays = {}
-        for name in ("camera", "depth", "range_angle", "range_velocity", "target_raster"):
+        for name in MODALITIES + ("target_raster",):
             path = d / f"{name}.lstf"
             if not path.exists():
                 raise formats.MalformedFileError(f"missing {path}")
@@ -586,14 +578,5 @@ def load_dataset(root, grid: GridSpec) -> list[Sample]:
                 key, _, value = line.partition("=")
                 if key.strip() == "scenario":
                     scenario = value.strip()
-        samples.append(
-            Sample(
-                camera=arrays["camera"],
-                depth=arrays["depth"],
-                range_angle=arrays["range_angle"],
-                range_velocity=arrays["range_velocity"],
-                target=PolarRaster(grid=grid, data=arrays["target_raster"]),
-                scenario_id=scenario,
-            )
-        )
+        samples.append(Sample.from_arrays(arrays, grid, scenario))
     return samples

@@ -83,6 +83,23 @@ def test_synth_single_profile(tmp_path, workspace):
         assert "scenario=plaza_day" in (d / "meta.txt").read_text()
 
 
+def test_synth_then_load_matches_synthetic_dataset(tmp_path):
+    cfg = C.toy_config()
+    cfg_path = tmp_path / "toy.cfg"
+    cfg_path.write_text(C.config_text(cfg), encoding="utf-8")
+    out = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(out), "--num", "6", "--profile", "mixed",
+                     "--seed", "5", "--config", str(cfg_path)]) == cli.EXIT_OK
+    loaded = TR.load_dataset(out, cfg.grid)
+    want = TR.synthetic_dataset(6, "mixed", cfg.grid, cfg.radar, cfg.cam_width, cfg.cam_height, seed=5)
+    assert [s.scenario_id for s in loaded] == [s.scenario_id for s in want]
+    for got, exp in zip(loaded, want):
+        for name in ("camera", "depth", "range_angle", "range_velocity"):
+            a, b = got.modality(name), exp.modality(name)
+            assert a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32)), name
+        assert np.array_equal(got.target.data.view(np.uint32), exp.target.data.view(np.uint32))
+
+
 def test_synth_unknown_profile_is_bad_input(tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path / "x"), "--num", "1",
                      "--profile", "lunar_night"]) == cli.EXIT_BAD_INPUT

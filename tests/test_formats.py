@@ -236,6 +236,22 @@ def test_lspc_round_trip(n, seed):
     np.testing.assert_array_equal(back, pts)
 
 
+_LSPC_GOOD = b"LSPC" + struct.pack("<I", 3) + np.arange(9, dtype="<f4").tobytes()
+
+
+@settings(max_examples=150)
+@given(_mutants(_LSPC_GOOD))
+def test_lspc_mutants_parse_or_raise_malformed(raw):
+    _parse_or_reject(F.read_lspc, raw)
+
+
+def test_lspc_rejects_huge_count_before_reading(tmp_path):
+    path = tmp_path / "huge.lspc"
+    path.write_bytes(b"LSPC" + struct.pack("<I", 0xFFFFFFFF) + bytes(24))
+    with pytest.raises(F.MalformedFileError):
+        F.read_lspc(path)
+
+
 def test_lspc_rejects_bad_shape_and_truncation(tmp_path):
     with pytest.raises(ValueError):
         F.write_lspc(tmp_path / "p.lspc", np.zeros((3, 2), dtype=np.float32))

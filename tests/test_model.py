@@ -1,5 +1,8 @@
 """Model architecture: embedding widths, fusion, decoder chain, freezing, init."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -94,6 +97,23 @@ def test_default_decoder_kernel_chain():
     assert shapes["decoder.deconv.3.weight"] == (64, 64, 4, 4)
     assert shapes["decoder.deconv.4.weight"] == (64, 1, 4, 4)
     assert shapes["decoder.fc.weight"] == (1024, 45 * 34)
+
+
+# sha256 of every (name, shape, init kind, trainable) in creation order, taken
+# before the encoder and fusion blocks shared one shape helper; init_params draws
+# in this order, so any reorder would change every initial weight
+PARAM_SHAPES_DIGEST = {
+    "toy": (137, "4af2b8add69ed05749c9039b335ebd07c7d85b1a3a27ff2ce8a482ccf541f05e"),
+    "default": (329, "72e8a9b282ae3b9a6c13f8fe9fc817e8517ef61397106bced28892b59bde6189"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PARAM_SHAPES_DIGEST))
+def test_param_shapes_match_golden_digest(label):
+    cfg = C.toy_config().model if label == "toy" else M.default_model_config()
+    shapes = M._param_shapes(cfg)
+    encoded = json.dumps([[name, list(shape), kind, trainable] for name, shape, kind, trainable in shapes])
+    assert (len(shapes), hashlib.sha256(encoded.encode()).hexdigest()) == PARAM_SHAPES_DIGEST[label]
 
 
 def test_init_is_seeded_and_distributed(toy_cfg):

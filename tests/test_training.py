@@ -6,6 +6,7 @@ from dataclasses import replace
 
 from lidarsynth import config as C
 from lidarsynth import model as M
+from lidarsynth import tensor as T
 from lidarsynth import training as TR
 from lidarsynth.geometry import PolarRaster, default_grid
 from lidarsynth.model import EMBED_DIM, Model, MODALITIES
@@ -222,6 +223,31 @@ def test_cached_embeddings_match_per_sample_embed(tiny_cfg, tiny_dataset):
     for i, s in enumerate(samples):
         single = model.embed({name: s.modality(name) for name in MODALITIES}).data
         np.testing.assert_allclose(cached[i], single, rtol=0, atol=1e-5)
+
+
+def test_eval_mmse_from_raw_samples_matches_forward_batch_oracle(tiny_cfg, tiny_dataset):
+    # an unfrozen encoder means no precomputed embeddings: the encoders run inside the pass
+    cfg = replace(tiny_cfg.model, camera=replace(tiny_cfg.model.camera, frozen=False))
+    rng = np.random.default_rng(0)
+    model = Model(cfg).train_mode(rng=rng)
+    rng_state = rng.bit_generator.state
+    samples = tiny_dataset[:7]
+    targets = np.stack([s.target.data for s in samples]) / np.float32(cfg.grid.max_range)
+    mask = TR.weight_mask(cfg.grid, tiny_cfg.train.band, tiny_cfg.train.alpha)
+
+    got = TR._eval_mmse(model, samples, targets, mask, batch_size=3)
+    assert model.training
+    assert rng.bit_generator.state == rng_state  # no dropout draws in the eval pass
+
+    model.eval_mode()
+    total = 0.0
+    with T.no_grad():
+        for start in range(0, len(samples), 3):
+            chunk = samples[start : start + 3]
+            batch = {name: np.stack([s.modality(name) for s in chunk]) for name in MODALITIES}
+            out = model.forward_batch(batch).data
+            total += TR.mmse_numpy(out, targets[start : start + 3], mask) * len(chunk)
+    assert got == total / len(samples)
 
 
 # -- checkpoints --------------------------------------------------------------------
