@@ -21,7 +21,6 @@ import numpy as np
 from lidarsynth import config as configmod
 from lidarsynth import formats, training
 from lidarsynth.geometry import PolarRaster, derasterize_arrays, rasterize_with_stats
-from lidarsynth.model import Model
 from lidarsynth.radar import RadarCube, range_angle_map, range_transform, range_velocity_map
 from lidarsynth.synthgen import export_sample, plan_scenes
 from lidarsynth.training import TrainingDiverged
@@ -54,9 +53,10 @@ def _load_config(path: str | None) -> configmod.AppConfig:
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args.config)
+    plan = plan_scenes(args.num, args.profile, cfg.radar, args.seed)  # rejects an unknown profile
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, (seed, prof, scene, radar) in enumerate(plan_scenes(args.num, args.profile, cfg.radar, args.seed)):
+    for i, (seed, prof, scene, radar) in enumerate(plan):
         export_sample(
             scene,
             cfg.grid,

@@ -8,7 +8,9 @@ notation, elevation regions are separated by `;`, and lists use commas.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 from lidarsynth.geometry import GridSpec
 from lidarsynth.model import (
@@ -29,109 +31,6 @@ __all__ = [
     "toy_config",
     "TOY_OVERRIDES",
 ]
-
-# (key, default, doc) in canonical output order
-_REGISTRY: list[tuple[str, str, str]] = [
-    ("grid.theta", "-180:180:0.25", "azimuth span and bin width, degrees (lo:hi:step)"),
-    (
-        "grid.phi_regions",
-        "-60:-5:0.25;-5:5:0.015625;5:62:0.25",
-        "contiguous elevation regions, each lo:hi:step in degrees, ascending",
-    ),
-    ("grid.max_range", "100.0", "sensor range cap in meters; 0 in a raster means no return"),
-    ("radar.n_rx", "4", "receive antennas (angle axis of the cube)"),
-    ("radar.n_samples", "256", "samples per chirp (range axis)"),
-    ("radar.n_chirps", "128", "chirps per frame (velocity axis)"),
-    ("radar.noise_sigma", "0.02", "circular Gaussian noise level of the simulated cube"),
-    ("radar.r_max", "100.0", "range that maps to normalized frequency 1"),
-    ("radar.v_max", "30.0", "radial speed that maps to normalized frequency 1, m/s"),
-    ("camera.width", "224", "camera and depth image width, pixels"),
-    ("camera.height", "224", "camera and depth image height, pixels"),
-    ("encoder.camera.patch_size", "16", "camera encoder patch edge, pixels"),
-    ("encoder.camera.depth", "4", "camera encoder transformer layers"),
-    ("encoder.camera.n_heads", "12", "camera encoder attention heads"),
-    ("encoder.camera.ffn_dim", "3072", "camera encoder feedforward width"),
-    ("encoder.camera.frozen", "true", "exclude camera encoder weights from optimization"),
-    ("encoder.depth.patch_size", "16", "depth encoder patch edge, pixels"),
-    ("encoder.depth.depth", "4", "depth encoder transformer layers"),
-    ("encoder.depth.n_heads", "12", "depth encoder attention heads"),
-    ("encoder.depth.ffn_dim", "3072", "depth encoder feedforward width"),
-    ("encoder.depth.frozen", "true", "exclude depth encoder weights from optimization"),
-    ("encoder.range_angle.patch_size", "4", "range-angle encoder patch edge"),
-    ("encoder.range_angle.depth", "4", "range-angle encoder transformer layers"),
-    ("encoder.range_angle.n_heads", "12", "range-angle encoder attention heads"),
-    ("encoder.range_angle.ffn_dim", "3072", "range-angle encoder feedforward width"),
-    ("encoder.range_angle.frozen", "true", "exclude range-angle encoder weights from optimization"),
-    ("encoder.range_velocity.patch_size", "16", "range-velocity encoder patch edge"),
-    ("encoder.range_velocity.depth", "4", "range-velocity encoder transformer layers"),
-    ("encoder.range_velocity.n_heads", "12", "range-velocity encoder attention heads"),
-    ("encoder.range_velocity.ffn_dim", "3072", "range-velocity encoder feedforward width"),
-    ("encoder.range_velocity.frozen", "true", "exclude range-velocity encoder weights from optimization"),
-    ("fusion.n_heads", "12", "fusion encoder attention heads"),
-    ("fusion.ffn_dim", "2048", "fusion encoder feedforward width"),
-    ("fusion.dropout", "0.1", "fusion encoder dropout probability (training mode only)"),
-    ("fusion.n_layers", "1", "fusion encoder layers"),
-    ("fusion.latent_dim", "1024", "latent width fed to the decoder"),
-    ("decoder.seed_h", "45", "decoder seed map height (azimuth axis); x32 gives output columns"),
-    ("decoder.seed_w", "34", "decoder seed map width (elevation axis); x32 gives output rows"),
-    ("decoder.filters", "256,128,64,64", "hidden channel widths of the four upsampling stages"),
-    ("model.seed", "0", "parameter initialization seed"),
-    (
-        "model.fusion_bypass",
-        "false",
-        "skip the fusion encoder layer: concatenate embeddings and project directly",
-    ),
-    ("train.batch_size", "32", "samples per optimization step (at least 2, for batch norm)"),
-    ("train.epochs", "20", "training epochs"),
-    ("train.lr_early", "0.001", "learning rate through train.lr_switch_epoch"),
-    ("train.lr_late", "0.0001", "learning rate after train.lr_switch_epoch"),
-    ("train.lr_switch_epoch", "10", "last 1-based epoch that still uses lr_early"),
-    ("train.beta1", "0.9", "Adam first-moment decay"),
-    ("train.beta2", "0.999", "Adam second-moment decay"),
-    ("train.eps", "1e-08", "Adam denominator epsilon"),
-    ("train.seed", "0", "shuffling and dropout seed"),
-    ("train.band", "-1.71875:2.1875", "elevation band (degrees, lo:hi) that gets extra loss weight"),
-    ("train.alpha", "10.0", "loss weight inside train.band (1 elsewhere)"),
-    ("train.normalize_ranges", "false", "train on ranges divided by grid.max_range"),
-    ("split.train", "0.6", "leading fraction of each scenario used for training"),
-    ("split.val", "0.2", "next fraction used for validation"),
-    ("split.test", "0.2", "trailing fraction used for testing"),
-]
-
-_DEFAULTS = {key: value for key, value, _ in _REGISTRY}
-_DOCS = {key: doc for key, _, doc in _REGISTRY}
-
-# the desk-scale profile used by the end-to-end tests and example scripts
-TOY_OVERRIDES: dict[str, str] = {
-    "grid.theta": "-180:180:2.25",
-    "grid.phi_regions": "-60:-5:2.75;-5:5:0.125;5:61:2",
-    "radar.n_samples": "64",
-    "radar.n_chirps": "64",
-    "camera.width": "64",
-    "camera.height": "64",
-    "encoder.camera.depth": "1",
-    "encoder.depth.depth": "1",
-    "encoder.range_angle.depth": "1",
-    "encoder.range_velocity.depth": "1",
-    "decoder.seed_h": "5",
-    "decoder.seed_w": "4",
-    "decoder.filters": "8,8,4,4",
-    "train.normalize_ranges": "true",
-}
-
-
-@dataclass(frozen=True)
-class AppConfig:
-    """Typed view of one configuration, plus its canonical raw key/value map."""
-
-    grid: GridSpec
-    radar: RadarParams
-    cam_width: int
-    cam_height: int
-    model: ModelConfig
-    train: TrainConfig
-    split: SplitSpec
-    raw: dict[str, str]
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -178,6 +77,132 @@ def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
     return tuple(_parse_int(key, p.strip()) for p in raw.split(","))
 
 
+# (key, default, parser, doc) in canonical output order.  Past its section
+# prefix a key is the name of the dataclass field it sets (see _build).
+_REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
+    ("grid.theta", "-180:180:0.25", _parse_triple, "azimuth span and bin width, degrees (lo:hi:step)"),
+    (
+        "grid.phi_regions",
+        "-60:-5:0.25;-5:5:0.015625;5:62:0.25",
+        _parse_regions,
+        "contiguous elevation regions, each lo:hi:step in degrees, ascending",
+    ),
+    ("grid.max_range", "100.0", _parse_float, "sensor range cap in meters; 0 in a raster means no return"),
+    ("radar.n_rx", "4", _parse_int, "receive antennas (angle axis of the cube)"),
+    ("radar.n_samples", "256", _parse_int, "samples per chirp (range axis)"),
+    ("radar.n_chirps", "128", _parse_int, "chirps per frame (velocity axis)"),
+    ("radar.noise_sigma", "0.02", _parse_float, "circular Gaussian noise level of the simulated cube"),
+    ("radar.r_max", "100.0", _parse_float, "range that maps to normalized frequency 1"),
+    ("radar.v_max", "30.0", _parse_float, "radial speed that maps to normalized frequency 1, m/s"),
+    ("camera.width", "224", _parse_int, "camera and depth image width, pixels"),
+    ("camera.height", "224", _parse_int, "camera and depth image height, pixels"),
+    ("encoder.camera.patch_size", "16", _parse_int, "camera encoder patch edge, pixels"),
+    ("encoder.camera.depth", "4", _parse_int, "camera encoder transformer layers"),
+    ("encoder.camera.n_heads", "12", _parse_int, "camera encoder attention heads"),
+    ("encoder.camera.ffn_dim", "3072", _parse_int, "camera encoder feedforward width"),
+    ("encoder.camera.frozen", "true", _parse_bool, "exclude camera encoder weights from optimization"),
+    ("encoder.depth.patch_size", "16", _parse_int, "depth encoder patch edge, pixels"),
+    ("encoder.depth.depth", "4", _parse_int, "depth encoder transformer layers"),
+    ("encoder.depth.n_heads", "12", _parse_int, "depth encoder attention heads"),
+    ("encoder.depth.ffn_dim", "3072", _parse_int, "depth encoder feedforward width"),
+    ("encoder.depth.frozen", "true", _parse_bool, "exclude depth encoder weights from optimization"),
+    ("encoder.range_angle.patch_size", "4", _parse_int, "range-angle encoder patch edge"),
+    ("encoder.range_angle.depth", "4", _parse_int, "range-angle encoder transformer layers"),
+    ("encoder.range_angle.n_heads", "12", _parse_int, "range-angle encoder attention heads"),
+    ("encoder.range_angle.ffn_dim", "3072", _parse_int, "range-angle encoder feedforward width"),
+    (
+        "encoder.range_angle.frozen",
+        "true",
+        _parse_bool,
+        "exclude range-angle encoder weights from optimization",
+    ),
+    ("encoder.range_velocity.patch_size", "16", _parse_int, "range-velocity encoder patch edge"),
+    ("encoder.range_velocity.depth", "4", _parse_int, "range-velocity encoder transformer layers"),
+    ("encoder.range_velocity.n_heads", "12", _parse_int, "range-velocity encoder attention heads"),
+    ("encoder.range_velocity.ffn_dim", "3072", _parse_int, "range-velocity encoder feedforward width"),
+    (
+        "encoder.range_velocity.frozen",
+        "true",
+        _parse_bool,
+        "exclude range-velocity encoder weights from optimization",
+    ),
+    ("fusion.n_heads", "12", _parse_int, "fusion encoder attention heads"),
+    ("fusion.ffn_dim", "2048", _parse_int, "fusion encoder feedforward width"),
+    ("fusion.dropout", "0.1", _parse_float, "fusion encoder dropout probability (training mode only)"),
+    ("fusion.n_layers", "1", _parse_int, "fusion encoder layers"),
+    ("fusion.latent_dim", "1024", _parse_int, "latent width fed to the decoder"),
+    ("decoder.seed_h", "45", _parse_int, "decoder seed map height (azimuth axis); x32 gives output columns"),
+    ("decoder.seed_w", "34", _parse_int, "decoder seed map width (elevation axis); x32 gives output rows"),
+    (
+        "decoder.filters",
+        "256,128,64,64",
+        _parse_int_list,
+        "hidden channel widths of the four upsampling stages",
+    ),
+    ("model.seed", "0", _parse_int, "parameter initialization seed"),
+    (
+        "model.fusion_bypass",
+        "false",
+        _parse_bool,
+        "skip the fusion encoder layer: concatenate embeddings and project directly",
+    ),
+    ("train.batch_size", "32", _parse_int, "samples per optimization step (at least 2, for batch norm)"),
+    ("train.epochs", "20", _parse_int, "training epochs"),
+    ("train.lr_early", "0.001", _parse_float, "learning rate through train.lr_switch_epoch"),
+    ("train.lr_late", "0.0001", _parse_float, "learning rate after train.lr_switch_epoch"),
+    ("train.lr_switch_epoch", "10", _parse_int, "last 1-based epoch that still uses lr_early"),
+    ("train.beta1", "0.9", _parse_float, "Adam first-moment decay"),
+    ("train.beta2", "0.999", _parse_float, "Adam second-moment decay"),
+    ("train.eps", "1e-08", _parse_float, "Adam denominator epsilon"),
+    ("train.seed", "0", _parse_int, "shuffling and dropout seed"),
+    (
+        "train.band",
+        "-1.71875:2.1875",
+        _parse_pair,
+        "elevation band (degrees, lo:hi) that gets extra loss weight",
+    ),
+    ("train.alpha", "10.0", _parse_float, "loss weight inside train.band (1 elsewhere)"),
+    ("train.normalize_ranges", "false", _parse_bool, "train on ranges divided by grid.max_range"),
+    ("split.train", "0.6", _parse_float, "leading fraction of each scenario used for training"),
+    ("split.val", "0.2", _parse_float, "next fraction used for validation"),
+    ("split.test", "0.2", _parse_float, "trailing fraction used for testing"),
+]
+
+_DEFAULTS = {key: value for key, value, _, _ in _REGISTRY}
+
+# the desk-scale profile used by the end-to-end tests and example scripts
+TOY_OVERRIDES: dict[str, str] = {
+    "grid.theta": "-180:180:2.25",
+    "grid.phi_regions": "-60:-5:2.75;-5:5:0.125;5:61:2",
+    "radar.n_samples": "64",
+    "radar.n_chirps": "64",
+    "camera.width": "64",
+    "camera.height": "64",
+    "encoder.camera.depth": "1",
+    "encoder.depth.depth": "1",
+    "encoder.range_angle.depth": "1",
+    "encoder.range_velocity.depth": "1",
+    "decoder.seed_h": "5",
+    "decoder.seed_w": "4",
+    "decoder.filters": "8,8,4,4",
+    "train.normalize_ranges": "true",
+}
+
+
+@dataclass(frozen=True)
+class AppConfig:
+    """Typed view of one configuration, plus its canonical raw key/value map."""
+
+    grid: GridSpec
+    radar: RadarParams
+    cam_width: int
+    cam_height: int
+    model: ModelConfig
+    train: TrainConfig
+    split: SplitSpec
+    raw: dict[str, str]
+
+
 def parse_values(text: str) -> dict[str, str]:
     """Overlay file text on the defaults; reject unknown keys and bad lines."""
     values = dict(_DEFAULTS)
@@ -195,83 +220,33 @@ def parse_values(text: str) -> dict[str, str]:
     return values
 
 
+def _section(typed: dict[str, Any], prefix: str) -> dict[str, Any]:
+    """The values under `prefix.`, keyed by the rest of the key (a dataclass field name)."""
+    return {key[len(prefix) + 1 :]: value for key, value in typed.items() if key.startswith(prefix + ".")}
+
+
 def _build(values: dict[str, str]) -> AppConfig:
-    theta = _parse_triple("grid.theta", values["grid.theta"])
-    grid = GridSpec(
-        theta_lo=theta[0],
-        theta_hi=theta[1],
-        theta_step=theta[2],
-        phi_regions=_parse_regions("grid.phi_regions", values["grid.phi_regions"]),
-        max_range=_parse_float("grid.max_range", values["grid.max_range"]),
-    )
-    radar = RadarParams(
-        n_rx=_parse_int("radar.n_rx", values["radar.n_rx"]),
-        n_samples=_parse_int("radar.n_samples", values["radar.n_samples"]),
-        n_chirps=_parse_int("radar.n_chirps", values["radar.n_chirps"]),
-        noise_sigma=_parse_float("radar.noise_sigma", values["radar.noise_sigma"]),
-        r_max=_parse_float("radar.r_max", values["radar.r_max"]),
-        v_max=_parse_float("radar.v_max", values["radar.v_max"]),
-    )
-    cam_w = _parse_int("camera.width", values["camera.width"])
-    cam_h = _parse_int("camera.height", values["camera.height"])
+    typed = {key: parse(key, values[key]) for key, _, parse, _ in _REGISTRY}
+    theta_lo, theta_hi, theta_step = typed.pop("grid.theta")
+    grid = GridSpec(theta_lo=theta_lo, theta_hi=theta_hi, theta_step=theta_step, **_section(typed, "grid"))
+    radar = RadarParams(**_section(typed, "radar"))
+    cam_w, cam_h = typed["camera.width"], typed["camera.height"]
     image_sizes = {
         "camera": (cam_h, cam_w),
         "depth": (cam_h, cam_w),
         "range_angle": (radar.n_rx, radar.n_samples),
         "range_velocity": (radar.n_chirps, radar.n_samples),
     }
-    encoders = {}
-    for name in MODALITIES:
-        p = f"encoder.{name}"
-        encoders[name] = EncoderConfig(
-            image_size=image_sizes[name],
-            patch_size=_parse_int(f"{p}.patch_size", values[f"{p}.patch_size"]),
-            depth=_parse_int(f"{p}.depth", values[f"{p}.depth"]),
-            n_heads=_parse_int(f"{p}.n_heads", values[f"{p}.n_heads"]),
-            ffn_dim=_parse_int(f"{p}.ffn_dim", values[f"{p}.ffn_dim"]),
-            frozen=_parse_bool(f"{p}.frozen", values[f"{p}.frozen"]),
-        )
-    fusion = FusionConfig(
-        n_heads=_parse_int("fusion.n_heads", values["fusion.n_heads"]),
-        ffn_dim=_parse_int("fusion.ffn_dim", values["fusion.ffn_dim"]),
-        dropout=_parse_float("fusion.dropout", values["fusion.dropout"]),
-        n_layers=_parse_int("fusion.n_layers", values["fusion.n_layers"]),
-        latent_dim=_parse_int("fusion.latent_dim", values["fusion.latent_dim"]),
-    )
-    decoder = DecoderConfig(
-        seed_h=_parse_int("decoder.seed_h", values["decoder.seed_h"]),
-        seed_w=_parse_int("decoder.seed_w", values["decoder.seed_w"]),
-        filters=_parse_int_list("decoder.filters", values["decoder.filters"]),
-    )
+    encoders = {
+        name: EncoderConfig(image_size=image_sizes[name], **_section(typed, f"encoder.{name}"))
+        for name in MODALITIES
+    }
     model = ModelConfig(
-        camera=encoders["camera"],
-        depth=encoders["depth"],
-        range_angle=encoders["range_angle"],
-        range_velocity=encoders["range_velocity"],
-        fusion=fusion,
-        decoder=decoder,
+        **encoders,
+        fusion=FusionConfig(**_section(typed, "fusion")),
+        decoder=DecoderConfig(**_section(typed, "decoder")),
         grid=grid,
-        seed=_parse_int("model.seed", values["model.seed"]),
-        fusion_bypass=_parse_bool("model.fusion_bypass", values["model.fusion_bypass"]),
-    )
-    train = TrainConfig(
-        batch_size=_parse_int("train.batch_size", values["train.batch_size"]),
-        epochs=_parse_int("train.epochs", values["train.epochs"]),
-        lr_early=_parse_float("train.lr_early", values["train.lr_early"]),
-        lr_late=_parse_float("train.lr_late", values["train.lr_late"]),
-        lr_switch_epoch=_parse_int("train.lr_switch_epoch", values["train.lr_switch_epoch"]),
-        beta1=_parse_float("train.beta1", values["train.beta1"]),
-        beta2=_parse_float("train.beta2", values["train.beta2"]),
-        eps=_parse_float("train.eps", values["train.eps"]),
-        seed=_parse_int("train.seed", values["train.seed"]),
-        band=_parse_pair("train.band", values["train.band"]),
-        alpha=_parse_float("train.alpha", values["train.alpha"]),
-        normalize_ranges=_parse_bool("train.normalize_ranges", values["train.normalize_ranges"]),
-    )
-    spl = SplitSpec(
-        train=_parse_float("split.train", values["split.train"]),
-        val=_parse_float("split.val", values["split.val"]),
-        test=_parse_float("split.test", values["split.test"]),
+        **_section(typed, "model"),
     )
     return AppConfig(
         grid=grid,
@@ -279,8 +254,8 @@ def _build(values: dict[str, str]) -> AppConfig:
         cam_width=cam_w,
         cam_height=cam_h,
         model=model,
-        train=train,
-        split=spl,
+        train=TrainConfig(**_section(typed, "train")),
+        split=SplitSpec(**_section(typed, "split")),
         raw=dict(values),
     )
 
@@ -292,7 +267,7 @@ def parse_config(text: str) -> AppConfig:
 def config_text(cfg: AppConfig, docs: bool = False) -> str:
     """Canonical serialization, in registry order; optionally with doc comments."""
     lines = []
-    for key, _, doc in _REGISTRY:
+    for key, _, _, doc in _REGISTRY:
         if docs:
             lines.append(f"# {doc}")
         lines.append(f"{key} = {cfg.raw[key]}")

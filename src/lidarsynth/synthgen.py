@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -197,11 +198,15 @@ def resolve_profiles(name: str) -> tuple[SceneProfile, ...]:
 def plan_scenes(
     n: int, profile_name: str, radar: RadarParams, seed: int = 0
 ) -> Iterator[tuple[int, SceneProfile, Scene, RadarParams]]:
-    """Sample i of a dataset: (seed + i, its profile, its scene, radar at the profile's noise)."""
+    """Sample i of a dataset: (seed + i, its profile, its scene, radar at the profile's noise).
+
+    The profile name is resolved by the call, so an unknown one raises before any scene is drawn.
+    """
     profiles = resolve_profiles(profile_name)
-    for i in range(n):
-        prof = profiles[i % len(profiles)]
-        yield seed + i, prof, generate_scene(seed + i, prof), replace(radar, noise_sigma=prof.noise_sigma)
+    return (
+        (seed + i, prof, generate_scene(seed + i, prof), replace(radar, noise_sigma=prof.noise_sigma))
+        for i, prof in zip(range(n), cycle(profiles))
+    )
 
 
 def generate_scene(seed: int, profile: SceneProfile) -> Scene:

@@ -105,6 +105,13 @@ def test_synth_unknown_profile_is_bad_input(tmp_path):
                      "--profile", "lunar_night"]) == cli.EXIT_BAD_INPUT
 
 
+def test_synth_unknown_profile_creates_no_directory(tmp_path):
+    out = tmp_path / "x"
+    assert cli.main(["synth", "--out", str(out), "--num", "1",
+                     "--profile", "lunar_night"]) == cli.EXIT_BAD_INPUT
+    assert not out.exists()
+
+
 # -- preprocess-radar ---------------------------------------------------------------
 
 

@@ -1,8 +1,15 @@
 """Text configuration: defaults, overlays, round trips, rejection of bad input."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from lidarsynth import config as C
+from lidarsynth.geometry import GridSpec
+from lidarsynth.model import MODALITIES, DecoderConfig, EncoderConfig, FusionConfig, ModelConfig
+from lidarsynth.synthgen import RadarParams
+from lidarsynth.training import SplitSpec, TrainConfig
 
 
 def test_default_config_dimensions():
@@ -105,3 +112,48 @@ def test_every_registry_key_has_doc_and_default():
     text = C.config_text(cfg, docs=True)
     for key in cfg.raw:
         assert f"{key} = " in text
+
+
+# sha256 of the canonical texts: the text is embedded in every checkpoint and
+# compared byte for byte by `eval --config`, so it must not change
+DEFAULT_DOCS_SHA256 = "ec593aef3139e8e749801305a92867930f9322543891046b262caeab045f8d66"
+TOY_TEXT_SHA256 = "f4f9bcfa9f90814c6f0f4ef8280b483d53a30375c30c2c6bcbf5a8115b6d8317"
+
+
+def test_config_text_is_pinned():
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    assert digest(C.config_text(C.default_config(), docs=True)) == DEFAULT_DOCS_SHA256
+    assert digest(C.config_text(C.toy_config())) == TOY_TEXT_SHA256
+
+
+# fields no key sets: derived from other keys, or fixed by the architecture
+UNKEYED_FIELDS = {
+    GridSpec: {"theta_lo", "theta_hi", "theta_step"},  # all three from grid.theta
+    EncoderConfig: {"image_size", "channels", "d_model"},
+    FusionConfig: {"d_model"},
+    DecoderConfig: {"kernel", "stride", "padding"},
+    ModelConfig: {*MODALITIES, "fusion", "decoder", "grid"},  # sections of their own
+}
+
+
+@pytest.mark.parametrize(
+    "prefix, cls",
+    [
+        ("grid", GridSpec),
+        ("radar", RadarParams),
+        *((f"encoder.{name}", EncoderConfig) for name in MODALITIES),
+        ("fusion", FusionConfig),
+        ("decoder", DecoderConfig),
+        ("train", TrainConfig),
+        ("split", SplitSpec),
+        ("model", ModelConfig),
+    ],
+)
+def test_every_dataclass_field_has_a_registry_key(prefix, cls):
+    # sections map onto their dataclass by field name, so a field without a key
+    # would silently keep its dataclass default
+    keys = {key for key in C.default_config().raw if key.startswith(prefix + ".")}
+    fields = {f.name for f in dataclasses.fields(cls)} - UNKEYED_FIELDS.get(cls, set())
+    assert {f"{prefix}.{name}" for name in fields} <= keys

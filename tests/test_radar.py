@@ -132,6 +132,55 @@ def test_stationary_target_sits_at_zero_doppler_center():
     assert row == 8  # center row after the shift
 
 
+# -- the FFTs the pipeline runs, against the naive DFT ------------------------------
+
+CUBE_SHAPES = [(1, 1, 1), (2, 5, 3), (3, 8, 5), (4, 16, 8), (5, 7, 6)]
+
+
+def _random_cube(shape, seed):
+    rng = np.random.default_rng(seed)
+    return R.RadarCube(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _naive_dft_along(x, axis):
+    """naive_dft applied to every 1-D fiber of x along axis, in complex128."""
+    return np.apply_along_axis(naive_dft, axis, x.astype(np.complex128))
+
+
+def _min_max_log1p(mag):
+    compressed = np.log1p(mag)
+    return (compressed - compressed.min()) / (compressed.max() - compressed.min())
+
+
+@pytest.mark.parametrize("shape", CUBE_SHAPES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_range_transform_matches_naive_dft(shape, seed):
+    cube = _random_cube(shape, seed)
+    got = R.range_transform(cube).data
+    want = _naive_dft_along(cube.data, axis=1)
+    assert got.dtype == np.complex64
+    # complex64 output: rounding relative to the largest coefficient
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", [s for s in CUBE_SHAPES if s != (1, 1, 1)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_range_maps_match_naive_dft_pipeline(shape, seed):
+    ranged = R.range_transform(_random_cube(shape, seed))
+    n_rx, _, n_chirps = shape
+    # angle: DFT over rx, |.| summed over chirps, rows rolled by n_rx // 2 (fftshift)
+    mag = np.abs(_naive_dft_along(ranged.data, axis=0)).sum(axis=2)
+    want_ra = _min_max_log1p(np.roll(mag, n_rx // 2, axis=0))
+    # velocity: DFT over chirps, |.| summed over rx, (chirps, samples), rows rolled by n_chirps // 2
+    mag = np.abs(_naive_dft_along(ranged.data, axis=2)).sum(axis=0).T
+    want_rv = _min_max_log1p(np.roll(mag, n_chirps // 2, axis=0))
+    ra, rv = R.range_angle_map(ranged), R.range_velocity_map(ranged)
+    assert ra.data.shape == want_ra.shape and rv.data.shape == want_rv.shape
+    # float32 maps in [0, 1]
+    np.testing.assert_allclose(ra.data, want_ra, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(rv.data, want_rv, rtol=0, atol=1e-6)
+
+
 def test_maps_are_normalized_to_unit_interval():
     rng = np.random.default_rng(1)
     cube = R.RadarCube(rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8)))
