@@ -20,20 +20,15 @@ if _threads and _threads.isdigit():
 
 from lidarsynth.geometry import (
     GridSpec,
-    Point3,
     PolarRaster,
-    bin_index,
     default_grid,
-    derasterize,
+    derasterize_arrays,
     legacy_grid,
-    rasterize,
-    to_spherical,
+    rasterize_with_stats,
 )
 from lidarsynth.radar import (
     RadarCube,
     RadarMap,
-    fft_1d,
-    ifft_1d,
     range_angle_map,
     range_transform,
     range_velocity_map,
@@ -44,22 +39,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec",
-    "Point3",
     "PolarRaster",
     "RadarCube",
     "RadarMap",
     "Tensor",
-    "bin_index",
     "default_grid",
-    "derasterize",
-    "fft_1d",
-    "ifft_1d",
+    "derasterize_arrays",
     "legacy_grid",
     "no_grad",
     "range_angle_map",
     "range_transform",
     "range_velocity_map",
-    "rasterize",
-    "to_spherical",
+    "rasterize_with_stats",
     "__version__",
 ]

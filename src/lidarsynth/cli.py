@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,8 @@ def _load_config(path: str | None) -> configmod.AppConfig:
 
 
 def cmd_synth(args) -> int:
+    if args.num < 1:
+        raise UsageError(f"--num must be at least 1, got {args.num}")
     cfg = _load_config(args.config)
     plan = plan_scenes(args.num, args.profile, cfg.radar, args.seed)  # rejects an unknown profile
     out = Path(args.out)
@@ -119,7 +122,8 @@ def cmd_eval(args) -> int:
     cfg = configmod.parse_config(cfg_text)
     if args.config is not None:
         given = configmod.parse_config(Path(args.config).read_text(encoding="utf-8"))
-        if configmod.config_text(given) != configmod.config_text(cfg) and not args.force:
+        # compare parsed values: `raw` keeps each value's spelling (10 vs 10.0)
+        if replace(given, raw=cfg.raw) != cfg and not args.force:
             raise ValueError("checkpoint config differs from --config (use --force to override)")
     dataset = training.load_dataset(args.data, cfg.grid)
     _, _, test = training.split(dataset, cfg.split)

@@ -1,4 +1,4 @@
-"""Polar range-image geometry: spherical conversion, binning, rasterization.
+"""Polar range-image geometry: binning, rasterization, and its inverse.
 
 The grid covers azimuth (theta) with one fixed step and elevation (phi) with
 a list of contiguous regions, each with its own step, so the horizon band
@@ -9,41 +9,22 @@ half-open [lo, lo + step); rows ascend in phi, columns in theta.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Point3",
     "GridSpec",
     "PolarRaster",
     "default_grid",
     "legacy_grid",
-    "to_spherical",
-    "bin_index",
-    "rasterize",
     "rasterize_with_stats",
-    "derasterize",
     "derasterize_arrays",
 ]
 
 log = logging.getLogger(__name__)
 
 _REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A Cartesian point in meters.  Coordinates must be finite."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y}, {self.z})")
 
 
 def _exact_count(span: float, step: float) -> int:
@@ -180,74 +161,35 @@ class PolarRaster:
         return cls(grid, np.zeros((grid.n_rows, grid.n_cols), dtype=np.float32))
 
 
-def to_spherical(p: Point3) -> tuple[float, float, float]:
-    """(range, azimuth deg in [-180, 180), elevation deg in [-90, 90])."""
-    r = math.sqrt(p.x * p.x + p.y * p.y + p.z * p.z)
-    if r == 0.0:
-        raise ValueError("origin has no defined direction")
-    theta = math.degrees(math.atan2(p.y, p.x))
-    if theta >= 180.0:
-        theta -= 360.0
-    phi = math.degrees(math.asin(max(-1.0, min(1.0, p.z / r))))
-    return r, theta, phi
+def rasterize_with_stats(cloud: np.ndarray, grid: GridSpec) -> tuple[PolarRaster, int]:
+    """Rasterize an [N, 3] point array; returns the raster and the number of dropped points.
 
-
-def bin_index(grid: GridSpec, theta: float, phi: float) -> tuple[int, int] | None:
-    """(row, col) of the half-open cell containing the angles, or None if outside."""
-    col = grid.theta_to_col(np.asarray([theta]))[0]
-    row = grid.phi_to_row(np.asarray([phi]))[0]
-    if col < 0 or row < 0:
-        return None
-    return int(row), int(col)
-
-
-def _cloud_to_array(cloud) -> np.ndarray:
-    if isinstance(cloud, np.ndarray):
-        arr = np.asarray(cloud, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError(f"point array must be [N, 3], got {arr.shape}")
-        return arr
-    pts = list(cloud)
-    if not pts:
-        return np.zeros((0, 3), dtype=np.float64)
-    return np.asarray([(p.x, p.y, p.z) for p in pts], dtype=np.float64)
-
-
-def rasterize_with_stats(cloud, grid: GridSpec) -> tuple[PolarRaster, int]:
-    """Rasterize a cloud; returns the raster and the number of dropped points.
-
-    Points outside the grid, beyond max_range, or at the origin are dropped.
-    Cells hit by several points keep the minimum range (first return).
+    Non-finite points, points outside the grid, beyond max_range, or at the
+    origin are dropped.  Cells hit by several points keep the minimum range
+    (first return).
     """
-    pts = _cloud_to_array(cloud)
+    pts = np.asarray(cloud, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"point array must be [N, 3], got {pts.shape}")
     n_total = pts.shape[0]
     data = np.full((grid.n_rows, grid.n_cols), np.inf, dtype=np.float64)
-    if n_total:
-        r = np.sqrt((pts * pts).sum(axis=1))
-        ok = (r > 0.0) & (r <= grid.max_range)
-        pts, r = pts[ok], r[ok]
-        theta = np.degrees(np.arctan2(pts[:, 1], pts[:, 0]))
-        theta = np.where(theta >= 180.0, theta - 360.0, theta)
-        phi = np.degrees(np.arcsin(np.clip(pts[:, 2] / r, -1.0, 1.0)))
-        row = grid.phi_to_row(phi)
-        col = grid.theta_to_col(theta)
-        in_grid = (row >= 0) & (col >= 0)
-        flat = row[in_grid] * grid.n_cols + col[in_grid]
-        np.minimum.at(data.reshape(-1), flat, r[in_grid])
-        n_kept = int(in_grid.sum())
-    else:
-        n_kept = 0
+    r = np.sqrt((pts * pts).sum(axis=1))
+    ok = (r > 0.0) & (r <= grid.max_range)  # false for NaN and inf ranges
+    pts, r = pts[ok], r[ok]
+    theta = np.degrees(np.arctan2(pts[:, 1], pts[:, 0]))
+    theta = np.where(theta >= 180.0, theta - 360.0, theta)
+    phi = np.degrees(np.arcsin(np.clip(pts[:, 2] / r, -1.0, 1.0)))
+    row = grid.phi_to_row(phi)
+    col = grid.theta_to_col(theta)
+    in_grid = (row >= 0) & (col >= 0)
+    flat = row[in_grid] * grid.n_cols + col[in_grid]
+    np.minimum.at(data.reshape(-1), flat, r[in_grid])
+    n_kept = int(in_grid.sum())
     data[~np.isfinite(data)] = 0.0
     dropped = n_total - n_kept
     if dropped:
         log.debug("rasterize dropped %d of %d points", dropped, n_total)
     return PolarRaster(grid, data.astype(np.float32)), dropped
-
-
-def rasterize(cloud, grid: GridSpec) -> PolarRaster:
-    """Rasterize a point cloud (list of Point3 or [N, 3] array) onto the grid."""
-    raster, _ = rasterize_with_stats(cloud, grid)
-    return raster
 
 
 def derasterize_arrays(raster: PolarRaster) -> np.ndarray:
@@ -261,8 +203,3 @@ def derasterize_arrays(raster: PolarRaster) -> np.ndarray:
         [r * cos_phi * np.cos(theta), r * cos_phi * np.sin(theta), r * np.sin(phi)], axis=1
     )
 
-
-def derasterize(raster: PolarRaster) -> list[Point3]:
-    """One point per nonzero bin; rasterizing the result reproduces the raster."""
-    arr = derasterize_arrays(raster)
-    return [Point3(float(x), float(y), float(z)) for x, y, z in arr]

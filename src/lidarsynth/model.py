@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lidarsynth import tensor as T
-from lidarsynth.geometry import GridSpec, PolarRaster, default_grid
+from lidarsynth.geometry import GridSpec, PolarRaster
 from lidarsynth.optim import ParamStore
 from lidarsynth.tensor import AttentionParams, BatchNormState, Tensor
 
@@ -36,7 +36,6 @@ __all__ = [
     "init_params",
     "param_count",
     "param_breakdown",
-    "default_model_config",
 ]
 
 MODALITIES = ("camera", "depth", "range_angle", "range_velocity")
@@ -165,23 +164,6 @@ class ModelConfig:
         if name not in MODALITIES:
             raise KeyError(f"unknown modality {name!r}")
         return getattr(self, name)
-
-
-def default_model_config(grid: GridSpec | None = None) -> ModelConfig:
-    """Full-scale configuration matching the production raster grid."""
-    grid = grid if grid is not None else default_grid()
-    return ModelConfig(
-        camera=EncoderConfig(image_size=(224, 224), patch_size=16),
-        depth=EncoderConfig(image_size=(224, 224), patch_size=16),
-        range_angle=EncoderConfig(image_size=(4, 256), patch_size=4),
-        range_velocity=EncoderConfig(image_size=(128, 256), patch_size=16),
-        fusion=FusionConfig(),
-        decoder=DecoderConfig(
-            seed_h=grid.n_cols // UPSCALE,
-            seed_w=grid.n_rows // UPSCALE,
-        ),
-        grid=grid,
-    )
 
 
 # -- parameter enumeration ----------------------------------------------------
@@ -375,11 +357,6 @@ class Model:
         cls_out = x[:, 0]
         return T.linear(cls_out, s[f"{name}.head.weight"], s[f"{name}.head.bias"])
 
-    def encode(self, name: str, image: np.ndarray) -> Tensor:
-        """Single-image embedding of length 768."""
-        out = self.encode_batch(name, np.asarray(image)[None])
-        return T.reshape(out, (EMBED_DIM,))
-
     def _attn_params(self, prefix: str) -> AttentionParams:
         s = self.store
         return AttentionParams(
@@ -401,14 +378,13 @@ class Model:
     # fusion
 
     def fuse(self, embeddings: Tensor, return_attention: bool = False):
-        """[4, 768] or [B, 4, 768] modality embeddings -> [B?, 1024] latent."""
+        """[B, 4, 768] modality embeddings -> [B, 1024] latent."""
         s = self.store
         f = self.cfg.fusion
-        x = embeddings if embeddings.ndim == 3 else T.reshape(embeddings, (1,) + embeddings.shape)
+        x = embeddings
+        if x.ndim != 3 or x.shape[1:] != (len(MODALITIES), f.d_model):
+            raise ValueError(f"fuse expects [B, {len(MODALITIES)}, {f.d_model}], got {x.shape}")
         b, t, d = x.shape
-        if t != len(MODALITIES) or d != f.d_model:
-            raise ValueError(f"fuse expects [*, {len(MODALITIES)}, {f.d_model}], got {embeddings.shape}")
-        squeeze = embeddings.ndim == 2
         attn_weights = None
 
         if self.cfg.fusion_bypass:
@@ -424,8 +400,6 @@ class Model:
 
         flat = T.reshape(x, (b, t * d))
         latent = T.linear(flat, s["fusion.proj.weight"], s["fusion.proj.bias"])
-        if squeeze:
-            latent = T.reshape(latent, (f.latent_dim,))
         if return_attention:
             return latent, attn_weights
         return latent
@@ -433,12 +407,12 @@ class Model:
     # decoder
 
     def decode(self, latent: Tensor) -> Tensor:
-        """[B?, 1024] -> [B?, 1, out_h, out_w], non-negative."""
+        """[B, 1024] -> [B, 1, out_h, out_w], non-negative."""
         s = self.store
         dec = self.cfg.decoder
-        squeeze = latent.ndim == 1
-        x = latent if not squeeze else T.reshape(latent, (1,) + latent.shape)
-        x = T.linear(x, s["decoder.fc.weight"], s["decoder.fc.bias"])
+        if latent.ndim != 2:
+            raise ValueError(f"decode expects [B, {self.cfg.fusion.latent_dim}], got {latent.shape}")
+        x = T.linear(latent, s["decoder.fc.weight"], s["decoder.fc.bias"])
         x = T.reshape(x, (x.shape[0], 1, dec.seed_h, dec.seed_w))
         for i in range(N_DECONV):
             x = T.conv_transpose2d(
@@ -457,16 +431,14 @@ class Model:
                     self.training,
                 )
             x = T.relu(x)
-        if squeeze:
-            x = T.reshape(x, x.shape[1:])
         return x
 
     # full pipeline
 
     def embed(self, sample: dict[str, np.ndarray]) -> Tensor:
-        """Stack the four modality embeddings of one sample into [4, 768]."""
-        embs = [self.encode(name, sample[name]) for name in MODALITIES]
-        return T.stack(embs, axis=0)
+        """The four modality embeddings of one sample as rows of a [4, 768] tensor."""
+        rows = [self.encode_batch(name, np.asarray(sample[name])[None]) for name in MODALITIES]
+        return T.concat(rows, axis=0)
 
     def forward_batch(
         self,

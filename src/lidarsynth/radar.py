@@ -17,8 +17,6 @@ import numpy as np
 __all__ = [
     "RadarCube",
     "RadarMap",
-    "fft_1d",
-    "ifft_1d",
     "range_transform",
     "range_angle_map",
     "range_velocity_map",
@@ -82,22 +80,6 @@ class RadarMap:
             raise ValueError("map must be 2-D")
         if self.data.size and (self.data.min() < 0 or self.data.max() > 1):
             raise ValueError("map values must lie in [0, 1]")
-
-
-def fft_1d(x: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT: X[k] = sum_n x[n] exp(-2 pi i k n / N)."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("fft_1d expects a non-empty 1-D vector")
-    return np.fft.fft(x).astype(np.complex128)
-
-
-def ifft_1d(x: np.ndarray) -> np.ndarray:
-    """Inverse of fft_1d (includes the 1/N factor)."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("ifft_1d expects a non-empty 1-D vector")
-    return np.fft.ifft(x).astype(np.complex128)
 
 
 def range_transform(cube: RadarCube) -> RadarCube:

@@ -105,12 +105,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
@@ -153,35 +147,10 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0, self.dtype))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+    # -- indexing (the model reads the class token as x[:, 0]) ---------------
 
     def __getitem__(self, key):
         return _getitem(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
 
 
 def _as_tensor(x, dtype=np.float32) -> Tensor:
@@ -541,15 +510,13 @@ def conv_transpose2d(
 ) -> Tensor:
     """Transposed 2-D convolution.
 
-    x: [N, C_in, H, W] (or [C_in, H, W] for a single sample),
-    kernels: [C_in, C_out, k, k].  Output spatial dims follow
+    x: [N, C_in, H, W], kernels: [C_in, C_out, k, k].  Output spatial dims follow
     H' = (H - 1) * stride - 2 * padding + k.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4:
-        raise ValueError(f"conv_transpose2d expects 3-D or 4-D input, got shape {x.shape}")
+        raise ValueError(f"conv_transpose2d expects [N, C, H, W], got shape {x.shape}")
     n, c_in, h, w = xd.shape
     kc_in, c_out, kh, kw = kernels.shape
     if kc_in != c_in:
@@ -574,25 +541,22 @@ def conv_transpose2d(
         if bias.shape != (c_out,):
             raise ValueError("conv_transpose2d: bias must have one entry per output channel")
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
-    if squeeze:
-        out_data = out_data[0]
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
 
     def backward(g):
-        g4 = g[None] if squeeze else g
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g4.sum(axis=(0, 2, 3)))
-        gfull = np.zeros((n, c_out, full_h, full_w), dtype=g4.dtype)
-        gfull[:, :, p : p + h_out, p : p + w_out] = g4
-        gcols = np.empty((n, c_out, kh, kw, h, w), dtype=g4.dtype)
+            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        gfull = np.zeros((n, c_out, full_h, full_w), dtype=g.dtype)
+        gfull[:, :, p : p + h_out, p : p + w_out] = g
+        gcols = np.empty((n, c_out, kh, kw, h, w), dtype=g.dtype)
         for dh in range(kh):
             for dw in range(kw):
                 gcols[:, :, dh, dw] = gfull[:, :, dh : dh + (h - 1) * s + 1 : s, dw : dw + (w - 1) * s + 1 : s]
         if x.requires_grad:
             gx = np.tensordot(gcols, kernels.data, axes=([1, 2, 3], [1, 2, 3]))  # [N,H,W,Cin]
             gx = gx.transpose(0, 3, 1, 2)
-            x._accumulate(gx[0] if squeeze else gx)
+            x._accumulate(gx)
         if kernels.requires_grad:
             gk = np.tensordot(xd, gcols, axes=([0, 2, 3], [0, 4, 5]))  # [Cin,Cout,kh,kw]
             kernels._accumulate(gk)
@@ -625,14 +589,13 @@ def multi_head_self_attention(
 ):
     """Scaled dot-product self-attention over tokens.
 
-    x: [T, D] or [N, T, D].  D must divide evenly into n_heads; each head
+    x: [N, T, D].  D must divide evenly into n_heads; each head
     uses scale 1/sqrt(D / n_heads).  Heads are concatenated and passed
     through the output projection.
     """
     x = _as_tensor(x)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = reshape(x, (1,) + x.shape)
+    if x.ndim != 3:
+        raise ValueError(f"multi_head_self_attention expects [N, T, D], got shape {x.shape}")
     n, t, d = x.shape
     if d % n_heads != 0:
         raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
@@ -650,9 +613,6 @@ def multi_head_self_attention(
     ctx = matmul(attn, v)  # [N, heads, T, dh]
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, t, d))
     out = linear(ctx, params.wo, params.bo)
-    if squeeze:
-        out = reshape(out, (t, d))
     if return_weights:
-        weights = attn.data[0] if squeeze else attn.data
-        return out, weights
+        return out, attn.data
     return out

@@ -31,7 +31,7 @@ def _rng(label: str) -> np.random.Generator:
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
-    """O(N^2) forward DFT, the independent oracle for the FFT wrapper."""
+    """O(N^2) forward DFT, the independent oracle for the pipeline's FFTs."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
     idx = np.arange(n)
@@ -283,8 +283,8 @@ GRAD_SUITE: list[tuple[str, Callable]] = [
     ("softmax/vec", _softmax_case("softmax/a", (6,), -1)),
     ("softmax/rows", _softmax_case("softmax/b", (3, 5), -1)),
     ("softmax/axis0", _softmax_case("softmax/c", (4, 3, 2), 0)),
-    ("attention/t3d4h2", _attention_case("attn/a", (3, 4), 2)),
-    ("attention/t5d6h3", _attention_case("attn/b", (5, 6), 3)),
+    ("attention/t3d4h2", _attention_case("attn/a", (1, 3, 4), 2)),
+    ("attention/t5d6h3", _attention_case("attn/b", (1, 5, 6), 3)),
     ("attention/batched", _attention_case("attn/c", (2, 3, 4), 2)),
     ("layer_norm/vec", _layer_norm_case("ln/a", (6,))),
     ("layer_norm/mat", _layer_norm_case("ln/b", (3, 5))),

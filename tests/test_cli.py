@@ -112,6 +112,13 @@ def test_synth_unknown_profile_creates_no_directory(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("num", ["0", "-1"])
+def test_synth_count_below_one_is_usage_error(tmp_path, num):
+    out = tmp_path / "x"
+    assert cli.main(["synth", "--out", str(out), "--num", num]) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
 # -- preprocess-radar ---------------------------------------------------------------
 
 
@@ -236,6 +243,16 @@ def test_eval_checks_config_consistency(workspace, tmp_path):
     matching = ["eval", "--data", str(workspace["data"]), "--ckpt", str(workspace["ckpt"]),
                 "--report", str(tmp_path / "r2.txt"), "--config", str(workspace["cfg"])]
     assert cli.main(matching) == cli.EXIT_OK
+
+
+def test_eval_accepts_equivalent_config_spelling(workspace, tmp_path):
+    # the checkpoint holds `train.alpha = 10.0` and `model.fusion_bypass = false`
+    respelled = tmp_path / "respelled.cfg"
+    respelled.write_text(C.config_text(C.toy_config(overrides={
+        "train.epochs": "02", "train.alpha": "10", "model.fusion_bypass": "no",
+    })))
+    assert cli.main(["eval", "--data", str(workspace["data"]), "--ckpt", str(workspace["ckpt"]),
+                     "--report", str(tmp_path / "r.txt"), "--config", str(respelled)]) == cli.EXIT_OK
 
 
 def test_train_ablation_bypasses_fusion(workspace, tmp_path):

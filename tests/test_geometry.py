@@ -86,24 +86,8 @@ def test_theta_cols_are_half_open():
 
 def test_bin_index_center_of_fine_band():
     grid = G.default_grid()
-    assert G.bin_index(grid, 0.0, -1.71875) == (430, 720)
-    assert G.bin_index(grid, 0.0, 90.0) is None
-
-
-def test_to_spherical_axes():
-    r, theta, phi = G.to_spherical(G.Point3(1.0, 0.0, 0.0))
-    assert (r, theta, phi) == (1.0, 0.0, 0.0)
-    _, theta, _ = G.to_spherical(G.Point3(0.0, 2.0, 0.0))
-    assert theta == pytest.approx(90.0)
-    _, _, phi = G.to_spherical(G.Point3(0.0, 0.0, 3.0))
-    assert phi == pytest.approx(90.0)
-    with pytest.raises(ValueError):
-        G.to_spherical(G.Point3(0.0, 0.0, 0.0))
-
-
-def test_point3_rejects_non_finite():
-    with pytest.raises(ValueError):
-        G.Point3(float("nan"), 0.0, 0.0)
+    np.testing.assert_array_equal(grid.phi_to_row(np.array([-1.71875, 90.0])), [430, -1])
+    np.testing.assert_array_equal(grid.theta_to_col(np.array([0.0])), [720])
 
 
 # -- rasterization -----------------------------------------------------------------
@@ -134,24 +118,38 @@ def test_rasterize_keeps_nearest_return_per_cell():
 
 def test_rasterize_drops_out_of_range_and_origin():
     grid = G.default_grid()
+    inf = float("inf")
     pts = np.array([
         [150.0, 0.0, 0.0],   # beyond max_range
         [0.0, 0.0, 0.0],     # origin
         [0.0, 0.0, 50.0],    # phi 90, above the grid
+        [float("nan"), 1.0, 0.0],
+        [inf, 0.0, 0.0],
+        [1.0, -inf, 0.0],
+        [0.0, 1.0, inf],
         _point_at(grid, 10, 10, 30.0),
     ])
     raster, dropped = G.rasterize_with_stats(pts, grid)
-    assert dropped == 3
+    assert dropped == 7
     assert np.count_nonzero(raster.data) == 1
+    assert raster.data[10, 10] == pytest.approx(30.0, rel=1e-6)
 
 
 def test_rasterize_accepts_point3_lists_and_empty_clouds():
     grid = G.default_grid()
-    raster = G.rasterize([G.Point3(*_point_at(grid, 400, 720, 10.0))], grid)
+    raster, dropped = G.rasterize_with_stats([_point_at(grid, 400, 720, 10.0)], grid)
+    assert dropped == 0
     assert raster.data[400, 720] == pytest.approx(10.0, rel=1e-6)
-    empty, dropped = G.rasterize_with_stats([], grid)
+    empty, dropped = G.rasterize_with_stats(np.zeros((0, 3)), grid)
     assert dropped == 0
     assert not empty.data.any()
+
+
+@pytest.mark.parametrize("cloud", [[], np.zeros(3), np.zeros((4, 2)), np.zeros((1, 2, 3))],
+                         ids=["empty-list", "shape-3", "shape-4x2", "shape-1x2x3"])
+def test_rasterize_rejects_non_n_by_3_input(cloud):
+    with pytest.raises(ValueError):
+        G.rasterize_with_stats(cloud, G.default_grid())
 
 
 def test_polar_raster_validates_shape_and_range():
@@ -187,16 +185,16 @@ def test_rasterize_derasterize_round_trip_is_bit_exact(seed, n_points):
 def test_derasterize_empty_raster():
     grid = G.default_grid()
     assert G.derasterize_arrays(G.PolarRaster.zeros(grid)).shape == (0, 3)
-    assert G.derasterize(G.PolarRaster.zeros(grid)) == []
 
 
 def test_derasterize_returns_points_at_bin_centers():
     grid = G.default_grid()
     data = np.zeros((grid.n_rows, grid.n_cols), dtype=np.float32)
     data[430, 720] = 50.0
-    pts = G.derasterize(G.PolarRaster(grid, data))
-    assert len(pts) == 1
-    r, theta, phi = G.to_spherical(pts[0])
+    pts = G.derasterize_arrays(G.PolarRaster(grid, data))
+    assert pts.shape == (1, 3) and pts.dtype == np.float64
+    x, y, z = pts[0]
+    r = math.sqrt(x * x + y * y + z * z)
     assert r == pytest.approx(50.0, rel=1e-9)
-    assert theta == pytest.approx(grid.col_centers()[720], abs=1e-9)
-    assert phi == pytest.approx(grid.row_centers()[430], abs=1e-9)
+    assert math.degrees(math.atan2(y, x)) == pytest.approx(grid.col_centers()[720], abs=1e-9)
+    assert math.degrees(math.asin(z / r)) == pytest.approx(grid.row_centers()[430], abs=1e-9)

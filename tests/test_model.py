@@ -34,7 +34,7 @@ def _toy_inputs(cfg, rng, batch=None):
 
 
 def test_default_config_matches_grid():
-    cfg = M.default_model_config()
+    cfg = C.default_config().model
     assert cfg.decoder.seed_h == 45
     assert cfg.decoder.seed_w == 34
     assert cfg.decoder.out_h == 1440
@@ -43,19 +43,22 @@ def test_default_config_matches_grid():
 
 
 def test_legacy_config_dimensions():
-    cfg = M.default_model_config(grid=legacy_grid())
+    cfg = C.parse_config(
+        "grid.phi_regions = -60:-5:0.25;-5:5:0.015625;5:30:0.25\ndecoder.seed_w = 30\n"
+    ).model
+    assert cfg.grid == legacy_grid()
     assert (cfg.decoder.seed_h, cfg.decoder.seed_w) == (45, 30)
     assert (cfg.decoder.out_h, cfg.decoder.out_w) == (1440, 960)
 
 
 def test_config_rejects_grid_decoder_mismatch():
-    cfg = M.default_model_config()
+    cfg = C.default_config().model
     with pytest.raises(ValueError):
         replace(cfg, decoder=M.DecoderConfig(seed_h=10, seed_w=10))
 
 
 def test_config_rejects_wrong_fusion_width():
-    cfg = M.default_model_config()
+    cfg = C.default_config().model
     with pytest.raises(ValueError):
         replace(cfg, fusion=M.FusionConfig(d_model=512, n_heads=8))
 
@@ -90,7 +93,7 @@ def test_toy_decoder_param_count_by_hand(toy_cfg):
 
 
 def test_default_decoder_kernel_chain():
-    shapes = dict((n, s) for n, s, _, _ in M._param_shapes(M.default_model_config()))
+    shapes = dict((n, s) for n, s, _, _ in M._param_shapes(C.default_config().model))
     assert shapes["decoder.deconv.0.weight"] == (1, 256, 4, 4)
     assert shapes["decoder.deconv.1.weight"] == (256, 128, 4, 4)
     assert shapes["decoder.deconv.2.weight"] == (128, 64, 4, 4)
@@ -99,18 +102,19 @@ def test_default_decoder_kernel_chain():
     assert shapes["decoder.fc.weight"] == (1024, 45 * 34)
 
 
-# sha256 of every (name, shape, init kind, trainable) in creation order, taken
-# before the encoder and fusion blocks shared one shape helper; init_params draws
-# in this order, so any reorder would change every initial weight
+# sha256 of every (name, shape, init kind, trainable) in creation order for
+# toy_config().model and default_config().model, taken before the shape code
+# was refactored; init_params draws in this order, so any reorder would change
+# every initial weight
 PARAM_SHAPES_DIGEST = {
     "toy": (137, "4af2b8add69ed05749c9039b335ebd07c7d85b1a3a27ff2ce8a482ccf541f05e"),
-    "default": (329, "72e8a9b282ae3b9a6c13f8fe9fc817e8517ef61397106bced28892b59bde6189"),
+    "default": (329, "32687fad8f2b25b3008c655fcaa5b8fa9ffc15f08dcd7d754fa6b77ab4bbde11"),
 }
 
 
 @pytest.mark.parametrize("label", sorted(PARAM_SHAPES_DIGEST))
 def test_param_shapes_match_golden_digest(label):
-    cfg = C.toy_config().model if label == "toy" else M.default_model_config()
+    cfg = C.toy_config().model if label == "toy" else C.default_config().model
     shapes = M._param_shapes(cfg)
     encoded = json.dumps([[name, list(shape), kind, trainable] for name, shape, kind, trainable in shapes])
     assert (len(shapes), hashlib.sha256(encoded.encode()).hexdigest()) == PARAM_SHAPES_DIGEST[label]
@@ -150,8 +154,8 @@ def test_every_encoder_outputs_embed_dim(toy_cfg, toy_model):
     rng = np.random.default_rng(0)
     sample = _toy_inputs(toy_cfg, rng)
     for name in M.MODALITIES:
-        emb = toy_model.encode(name, sample[name])
-        assert emb.shape == (M.EMBED_DIM,)
+        emb = toy_model.encode_batch(name, sample[name][None])
+        assert emb.shape == (1, M.EMBED_DIM)
 
 
 def test_encoder_batch_matches_single(toy_cfg, toy_model):
@@ -159,15 +163,15 @@ def test_encoder_batch_matches_single(toy_cfg, toy_model):
     batch = _toy_inputs(toy_cfg, rng, batch=3)
     out = toy_model.encode_batch("camera", batch["camera"])
     assert out.shape == (3, M.EMBED_DIM)
-    single = toy_model.encode("camera", batch["camera"][1])
-    np.testing.assert_allclose(out.data[1], single.data, rtol=2e-4, atol=1e-5)
+    single = toy_model.encode_batch("camera", batch["camera"][1:2])
+    np.testing.assert_allclose(out.data[1], single.data[0], rtol=2e-4, atol=1e-5)
 
 
 def test_embedding_responds_to_input(toy_cfg, toy_model):
     rng = np.random.default_rng(2)
     sample = _toy_inputs(toy_cfg, rng)
-    a = toy_model.encode("depth", sample["depth"]).data
-    b = toy_model.encode("depth", sample["depth"] * 0.5 + 0.1).data
+    a = toy_model.encode_batch("depth", sample["depth"][None]).data
+    b = toy_model.encode_batch("depth", sample["depth"][None] * 0.5 + 0.1).data
     assert (a != b).any()
 
 
@@ -182,34 +186,41 @@ def test_embed_stacks_modalities(toy_cfg, toy_model):
 
 def test_fuse_produces_latent(toy_cfg, toy_model):
     rng = np.random.default_rng(4)
-    emb = T.Tensor(rng.standard_normal((4, 768)).astype(np.float32))
+    emb = T.Tensor(rng.standard_normal((1, 4, 768)).astype(np.float32))
     latent = toy_model.fuse(emb)
-    assert latent.shape == (toy_cfg.model.fusion.latent_dim,)
+    assert latent.shape == (1, toy_cfg.model.fusion.latent_dim)
     batched = toy_model.fuse(T.Tensor(rng.standard_normal((2, 4, 768)).astype(np.float32)))
     assert batched.shape == (2, toy_cfg.model.fusion.latent_dim)
 
 
 def test_fuse_is_sensitive_to_slot_order(toy_model):
     rng = np.random.default_rng(5)
-    emb = rng.standard_normal((4, 768)).astype(np.float32)
+    emb = rng.standard_normal((1, 4, 768)).astype(np.float32)
     a = toy_model.fuse(T.Tensor(emb)).data
-    b = toy_model.fuse(T.Tensor(emb[::-1].copy())).data
+    b = toy_model.fuse(T.Tensor(emb[:, ::-1].copy())).data
     # modality type embeddings break permutation symmetry
     assert np.abs(a - b).max() > 1e-6
 
 
 def test_fuse_attention_weights_shape(toy_model):
     rng = np.random.default_rng(6)
-    emb = T.Tensor(rng.standard_normal((4, 768)).astype(np.float32))
+    emb = T.Tensor(rng.standard_normal((1, 4, 768)).astype(np.float32))
     _, weights = toy_model.fuse(emb, return_attention=True)
     n_heads = toy_model.cfg.fusion.n_heads
-    assert weights.shape == (1, n_heads, 4, 4) or weights.shape == (n_heads, 4, 4)
+    assert weights.shape == (1, n_heads, 4, 4)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-4)
 
 
 def test_fuse_rejects_wrong_token_count(toy_model):
     with pytest.raises(ValueError):
-        toy_model.fuse(T.Tensor(np.zeros((3, 768), dtype=np.float32)))
+        toy_model.fuse(T.Tensor(np.zeros((1, 3, 768), dtype=np.float32)))
+
+
+def test_fuse_and_decode_reject_unbatched_input(toy_model):
+    with pytest.raises(ValueError):
+        toy_model.fuse(T.Tensor(np.zeros((4, 768), dtype=np.float32)))
+    with pytest.raises(ValueError):
+        toy_model.decode(T.Tensor(np.zeros(1024, dtype=np.float32)))
 
 
 def test_fusion_bypass_skips_transformer(toy_cfg):
@@ -217,10 +228,10 @@ def test_fusion_bypass_skips_transformer(toy_cfg):
     model = M.Model(bypass_cfg)
     fusion_params = [n for n in model.store.names() if n.startswith("fusion.")]
     assert sorted(fusion_params) == ["fusion.proj.bias", "fusion.proj.weight"]
-    emb = T.Tensor(np.random.default_rng(7).standard_normal((4, 768)).astype(np.float32))
+    emb = T.Tensor(np.random.default_rng(7).standard_normal((1, 4, 768)).astype(np.float32))
     latent = model.fuse(emb)
     # bypass is a plain affine map of the concatenated embeddings
-    want = emb.data.reshape(-1) @ model.store["fusion.proj.weight"].data
+    want = emb.data.reshape(1, -1) @ model.store["fusion.proj.weight"].data
     want = want + model.store["fusion.proj.bias"].data
     np.testing.assert_allclose(latent.data, want, rtol=2e-4, atol=1e-5)
     with pytest.raises(ValueError):
@@ -231,10 +242,10 @@ def test_fusion_bypass_skips_transformer(toy_cfg):
 
 
 def test_decode_doubles_five_times(toy_cfg, toy_model):
-    latent = T.Tensor(np.random.default_rng(8).standard_normal(1024).astype(np.float32))
+    latent = T.Tensor(np.random.default_rng(8).standard_normal((1, 1024)).astype(np.float32))
     out = toy_model.decode(latent)
     dec = toy_cfg.model.decoder
-    assert out.shape == (1, dec.seed_h * 32, dec.seed_w * 32)
+    assert out.shape == (1, 1, dec.seed_h * 32, dec.seed_w * 32)
     assert (out.data >= 0.0).all()
 
 

@@ -1,0 +1,19 @@
+"""The package surface: every exported name resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import lidarsynth
+
+MODULES = ["lidarsynth"] + [
+    f"lidarsynth.{m.name}" for m in pkgutil.iter_modules(lidarsynth.__path__)
+]
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

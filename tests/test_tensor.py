@@ -133,17 +133,6 @@ def test_matmul_folded_weight_matches_numpy(a_shape, grad_a, grad_b):
         assert tb.grad is None
 
 
-def test_operator_sugar():
-    x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    y = T.Tensor(np.array([3.0, 4.0]))
-    np.testing.assert_array_equal((x + y).data, [4.0, 6.0])
-    np.testing.assert_array_equal((x - y).data, [-2.0, -2.0])
-    np.testing.assert_array_equal((x * y).data, [3.0, 8.0])
-    np.testing.assert_array_equal((-x).data, [-1.0, -2.0])
-    assert x.reshape(2, 1).shape == (2, 1)
-    assert x.transpose().shape == (2,)
-
-
 def test_concat_shape_and_order():
     a = T.Tensor(np.zeros((2, 3)))
     b = T.Tensor(np.ones((2, 2)))
@@ -288,6 +277,11 @@ def test_conv_transpose_doubles_spatial_dims():
     assert out.shape == (1, 2, 14, 18)
 
 
+def test_conv_transpose_rejects_unbatched_input():
+    with pytest.raises(ValueError):
+        T.conv_transpose2d(T.Tensor(np.zeros((4, 7, 9))), T.Tensor(np.zeros((4, 2, 4, 4))))
+
+
 def _naive_attention_single_head(x, p):
     q = x @ p["wq"] + p["bq"]
     k = x @ p["wk"] + p["bk"]
@@ -305,32 +299,39 @@ def test_attention_matches_numpy_single_head():
     raw = {n: rng.standard_normal((d, d)) / np.sqrt(d) for n in ("wq", "wk", "wv", "wo")}
     raw.update({n: rng.standard_normal(d) * 0.1 for n in ("bq", "bk", "bv", "bo")})
     params = T.AttentionParams(**{n: T.Tensor(v) for n, v in raw.items()})
-    out = T.multi_head_self_attention(T.Tensor(x), params, n_heads=1).data
-    np.testing.assert_allclose(out, _naive_attention_single_head(x, raw), rtol=1e-8)
+    out = T.multi_head_self_attention(T.Tensor(x[None]), params, n_heads=1).data
+    np.testing.assert_allclose(out[0], _naive_attention_single_head(x, raw), rtol=1e-8)
 
 
 def test_attention_weights_rows_sum_to_one():
     rng = np.random.default_rng(6)
     d, t, heads = 8, 5, 2
-    x = rng.standard_normal((t, d))
+    x = rng.standard_normal((1, t, d))
     params = T.AttentionParams(
         *(T.Tensor(rng.standard_normal((d, d)) * 0.3) for _ in range(4)),
         *(T.Tensor(np.zeros(d)) for _ in range(4)),
     )
     out, weights = T.multi_head_self_attention(T.Tensor(x), params, heads, return_weights=True)
-    assert out.shape == (t, d)
-    assert weights.shape == (heads, t, t)
+    assert out.shape == (1, t, d)
+    assert weights.shape == (1, heads, t, t)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-5)
 
 
-def test_attention_rejects_indivisible_heads():
-    x = T.Tensor(np.zeros((3, 5)))
-    params = T.AttentionParams(
-        *(T.Tensor(np.zeros((5, 5))) for _ in range(4)),
-        *(T.Tensor(np.zeros(5)) for _ in range(4)),
+def _zero_attention_params(d):
+    return T.AttentionParams(
+        *(T.Tensor(np.zeros((d, d))) for _ in range(4)),
+        *(T.Tensor(np.zeros(d)) for _ in range(4)),
     )
+
+
+def test_attention_rejects_indivisible_heads():
     with pytest.raises(ValueError):
-        T.multi_head_self_attention(x, params, n_heads=2)
+        T.multi_head_self_attention(T.Tensor(np.zeros((1, 3, 5))), _zero_attention_params(5), n_heads=2)
+
+
+def test_attention_rejects_unbatched_input():
+    with pytest.raises(ValueError):
+        T.multi_head_self_attention(T.Tensor(np.zeros((3, 4))), _zero_attention_params(4), n_heads=2)
 
 
 def test_attention_batched_matches_per_sample():
@@ -343,5 +344,5 @@ def test_attention_batched_matches_per_sample():
     )
     batched = T.multi_head_self_attention(T.Tensor(x), params, 2).data
     for i in range(2):
-        single = T.multi_head_self_attention(T.Tensor(x[i]), params, 2).data
-        np.testing.assert_allclose(batched[i], single, rtol=1e-6)
+        single = T.multi_head_self_attention(T.Tensor(x[i : i + 1]), params, 2).data
+        np.testing.assert_allclose(batched[i], single[0], rtol=1e-6)
