@@ -86,10 +86,6 @@ class GridSpec:
         return int(self._row_offsets[-1])
 
     @property
-    def region_rows(self) -> tuple[int, ...]:
-        return self._region_rows
-
-    @property
     def phi_lo(self) -> float:
         return self.phi_regions[0][0]
 
@@ -155,10 +151,6 @@ class PolarRaster:
             raise ValueError("raster contains non-finite values")
         if self.data.min() < 0 or self.data.max() > self.grid.max_range:
             raise ValueError("raster values must lie in [0, max_range]")
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "PolarRaster":
-        return cls(grid, np.zeros((grid.n_rows, grid.n_cols), dtype=np.float32))
 
 
 def rasterize_with_stats(cloud: np.ndarray, grid: GridSpec) -> tuple[PolarRaster, int]:

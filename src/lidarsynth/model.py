@@ -44,6 +44,10 @@ MODALITIES = ("camera", "depth", "range_angle", "range_velocity")
 EMBED_DIM = 768
 N_DECONV = 5
 UPSCALE = 2 ** N_DECONV
+# every decoder layer exactly doubles the spatial dims: kernel = stride + 2 * padding
+KERNEL = 4
+STRIDE = 2
+PADDING = 1
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,8 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """The cross-modality encoder layer and the latent projection."""
+    """The cross-modality encoder layer (EMBED_DIM wide) and the latent projection."""
 
-    d_model: int = EMBED_DIM
     n_heads: int = 12
     ffn_dim: int = 2048
     dropout: float = 0.1
@@ -96,8 +99,8 @@ class FusionConfig:
     latent_dim: int = 1024
 
     def __post_init__(self):
-        if self.d_model % self.n_heads:
-            raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
+        if EMBED_DIM % self.n_heads:
+            raise ValueError(f"width {EMBED_DIM} not divisible by {self.n_heads} heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
         if self.n_layers < 1 or self.latent_dim < 1 or self.ffn_dim < 1:
@@ -111,9 +114,6 @@ class DecoderConfig:
     seed_h: int = 45
     seed_w: int = 34
     filters: tuple[int, int, int, int] = (256, 128, 64, 64)
-    kernel: int = 4
-    stride: int = 2
-    padding: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "filters", tuple(self.filters))
@@ -121,9 +121,6 @@ class DecoderConfig:
             raise ValueError("seed dims must be positive")
         if len(self.filters) != 4 or any(f < 1 for f in self.filters):
             raise ValueError(f"filters must be four positive ints, got {self.filters}")
-        if self.stride != 2 or self.kernel != self.stride + 2 * self.padding:
-            # each layer must exactly double the spatial dims
-            raise ValueError("decoder requires stride 2 and kernel = stride + 2*padding")
 
     @property
     def out_h(self) -> int:
@@ -151,8 +148,6 @@ class ModelConfig:
     fusion_bypass: bool = False
 
     def __post_init__(self):
-        if self.fusion.d_model != EMBED_DIM:
-            raise ValueError(f"fusion width must be {EMBED_DIM}, got {self.fusion.d_model}")
         # decoder height axis = azimuth (columns), width axis = elevation (rows)
         if self.decoder.out_h != self.grid.n_cols or self.decoder.out_w != self.grid.n_rows:
             raise ValueError(
@@ -221,7 +216,7 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
         shapes.extend(_encoder_shapes(name, cfg.encoder(name)))
 
     f = cfg.fusion
-    d = f.d_model
+    d = EMBED_DIM
     if not cfg.fusion_bypass:
         shapes.append(("fusion.type_embed", (len(MODALITIES), d), _INIT_NORMAL, True))
         for i in range(f.n_layers):
@@ -244,7 +239,7 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
     chain = dec.channel_chain
     for i in range(N_DECONV):
         shapes += [
-            (f"decoder.deconv.{i}.weight", (chain[i], chain[i + 1], dec.kernel, dec.kernel), _INIT_NORMAL, True),
+            (f"decoder.deconv.{i}.weight", (chain[i], chain[i + 1], KERNEL, KERNEL), _INIT_NORMAL, True),
             (f"decoder.deconv.{i}.bias", (chain[i + 1],), _INIT_ZEROS, True),
         ]
         if i < N_DECONV - 1:
@@ -308,12 +303,12 @@ def _patchify(image: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
 
 
 class Model:
-    """A parameter store bound to its configuration, with mode handling.
+    """A parameter store bound to its configuration, plus batch-norm running statistics.
 
-    Evaluation mode is the default: dropout is off and batch norm uses
-    running statistics, so forward passes are deterministic and safe to
-    run concurrently.  Training mode requires an rng (for dropout) and
-    mutates batch-norm running statistics.
+    The model holds no mode.  A pass is a training step exactly when
+    ``forward_batch`` is handed a generator: dropout draws from it and batch
+    norm uses, and updates, batch statistics.  Every other pass is an
+    evaluation pass: deterministic, with running statistics left unchanged.
     """
 
     def __init__(self, cfg: ModelConfig, store: ParamStore | None = None):
@@ -325,18 +320,6 @@ class Model:
             if self.store[name].shape != shape:
                 raise ValueError(f"parameter {name!r} has shape {self.store[name].shape}, want {shape}")
         self.bn_states = [BatchNormState.create(c) for c in cfg.decoder.filters]
-        self.training = False
-        self.rng: np.random.Generator | None = None
-
-    def train_mode(self, rng: np.random.Generator | None = None) -> "Model":
-        self.training = True
-        if rng is not None:
-            self.rng = rng
-        return self
-
-    def eval_mode(self) -> "Model":
-        self.training = False
-        return self
 
     # encoders
 
@@ -352,7 +335,7 @@ class Model:
         x = T.concat([cls, x], axis=1)
         x = T.add(x, s[f"{name}.pos_embed"])
         for i in range(cfg.depth):
-            x, _ = self._block(x, f"{name}.layers.{i}", cfg.n_heads, 0.0)
+            x, _ = self._block(x, f"{name}.layers.{i}", cfg.n_heads)
         x = T.layer_norm(x, s[f"{name}.final_ln.gain"], s[f"{name}.final_ln.bias"])
         cls_out = x[:, 0]
         return T.linear(cls_out, s[f"{name}.head.weight"], s[f"{name}.head.bias"])
@@ -364,26 +347,36 @@ class Model:
             bq=s[f"{prefix}.bq"], bk=s[f"{prefix}.bk"], bv=s[f"{prefix}.bv"], bo=s[f"{prefix}.bo"],
         )
 
-    def _block(self, x: Tensor, p: str, n_heads: int, dropout: float) -> tuple[Tensor, np.ndarray]:
-        """One pre-norm block; returns its output and the attention weights it computed."""
+    def _block(
+        self, x: Tensor, p: str, n_heads: int, dropout: float = 0.0, rng: np.random.Generator | None = None
+    ) -> tuple[Tensor, np.ndarray]:
+        """One pre-norm block; returns its output and the attention weights it computed.
+
+        Dropout draws from ``rng``; without one it is off.
+        """
         s = self.store
         h = T.layer_norm(x, s[f"{p}.ln1.gain"], s[f"{p}.ln1.bias"])
         att, weights = T.multi_head_self_attention(h, self._attn_params(f"{p}.attn"), n_heads, return_weights=True)
-        x = T.add(x, T.dropout(att, dropout, self.training, self.rng))
+        x = T.add(x, T.dropout(att, dropout, rng))
         h = T.layer_norm(x, s[f"{p}.ln2.gain"], s[f"{p}.ln2.bias"])
         h = T.relu(T.linear(h, s[f"{p}.ffn.w1"], s[f"{p}.ffn.b1"]))
         h = T.linear(h, s[f"{p}.ffn.w2"], s[f"{p}.ffn.b2"])
-        return T.add(x, T.dropout(h, dropout, self.training, self.rng)), weights
+        return T.add(x, T.dropout(h, dropout, rng)), weights
 
     # fusion
 
-    def fuse(self, embeddings: Tensor, return_attention: bool = False):
-        """[B, 4, 768] modality embeddings -> [B, 1024] latent."""
+    def fuse(
+        self,
+        embeddings: Tensor,
+        return_attention: bool = False,
+        train_rng: np.random.Generator | None = None,
+    ):
+        """[B, 4, 768] modality embeddings -> [B, 1024] latent; dropout draws from ``train_rng``."""
         s = self.store
         f = self.cfg.fusion
         x = embeddings
-        if x.ndim != 3 or x.shape[1:] != (len(MODALITIES), f.d_model):
-            raise ValueError(f"fuse expects [B, {len(MODALITIES)}, {f.d_model}], got {x.shape}")
+        if x.ndim != 3 or x.shape[1:] != (len(MODALITIES), EMBED_DIM):
+            raise ValueError(f"fuse expects [B, {len(MODALITIES)}, {EMBED_DIM}], got {x.shape}")
         b, t, d = x.shape
         attn_weights = None
 
@@ -393,7 +386,7 @@ class Model:
         else:
             x = T.add(x, s["fusion.type_embed"])
             for i in range(f.n_layers):
-                x, w = self._block(x, f"fusion.layers.{i}", f.n_heads, f.dropout)
+                x, w = self._block(x, f"fusion.layers.{i}", f.n_heads, f.dropout, train_rng)
                 if attn_weights is None:
                     attn_weights = w
             x = T.layer_norm(x, s["fusion.final_ln.gain"], s["fusion.final_ln.bias"])
@@ -406,8 +399,12 @@ class Model:
 
     # decoder
 
-    def decode(self, latent: Tensor) -> Tensor:
-        """[B, 1024] -> [B, 1, out_h, out_w], non-negative."""
+    def decode(self, latent: Tensor, training: bool = False) -> Tensor:
+        """[B, 1024] -> [B, 1, out_h, out_w], non-negative.
+
+        With ``training`` batch norm normalizes by batch statistics and
+        updates its running statistics; otherwise it uses them unchanged.
+        """
         s = self.store
         dec = self.cfg.decoder
         if latent.ndim != 2:
@@ -419,8 +416,8 @@ class Model:
                 x,
                 s[f"decoder.deconv.{i}.weight"],
                 s[f"decoder.deconv.{i}.bias"],
-                stride=dec.stride,
-                padding=dec.padding,
+                stride=STRIDE,
+                padding=PADDING,
             )
             if i < N_DECONV - 1:
                 x = T.batch_norm2d(
@@ -428,40 +425,46 @@ class Model:
                     s[f"decoder.bn.{i}.gain"],
                     s[f"decoder.bn.{i}.bias"],
                     self.bn_states[i],
-                    self.training,
+                    training,
                 )
             x = T.relu(x)
         return x
 
     # full pipeline
 
-    def embed(self, sample: dict[str, np.ndarray]) -> Tensor:
-        """The four modality embeddings of one sample as rows of a [4, 768] tensor."""
-        rows = [self.encode_batch(name, np.asarray(sample[name])[None]) for name in MODALITIES]
-        return T.concat(rows, axis=0)
+    def embed(self, batch: dict[str, np.ndarray]) -> Tensor:
+        """Modality arrays (each [B, ...]) -> [B, 4, 768] embeddings, in MODALITIES order."""
+        return T.stack([self.encode_batch(name, batch[name]) for name in MODALITIES], axis=1)
 
     def forward_batch(
         self,
         batch: dict[str, np.ndarray] | None = None,
         embeddings: Tensor | None = None,
+        train_rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Differentiable batched pass -> [B, n_rows, n_cols] raster values.
 
         Either raw modality arrays (each [B, ...]) or precomputed [B, 4, 768]
-        embeddings (the frozen-encoder fast path) may be supplied.
+        embeddings (the frozen-encoder fast path) may be supplied.  Given
+        ``train_rng`` the pass is a training step (see ``Model``).
         """
         if embeddings is None:
             if batch is None:
                 raise ValueError("need batch arrays or precomputed embeddings")
-            embs = [self.encode_batch(name, batch[name]) for name in MODALITIES]
-            embeddings = T.stack(embs, axis=1)
-        latent = self.fuse(embeddings)
-        out = self.decode(latent)  # [B, 1, n_cols, n_rows]
+            embeddings = self.embed(batch)
+        latent = self.fuse(embeddings, train_rng=train_rng)
+        out = self.decode(latent, training=train_rng is not None)  # [B, 1, n_cols, n_rows]
         out = T.reshape(out, (out.shape[0], out.shape[2], out.shape[3]))
         return T.transpose(out, (0, 2, 1))
 
     def forward(self, sample: dict[str, np.ndarray]) -> PolarRaster:
-        """Inference surface: one sample in, a raster on the model grid out."""
+        """Inference surface: one sample in, a raster on the model grid out.
+
+        The values are the network's own output clipped to [0, max_range].
+        A model trained with ``train.normalize_ranges`` (the toy profile sets
+        it) outputs training units, fractions of ``grid.max_range``, not
+        meters; multiply by ``grid.max_range`` for meters, as ``evaluate`` does.
+        """
         with T.no_grad():
             batch = {name: np.asarray(sample[name])[None] for name in MODALITIES}
             out = self.forward_batch(batch)

@@ -393,16 +393,7 @@ class RadarParams:
             raise ValueError("r_max and v_max must be positive")
 
 
-def simulate_radar(
-    scene: Scene,
-    n_rx: int,
-    n_samples: int,
-    n_chirps: int,
-    noise_sigma: float,
-    seed: int,
-    r_max: float = 100.0,
-    v_max: float = 30.0,
-) -> RadarCube:
+def simulate_radar(scene: Scene, radar: RadarParams, seed: int) -> RadarCube:
     """Sum of one complex tone per primitive, plus circular Gaussian noise.
 
     Primitive at range r, azimuth a, radial velocity v contributes
@@ -410,27 +401,23 @@ def simulate_radar(
     with f_r = r / r_max, f_a = 0.5 * sin(a) (half-wavelength array), and
     f_v = v / v_max, so FFT peaks land at closed-form bins.
     """
-    if min(n_rx, n_samples, n_chirps) < 1:
-        raise ValueError("cube dimensions must be at least 1")
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be non-negative")
-    k = np.arange(n_rx).reshape(-1, 1, 1)
-    n = np.arange(n_samples).reshape(1, -1, 1)
-    m = np.arange(n_chirps).reshape(1, 1, -1)
-    cube = np.zeros((n_rx, n_samples, n_chirps), dtype=np.complex128)
+    k = np.arange(radar.n_rx).reshape(-1, 1, 1)
+    n = np.arange(radar.n_samples).reshape(1, -1, 1)
+    m = np.arange(radar.n_chirps).reshape(1, 1, -1)
+    cube = np.zeros((radar.n_rx, radar.n_samples, radar.n_chirps), dtype=np.complex128)
     for prim in scene.primitives:
         x, y, z = prim.center
         r = math.sqrt(x * x + y * y + z * z)
         azimuth = math.atan2(y, x)
-        f_r = r / r_max
+        f_r = r / radar.r_max
         f_a = 0.5 * math.sin(azimuth)
-        f_v = prim.radial_velocity / v_max
+        f_v = prim.radial_velocity / radar.v_max
         phase = f_r * n + f_a * k + f_v * m
         cube += prim.reflectivity * np.exp(2j * np.pi * phase)
-    if noise_sigma > 0.0:
+    if radar.noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         shape = cube.shape
-        scale = noise_sigma / math.sqrt(2.0)
+        scale = radar.noise_sigma / math.sqrt(2.0)
         cube += rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
     return RadarCube(cube.astype(np.complex64))
 
@@ -447,16 +434,7 @@ def build_sample(
     seed: int,
 ) -> dict[str, np.ndarray]:
     """All per-sample arrays, keyed by modality name."""
-    cube = simulate_radar(
-        scene,
-        radar.n_rx,
-        radar.n_samples,
-        radar.n_chirps,
-        radar.noise_sigma,
-        seed,
-        r_max=radar.r_max,
-        v_max=radar.v_max,
-    )
+    cube = simulate_radar(scene, radar, seed)
     ranged = range_transform(cube)
     return {
         "camera": render_camera(scene, cam_width, cam_height),

@@ -369,15 +369,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(y, (x,), backward)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Zero each element with probability p and scale survivors by 1/(1-p)."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Zero each element with probability p and scale survivors by 1/(1-p).
+
+    Without an rng (an evaluation pass) it is the identity.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     x = _as_tensor(x)
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     keep = (rng.random(x.shape) >= p).astype(x.dtype)
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
     out_data = x.data * keep * scale

@@ -241,27 +241,24 @@ def _cached_embeddings(model: Model, samples: list[Sample], batch_size: int) -> 
     """[N, 4, EMBED_DIM] embeddings without gradients: once per run when every
     encoder is frozen, otherwise at the start of each inference pass.
 
-    Encoders run on chunks of up to ``batch_size`` samples; they hold no
-    batch statistics, so a chunk embeds each sample as it would alone.
+    Each chunk of up to ``batch_size`` samples is one ``Model.embed`` call.
+    Encoders hold no batch statistics, so a chunk embeds each sample as it
+    would alone, up to the GEMM's summation order (about 1e-6).
     """
     out = np.empty((len(samples), len(MODALITIES), EMBED_DIM), dtype=np.float32)
     with T.no_grad():
         for start in range(0, len(samples), batch_size):
             idx = np.arange(start, min(start + batch_size, len(samples)))
-            batch = _batch_arrays(samples, idx)
-            for j, name in enumerate(MODALITIES):
-                out[idx, j] = model.encode_batch(name, batch[name]).data
+            out[idx] = model.embed(_batch_arrays(samples, idx)).data
     return out
 
 
 def _predict(model: Model, samples: list[Sample], batch_size: int, embeddings: np.ndarray | None = None) -> np.ndarray:
-    """[N, rows, cols] outputs in eval mode, without gradients, batch by batch.
+    """[N, rows, cols] outputs of evaluation passes, without gradients, batch by batch.
 
     Fusion and decoder run from ``embeddings``; without them the encoders
-    compute them first over the same chunks.  The model's mode is restored.
+    compute them first over the same chunks.
     """
-    was_training = model.training
-    model.eval_mode()
     if embeddings is None:
         embeddings = _cached_embeddings(model, samples, batch_size)
     out = np.empty((len(samples), model.cfg.grid.n_rows, model.cfg.grid.n_cols), dtype=np.float32)
@@ -269,8 +266,6 @@ def _predict(model: Model, samples: list[Sample], batch_size: int, embeddings: n
         for start in range(0, len(samples), batch_size):
             chunk = slice(start, start + batch_size)
             out[chunk] = model.forward_batch(embeddings=Tensor(embeddings[chunk])).data
-    if was_training:
-        model.train_mode()
     return out
 
 
@@ -313,7 +308,6 @@ def train(
     dropout_rng = np.random.default_rng(seeds[1])
 
     model = Model(model_cfg)
-    model.train_mode(rng=dropout_rng)
 
     targets_tr = np.stack([s.target.data for s in tr]).astype(np.float32) * scale
     targets_va = (
@@ -339,10 +333,8 @@ def train(
             if len(idx) < 2:
                 break  # batch norm needs at least 2 samples
             model.store.zero_grad()
-            if emb_tr is not None:
-                out = model.forward_batch(embeddings=Tensor(emb_tr[idx]))
-            else:
-                out = model.forward_batch(_batch_arrays(tr, idx))
+            embeddings = Tensor(emb_tr[idx]) if emb_tr is not None else model.embed(_batch_arrays(tr, idx))
+            out = model.forward_batch(embeddings=embeddings, train_rng=dropout_rng)
             loss = mmse_loss(out, targets_tr[idx], mask)
             value = float(loss.data)
             if not np.isfinite(value):
@@ -365,7 +357,6 @@ def train(
             best = _snapshot(model, epoch, val_mmse)
 
     final = _snapshot(model, train_cfg.epochs, history[-1].val_mmse)
-    model.eval_mode()
     return TrainResult(best=best, final=final, history=history, model=model)
 
 
@@ -420,7 +411,7 @@ class EvalReport:
 
 
 def model_from_checkpoint(model_cfg: ModelConfig, ckpt: Checkpoint) -> Model:
-    """An eval-mode model holding copies of the checkpoint's parameters.
+    """A model holding copies of the checkpoint's parameters and running statistics.
 
     The store is built straight from ``ckpt.params``, in the model's
     parameter order, without drawing fresh weights first.  An unknown name
@@ -436,7 +427,7 @@ def model_from_checkpoint(model_cfg: ModelConfig, ckpt: Checkpoint) -> Model:
             store.add(name, ckpt.params[name], trainable=trainable)
     model = Model(model_cfg, store)
     model.load_bn_state_arrays(ckpt.bn_state)
-    return model.eval_mode()
+    return model
 
 
 _META_NAME = "meta.state"
@@ -482,7 +473,7 @@ def evaluate(
     train_cfg: TrainConfig,
     batch_size: int = 32,
 ) -> EvalReport:
-    """Eval-mode forward per sample; MMSE in meters, grouped by scenario."""
+    """Evaluation-pass forward per sample; MMSE in meters, grouped by scenario."""
     if not samples:
         raise ValueError("evaluation split is empty")
     grid = model.cfg.grid

@@ -132,8 +132,6 @@ def test_config_text_is_pinned():
 UNKEYED_FIELDS = {
     GridSpec: {"theta_lo", "theta_hi", "theta_step"},  # all three from grid.theta
     EncoderConfig: {"image_size", "channels", "d_model"},
-    FusionConfig: {"d_model"},
-    DecoderConfig: {"kernel", "stride", "padding"},
     ModelConfig: {*MODALITIES, "fusion", "decoder", "grid"},  # sections of their own
 }
 

@@ -211,7 +211,7 @@ def test_camera_rays_reject_empty_images():
 def test_radar_peaks_at_closed_form_bins():
     # r=25 -> range bin 16 of 64; azimuth 0 -> center rx row; v=7.5 -> doppler bin 48
     scene = _box_scene(dist=25.0, size=2.0, velocity=7.5)
-    cube = S.simulate_radar(scene, n_rx=4, n_samples=64, n_chirps=64, noise_sigma=0.0, seed=0)
+    cube = S.simulate_radar(scene, S.RadarParams(n_rx=4, n_samples=64, n_chirps=64, noise_sigma=0.0), seed=0)
     ranged = R.range_transform(cube)
     ra = R.range_angle_map(ranged).data
     rv = R.range_velocity_map(ranged).data
@@ -224,7 +224,7 @@ def test_radar_angle_bin_tracks_azimuth():
     x, y = 20.0 * math.cos(math.radians(30)), 20.0 * math.sin(math.radians(30))
     prim = S.Primitive(kind="cylinder", center=(x, y, 0.0), size=2.0, reflectivity=0.9)
     scene = S.Scene(ground_height=None, primitives=(prim,), ambient_brightness=0.5)
-    cube = S.simulate_radar(scene, n_rx=4, n_samples=64, n_chirps=16, noise_sigma=0.0, seed=0)
+    cube = S.simulate_radar(scene, S.RadarParams(n_rx=4, n_samples=64, n_chirps=16, noise_sigma=0.0), seed=0)
     ra = R.range_angle_map(R.range_transform(cube)).data
     row, col = np.unravel_index(ra.argmax(), ra.shape)
     assert row == 3
@@ -233,9 +233,10 @@ def test_radar_angle_bin_tracks_azimuth():
 
 def test_radar_determinism_and_noise():
     scene = _box_scene()
-    a = S.simulate_radar(scene, 4, 32, 16, noise_sigma=0.05, seed=7)
-    b = S.simulate_radar(scene, 4, 32, 16, noise_sigma=0.05, seed=7)
-    c = S.simulate_radar(scene, 4, 32, 16, noise_sigma=0.05, seed=8)
+    radar = S.RadarParams(n_rx=4, n_samples=32, n_chirps=16, noise_sigma=0.05)
+    a = S.simulate_radar(scene, radar, seed=7)
+    b = S.simulate_radar(scene, radar, seed=7)
+    c = S.simulate_radar(scene, radar, seed=8)
     np.testing.assert_array_equal(a.data, b.data)
     assert (a.data != c.data).any()
 
@@ -243,18 +244,19 @@ def test_radar_determinism_and_noise():
 def test_radar_ground_excluded():
     # ground plane alone contributes no tone, only noise-free silence
     scene = S.Scene(ground_height=-1.5, primitives=(), ambient_brightness=0.5)
-    cube = S.simulate_radar(scene, 2, 16, 8, noise_sigma=0.0, seed=0)
+    cube = S.simulate_radar(scene, S.RadarParams(n_rx=2, n_samples=16, n_chirps=8, noise_sigma=0.0), seed=0)
     assert not cube.data.any()
 
 
 def test_radar_validation():
-    scene = _box_scene()
     with pytest.raises(ValueError):
-        S.simulate_radar(scene, 0, 16, 8, noise_sigma=0.0, seed=0)
+        S.RadarParams(n_rx=0)
     with pytest.raises(ValueError):
-        S.simulate_radar(scene, 2, 16, 8, noise_sigma=-0.1, seed=0)
+        S.RadarParams(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         S.RadarParams(n_samples=0)
+    with pytest.raises(ValueError):
+        S.RadarParams(r_max=0.0)
 
 
 # -- sample assembly --------------------------------------------------------------------

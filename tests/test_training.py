@@ -95,7 +95,7 @@ def test_mmse_rejects_mask_length_mismatch():
 
 def _fake_samples(counts: dict[str, int]) -> list[TR.Sample]:
     grid = C.toy_config().grid
-    raster = PolarRaster.zeros(grid)
+    raster = PolarRaster(grid, np.zeros((grid.n_rows, grid.n_cols)))
     out = []
     for sid, n in counts.items():
         for i in range(n):
@@ -220,26 +220,32 @@ def test_cached_embeddings_match_per_sample_embed(tiny_cfg, tiny_dataset):
     samples = tiny_dataset[:7]  # two full chunks of 3 and a trailing chunk of 1
     cached = TR._cached_embeddings(model, samples, batch_size=3)
     assert cached.shape == (7, len(MODALITIES), EMBED_DIM)
+    with T.no_grad():
+        batched = model.embed(TR._batch_arrays(samples, np.arange(len(samples)))).data
+        chunk = model.embed(TR._batch_arrays(samples, np.arange(3, 6))).data
+    # each chunk is one embed call: its rows are the cache's rows bit for bit
+    np.testing.assert_array_equal(cached[3:6], chunk)
+    # other batch sizes agree up to the GEMM's summation order
+    np.testing.assert_allclose(cached, batched, rtol=0, atol=1e-5)
     for i, s in enumerate(samples):
-        single = model.embed({name: s.modality(name) for name in MODALITIES}).data
-        np.testing.assert_allclose(cached[i], single, rtol=0, atol=1e-5)
+        single = model.embed({name: s.modality(name)[None] for name in MODALITIES}).data
+        assert single.shape == (1, len(MODALITIES), EMBED_DIM)
+        np.testing.assert_allclose(batched[i], single[0], rtol=0, atol=1e-5)
 
 
 def test_eval_mmse_from_raw_samples_matches_forward_batch_oracle(tiny_cfg, tiny_dataset):
     # an unfrozen encoder means no precomputed embeddings: the encoders run inside the pass
     cfg = replace(tiny_cfg.model, camera=replace(tiny_cfg.model.camera, frozen=False))
-    rng = np.random.default_rng(0)
-    model = Model(cfg).train_mode(rng=rng)
-    rng_state = rng.bit_generator.state
+    model = Model(cfg)
+    bn_before = model.bn_state_arrays()
     samples = tiny_dataset[:7]
     targets = np.stack([s.target.data for s in samples]) / np.float32(cfg.grid.max_range)
     mask = TR.weight_mask(cfg.grid, tiny_cfg.train.band, tiny_cfg.train.alpha)
 
     got = TR._eval_mmse(model, samples, targets, mask, batch_size=3)
-    assert model.training
-    assert rng.bit_generator.state == rng_state  # no dropout draws in the eval pass
+    for name, arr in model.bn_state_arrays().items():
+        np.testing.assert_array_equal(arr, bn_before[name])
 
-    model.eval_mode()
     total = 0.0
     with T.no_grad():
         for start in range(0, len(samples), 3):
@@ -282,12 +288,11 @@ def test_checkpoint_without_adam_loads_empty_dict(tmp_path, tiny_run, tiny_cfg):
 
 def test_model_from_checkpoint_restores_predictions(tiny_run, tiny_cfg, tiny_dataset):
     model = TR.model_from_checkpoint(tiny_cfg.model, tiny_run.final)
-    assert not model.training
     for name in model.store.names():
         np.testing.assert_array_equal(model.store[name].data, tiny_run.final.params[name])
     _, _, test = TR.split(tiny_dataset, tiny_cfg.split)
     a = TR.evaluate(model, test, tiny_cfg.train)
-    b = TR.evaluate(tiny_run.model.eval_mode(), test, tiny_cfg.train)
+    b = TR.evaluate(tiny_run.model, test, tiny_cfg.train)
     assert a.overall == pytest.approx(b.overall, rel=1e-6)
 
 
