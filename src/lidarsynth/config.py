@@ -8,6 +8,7 @@ notation, elevation regions are separated by `;`, and lists use commas.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -42,9 +43,12 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"{key}: expected number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -128,7 +132,7 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
     ),
     ("fusion.n_heads", "12", _parse_int, "fusion encoder attention heads"),
     ("fusion.ffn_dim", "2048", _parse_int, "fusion encoder feedforward width"),
-    ("fusion.dropout", "0.1", _parse_float, "fusion encoder dropout probability (training mode only)"),
+    ("fusion.dropout", "0.1", _parse_float, "fusion encoder dropout probability, applied in training steps only"),
     ("fusion.n_layers", "1", _parse_int, "fusion encoder layers"),
     ("fusion.latent_dim", "1024", _parse_int, "latent width fed to the decoder"),
     ("decoder.seed_h", "45", _parse_int, "decoder seed map height (azimuth axis); x32 gives output columns"),

@@ -253,18 +253,14 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
 def init_params(cfg: ModelConfig, seed: int | None = None) -> ParamStore:
     """Fresh parameters: weights Normal(0, 0.02), batch-norm gains Normal(1, 0.02)."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    store = ParamStore()
-    for name, shape, kind, trainable in _param_shapes(cfg):
-        if kind == _INIT_NORMAL:
-            data = rng.normal(0.0, 0.02, shape)
-        elif kind == _INIT_BN_GAIN:
-            data = rng.normal(1.0, 0.02, shape)
-        elif kind == _INIT_ONES:
-            data = np.ones(shape)
-        else:
-            data = np.zeros(shape)
-        store.add(name, data, trainable=trainable)
-    return store
+    draw = {
+        _INIT_NORMAL: lambda shape: rng.normal(0.0, 0.02, shape),
+        _INIT_BN_GAIN: lambda shape: rng.normal(1.0, 0.02, shape),
+        _INIT_ONES: np.ones,
+        _INIT_ZEROS: np.zeros,
+    }
+    # a generator, so each float64 draw is freed once the store has copied it
+    return ParamStore((name, draw[kind](shape), trainable) for name, shape, kind, trainable in _param_shapes(cfg))
 
 
 def param_count(cfg: ModelConfig) -> int:

@@ -1,44 +1,59 @@
-"""Named parameter storage and the Adam update rule."""
+"""Named parameter storage and the Adam update rule.
+
+Trainable values, their gradients and Adam's two moments live in four flat
+float32 buffers; each trainable tensor's ``data`` and ``grad`` view the
+first two.  Frozen parameters stay separate read-only arrays.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["AdamState", "ParamStore", "adam_step"]
+__all__ = ["ParamStore", "adam_step"]
+
+# adam_step's scratch is two arrays of this many elements, whatever the model size
+_CHUNK = 1 << 16
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
-@dataclass
 class ParamStore:
-    """Ordered map of unique names to tensors, with per-parameter Adam state."""
+    """Ordered map of unique names to tensors over one flat trainable arena.
 
-    params: dict[str, Tensor] = field(default_factory=dict)
-    adam: dict[str, AdamState] = field(default_factory=dict)
+    Built once from ``(name, array, trainable)`` entries, each copied:
+    trainable ones into the arena, frozen ones into owned read-only arrays,
+    so copy_values may share them and any write into one raises ValueError.
+    Backward accumulates into the ``grads`` views; ``t`` counts Adam steps.
+    """
 
-    def add(self, name: str, data: np.ndarray, trainable: bool = True) -> Tensor:
-        """Store an owned float32 copy of ``data``; frozen parameters become read-only.
-
-        Trainable arrays must be owned because adam_step updates them in
-        place.  Frozen arrays never change, so copy_values may share them;
-        making them read-only turns any write into one into a ValueError.
-        """
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        arr = np.array(data, dtype=np.float32)
-        arr.flags.writeable = trainable
-        t = Tensor(arr, requires_grad=trainable)
-        self.params[name] = t
-        return t
+    def __init__(self, entries: Iterable[tuple[str, np.ndarray, bool]]):
+        self.params: dict[str, Tensor] = {}
+        for name, data, trainable in entries:
+            if name in self.params:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            if trainable:
+                arr = np.asarray(data, dtype=np.float32)  # copied into the arena below
+            else:
+                arr = np.array(data, dtype=np.float32)
+                arr.flags.writeable = False
+            self.params[name] = Tensor(arr, requires_grad=trainable)
+        learned = [(name, p) for name, p in self.params.items() if p.requires_grad]
+        n = sum(p.size for _, p in learned)
+        self.values = np.empty(n, dtype=np.float32)
+        # zeros, not empty: pages a pass never touches stay unmapped
+        self.grads, self.m, self.v = (np.zeros(n, dtype=np.float32) for _ in range(3))
+        self.t = 0
+        # name -> (data view, grad view), in entry order
+        self._slots: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        lo = 0
+        for name, p in learned:
+            view = self.values[lo : lo + p.size].reshape(p.shape)
+            view[...] = p.data
+            p.data, p.grad = view, self.grads[lo : lo + p.size].reshape(p.shape)
+            self._slots[name] = (p.data, p.grad)
+            lo += p.size
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -50,11 +65,10 @@ class ParamStore:
         return list(self.params)
 
     def trainable_names(self) -> list[str]:
-        return [n for n, p in self.params.items() if p.requires_grad]
+        return list(self._slots)
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.grads.fill(0)
 
     def copy_values(self) -> dict[str, np.ndarray]:
         """Every parameter's values: trainable ones copied, read-only frozen ones shared."""
@@ -68,36 +82,36 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update on every trainable parameter.
+    """One bias-corrected Adam update of the whole arena.
 
-    Gradients must be populated on every trainable parameter; they are left
-    in place (zero them explicitly via store.zero_grad()).
+    Gradients are left in place (zero them explicitly via store.zero_grad()).
+    A tensor whose ``data`` or ``grad`` was rebound off its arena view raises
+    ValueError: the update would not reach it.
     """
-    for name in store.trainable_names():
-        p = store.params[name]
-        if p.grad is None:
-            raise ValueError(f"adam_step: parameter {name!r} has no gradient")
-        st = store.adam.get(name)
-        if st is None:
-            st = AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data))
-            store.adam[name] = st
-        g = p.grad
-        st.t += 1
-        # in place, with two scratch arrays, in the operation order of
+    for name, (data, grad) in store._slots.items():
+        if store[name].data is not data or store[name].grad is not grad:
+            raise ValueError(f"adam_step: parameter {name!r} no longer views the store's buffers")
+    store.t += 1
+    c1, c2 = 1.0 - beta1**store.t, 1.0 - beta2**store.t
+    scratch = np.empty((2, min(_CHUNK, store.values.size)), dtype=np.float32)
+    for lo in range(0, store.values.size, _CHUNK):
+        g, m, v, p = (buf[lo : lo + _CHUNK] for buf in (store.grads, store.m, store.v, store.values))
+        a, b = scratch[:, : g.size]
+        # in place, in the operation order of
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         #   p = p - lr * (m/c1) / (sqrt(v/c2) + eps)
         # so every float32 rounding matches the out-of-place formula
-        a = (1.0 - beta1) * g
-        st.m *= beta1
-        st.m += a
+        np.multiply(g, 1.0 - beta1, out=a)
+        m *= beta1
+        m += a
         np.multiply(g, g, out=a)
         a *= 1.0 - beta2
-        st.v *= beta2
-        st.v += a
-        np.divide(st.m, 1.0 - beta1**st.t, out=a)
+        v *= beta2
+        v += a
+        np.divide(m, c1, out=a)
         a *= lr
-        b = st.v / (1.0 - beta2**st.t)
+        np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
         b += eps
         a /= b
-        p.data -= a
+        p -= a

@@ -76,8 +76,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
@@ -115,9 +113,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += grad
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self, gradient: np.ndarray | None = None) -> None:
         """Reverse-mode sweep from this tensor; gradients sum at fan-in."""
@@ -320,12 +315,8 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype))
-            return
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, axes)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype))
 
     return _make(out_data, (x,), backward)
@@ -439,13 +430,8 @@ class BatchNormState:
     eps: float = 1e-5
 
     @classmethod
-    def create(cls, channels: int, momentum: float = 0.1, eps: float = 1e-5) -> "BatchNormState":
-        return cls(
-            running_mean=np.zeros(channels, dtype=np.float32),
-            running_var=np.ones(channels, dtype=np.float32),
-            momentum=momentum,
-            eps=eps,
-        )
+    def create(cls, channels: int) -> "BatchNormState":
+        return cls(np.zeros(channels, dtype=np.float32), np.ones(channels, dtype=np.float32))
 
 
 def batch_norm2d(x: Tensor, gain: Tensor, bias: Tensor, state: BatchNormState, training: bool) -> Tensor:

@@ -116,6 +116,10 @@ class TrainConfig:
             raise ValueError(f"empty weight band {self.band}")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0):
+            raise ValueError("Adam needs 0 <= beta1, beta2 < 1 and eps > 0")
+        if min(self.lr_early, self.lr_late) <= 0.0 or self.lr_switch_epoch < 0:
+            raise ValueError("learning rates must be positive and lr_switch_epoch non-negative")
 
 
 def lr_for_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -421,10 +425,9 @@ def model_from_checkpoint(model_cfg: ModelConfig, ckpt: Checkpoint) -> Model:
     unknown = set(ckpt.params).difference(name for name, _, _, _ in shapes)
     if unknown:
         raise KeyError(f"unknown parameter {min(unknown)!r}")
-    store = ParamStore()
-    for name, _, _, trainable in shapes:
-        if name in ckpt.params:
-            store.add(name, ckpt.params[name], trainable=trainable)
+    store = ParamStore(
+        (name, ckpt.params[name], trainable) for name, _, _, trainable in shapes if name in ckpt.params
+    )
     model = Model(model_cfg, store)
     model.load_bn_state_arrays(ckpt.bn_state)
     return model

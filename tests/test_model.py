@@ -317,17 +317,21 @@ def test_unfrozen_encoder_config_trains_encoder_params(toy_cfg):
 def test_gradients_reach_all_trainable_params(toy_cfg, tiny_dataset):
     from lidarsynth import training as TR
 
-    model = M.Model(toy_cfg.model)
     batch = {
         name: np.stack([s.modality(name) for s in tiny_dataset[:2]])
         for name in M.MODALITIES
     }
-    out = model.forward_batch(batch, train_rng=np.random.default_rng(0))
     targets = np.stack([s.target.data for s in tiny_dataset[:2]])
     mask = TR.weight_mask(toy_cfg.grid, (-1.71875, 2.1875), 10.0)
-    TR.mmse_loss(out, targets, mask).backward()
-    for name in model.store.trainable_names():
-        assert model.store[name].grad is not None, name
-    for name in model.store.names():
-        if name not in model.store.trainable_names():
-            assert model.store[name].grad is None, name
+    for cfg in (toy_cfg.model, replace(toy_cfg.model, fusion_bypass=True)):
+        model = M.Model(cfg)
+        out = model.forward_batch(batch, train_rng=np.random.default_rng(0))
+        TR.mmse_loss(out, targets, mask).backward()
+        trainable = model.store.trainable_names()
+        assert trainable
+        # every gradient lives in the store's zeroed arena, so "not None" proves nothing
+        for name in trainable:
+            assert model.store[name].grad.any(), name
+        for name in model.store.names():
+            if name not in trainable:
+                assert model.store[name].grad is None, name

@@ -53,14 +53,6 @@ def test_grad_not_tracked_without_requires_grad():
     assert not out.requires_grad
 
 
-def test_zero_grad_resets_accumulator():
-    x = T.Tensor(np.ones(2), requires_grad=True)
-    T.tensor_sum(x).backward()
-    assert x.grad is not None
-    x.zero_grad()
-    assert x.grad is None
-
-
 def test_tensor_casts_integers_to_float32():
     x = T.Tensor(np.arange(4))
     assert x.dtype == np.float32

@@ -315,11 +315,35 @@ def test_adam_step_on_loaded_model_leaves_checkpoint_unchanged(tiny_run, tiny_cf
     trainable = model.store.trainable_names()
     before = {name: tiny_run.best.params[name].copy() for name in trainable}
     for name in trainable:
-        model.store[name].grad = np.ones_like(model.store[name].data)
+        model.store[name].grad[...] = 1.0
     adam_step(model.store, 1e-2)
     assert not np.array_equal(model.store["fusion.proj.weight"].data, before["fusion.proj.weight"])
     for name in trainable:
         np.testing.assert_array_equal(tiny_run.best.params[name], before[name])
+
+
+def test_zero_grad_leaves_no_trace_of_the_previous_step(tiny_cfg, tiny_dataset):
+    batch = TR._batch_arrays(tiny_dataset, np.arange(4))
+    targets = np.stack([s.target.data for s in tiny_dataset[:4]])
+    mask = TR.weight_mask(tiny_cfg.grid, tiny_cfg.train.band, tiny_cfg.train.alpha)
+
+    def backward(model):
+        out = model.forward_batch(batch, train_rng=np.random.default_rng(3))
+        TR.mmse_loss(out, targets, mask).backward()
+
+    model = Model(tiny_cfg.model)
+    backward(model)
+    adam_step(model.store, 1e-3)
+    step1 = TR.Checkpoint(
+        params=model.store.copy_values(), bn_state=model.bn_state_arrays(), epoch=1, val_mmse=0.0
+    )
+    model.store.zero_grad()
+    backward(model)
+    fresh = TR.model_from_checkpoint(tiny_cfg.model, step1)
+    backward(fresh)
+    for name in model.store.trainable_names():
+        got, want = model.store[name].grad, fresh.store[name].grad
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32), err_msg=name)
 
 
 def test_model_from_checkpoint_rejects_mismatched_params(tiny_run, tiny_cfg):
@@ -350,7 +374,7 @@ def test_snapshots_share_frozen_params_and_copy_trainable_ones(tiny_cfg, tiny_da
             assert snap.params[name] is not store[name].data
     before = {name: (result.best.params[name].copy(), result.final.params[name].copy()) for name in trainable}
     for name in trainable:
-        store[name].grad = np.ones_like(store[name].data)
+        store[name].grad[...] = 1.0
     adam_step(store, 1e-2)
     for name in trainable:
         np.testing.assert_array_equal(result.best.params[name], before[name][0])
