@@ -7,6 +7,11 @@ the LiDAR raster comes from exact ray intersections, the camera and depth
 images from a pinhole projection of the same rays, and the radar cube from
 a sum of complex tones whose FFT peaks land at predictable bins.
 
+Ray casting intersects each primitive only with the rays that meet its
+bounding sphere, for the LiDAR, camera and depth rays alike; the ground plane
+meets every ray.  A tested ray goes through the same arithmetic either way,
+so the result is bit-identical to testing every ray against every primitive.
+
 The sensor sits at the origin; +x is the boresight, +z is up, azimuth is
 measured counterclockwise from +x (positive toward +y).
 """
@@ -312,19 +317,41 @@ def _cast(scene: Scene, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t_best = np.where(closer, t, t_best)
         refl = np.where(closer, GROUND_REFLECTIVITY, refl)
 
+    d2 = np.einsum("ij,ij->i", dirs, dirs)
     for prim in scene.primitives:
+        idx = _sphere_rays(dirs, d2, prim)
+        sub = dirs[idx]
         if prim.kind == "box":
-            t = _intersect_box(dirs, prim.center, prim.size / 2.0)
+            t = _intersect_box(sub, prim.center, prim.size / 2.0)
         else:
-            t = _intersect_cylinder(dirs, prim.center, prim.size)
-        closer = t < t_best
-        t_best = np.where(closer, t, t_best)
-        refl = np.where(closer, prim.reflectivity, refl)
+            t = _intersect_cylinder(sub, prim.center, prim.size)
+        t_old = t_best[idx]
+        closer = t < t_old
+        t_best[idx] = np.where(closer, t, t_old)
+        refl[idx] = np.where(closer, prim.reflectivity, refl[idx])
     return t_best, refl
 
 
-def raycast_lidar(scene: Scene, grid: GridSpec) -> PolarRaster:
-    """Exact range image: one ray through every bin center, 0 where nothing hits."""
+def _sphere_rays(dirs: np.ndarray, d2: np.ndarray, prim: Primitive) -> np.ndarray:
+    """Indices of the rays that meet the primitive's bounding sphere.
+
+    The ray s*d, s >= 0, passes the centre c at squared distance
+    |c|^2 - max(d.c, 0)^2 / |d|^2: a ray pointing away from c comes closest
+    at the origin, so a sphere that holds the origin keeps every ray.  Every
+    exact hit lies inside the sphere.  The radius is widened by a relative
+    1e-6 plus 1e-9 m, which for the sizes and distances the profiles draw is
+    orders of magnitude above the rounding of this test and of the
+    intersection tests, so no ray they would count as a hit is dropped.
+    """
+    c = np.asarray(prim.center, dtype=np.float64)
+    half_diagonal = math.sqrt(3.0) / 2.0 if prim.kind == "box" else math.sqrt(0.5)
+    r = prim.size * half_diagonal * (1.0 + 1e-6) + 1e-9
+    dc = np.maximum(dirs @ c, 0.0)
+    return np.flatnonzero(d2 * float(c @ c) - dc * dc <= r * r * d2)
+
+
+def _lidar_rays(grid: GridSpec) -> np.ndarray:
+    """Unit rays through every bin center of the grid, [n_rows, n_cols, 3]."""
     phi = np.deg2rad(grid.row_centers())
     theta = np.deg2rad(grid.col_centers())
     cos_phi = np.cos(phi)[:, None]
@@ -332,7 +359,12 @@ def raycast_lidar(scene: Scene, grid: GridSpec) -> PolarRaster:
     dirs[:, :, 0] = cos_phi * np.cos(theta)[None, :]
     dirs[:, :, 1] = cos_phi * np.sin(theta)[None, :]
     dirs[:, :, 2] = np.sin(phi)[:, None]
-    t, _ = _cast(scene, dirs.reshape(-1, 3))
+    return dirs
+
+
+def raycast_lidar(scene: Scene, grid: GridSpec) -> PolarRaster:
+    """Exact range image: one ray through every bin center, 0 where nothing hits."""
+    t, _ = _cast(scene, _lidar_rays(grid).reshape(-1, 3))
     ranges = t.reshape(grid.n_rows, grid.n_cols)
     ranges = np.where(ranges <= grid.max_range, ranges, 0.0)
     return PolarRaster(grid=grid, data=ranges.astype(np.float32))

@@ -1,4 +1,4 @@
-"""Shared test utilities: central-difference gradient checking.
+"""Shared test utilities: central-difference gradient checking and oracles.
 
 Every case in GRAD_SUITE is a (label, factory) pair.  The factory builds
 fresh float64 input arrays plus a `build` callable that maps the matching
@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from lidarsynth import synthgen as S
 from lidarsynth import tensor as T
 from lidarsynth import training as TR
 
@@ -36,6 +37,33 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
     n = x.size
     idx = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) @ x
+
+
+def full_cast(scene: S.Scene, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ray casting with every ray tested against every primitive, the oracle for the culled cast."""
+    dirs = np.asarray(dirs, dtype=np.float64)
+    n = dirs.shape[0]
+    t_best = np.full(n, np.inf)
+    refl = np.zeros(n)
+
+    if scene.ground_height is not None:
+        dz = dirs[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = scene.ground_height / dz
+        hit = (dz < -S._EPS) & (t > S._EPS)
+        closer = hit & (t < t_best)
+        t_best = np.where(closer, t, t_best)
+        refl = np.where(closer, S.GROUND_REFLECTIVITY, refl)
+
+    for prim in scene.primitives:
+        if prim.kind == "box":
+            t = S._intersect_box(dirs, prim.center, prim.size / 2.0)
+        else:
+            t = S._intersect_cylinder(dirs, prim.center, prim.size)
+        closer = t < t_best
+        t_best = np.where(closer, t, t_best)
+        refl = np.where(closer, prim.reflectivity, refl)
+    return t_best, refl
 
 
 def numeric_grads(f: Callable[[list[np.ndarray]], float], arrays: list[np.ndarray], h: float = H):

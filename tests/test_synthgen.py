@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import full_cast
 from lidarsynth import config as C
 from lidarsynth import radar as R
 from lidarsynth import synthgen as S
@@ -170,6 +173,71 @@ def test_raycast_respects_max_range():
     grid = default_grid(max_range=10.0)
     raster = S.raycast_lidar(_box_scene(dist=20.0, size=4.0), grid)
     assert not raster.data.any()
+
+
+# -- sphere culling ---------------------------------------------------------------------
+
+
+@st.composite
+def _primitives(draw):
+    kind = draw(st.sampled_from(("box", "cylinder")))
+    size = draw(st.one_of(st.floats(1e-3, 8.0), st.sampled_from((1e-3, 0.01))))
+    h = size / 2.0
+    if draw(st.booleans()):
+        # anywhere in the world, often at a pole, on the +-180 deg seam or behind the sensor
+        dist = draw(st.floats(0.0, 85.0))
+        el = draw(st.one_of(st.floats(-90.0, 90.0), st.sampled_from((-90.0, -89.5, 89.5, 90.0))))
+        az = draw(st.one_of(st.floats(-180.0, 180.0), st.sampled_from((180.0, -179.5, 179.5))))
+        el, az = math.radians(el), math.radians(az)
+        ground_dist = dist * math.cos(el)
+        center = (ground_dist * math.cos(az), ground_dist * math.sin(az), dist * math.sin(el))
+    else:
+        # the origin within 2% of a box corner or a cylinder rim: a grazing size whose
+        # bounding sphere just holds the origin, or just misses it
+        scale = 1.0 + draw(st.floats(-0.02, 0.02))
+        sx, sy, sz = draw(st.tuples(*[st.sampled_from((-1.0, 1.0))] * 3))
+        if kind == "box":
+            center = (sx * h * scale, sy * h * scale, sz * h * scale)
+        else:
+            u = draw(st.floats(-math.pi, math.pi))
+            center = (h * scale * math.cos(u), h * scale * math.sin(u), sz * h * scale)
+    return S.Primitive(kind=kind, center=center, size=size, reflectivity=draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=150)
+@given(ground=st.one_of(st.none(), st.floats(-5.0, -0.05)), prims=st.lists(_primitives(), max_size=8))
+def test_culled_cast_matches_full_cast_bit_for_bit(ground, prims):
+    scene = S.Scene(ground_height=ground, primitives=tuple(prims), ambient_brightness=0.5)
+    for dirs in (S._lidar_rays(C.toy_config().grid), S._camera_rays(64, 64)):
+        t, refl = S._cast(scene, dirs.reshape(-1, 3))
+        t_ref, refl_ref = full_cast(scene, dirs.reshape(-1, 3))
+        np.testing.assert_array_equal(t.view(np.uint64), t_ref.view(np.uint64))
+        np.testing.assert_array_equal(refl.view(np.uint64), refl_ref.view(np.uint64))
+
+
+def test_cull_sends_a_distant_box_few_rays(monkeypatch):
+    grid = C.toy_config().grid
+    az = math.radians(1.125)  # a column centre; the boresight falls between two columns
+    box = S.Primitive(kind="box", center=(30.0 * math.cos(az), 30.0 * math.sin(az), 0.0), size=1.0,
+                      reflectivity=0.8)
+    scene = S.Scene(ground_height=None, primitives=(box,), ambient_brightness=1.0)
+    received = []
+    intersect_box = S._intersect_box
+
+    def recording(dirs, center, half):
+        received.append(dirs.shape[0])
+        return intersect_box(dirs, center, half)
+
+    monkeypatch.setattr(S, "_intersect_box", recording)
+    raster = S.raycast_lidar(scene, grid)
+    monkeypatch.undo()
+    assert len(received) == 1
+    assert grid.n_rows * grid.n_cols == 20480
+    assert received[0] < 0.05 * 20480
+    t, _ = full_cast(scene, S._lidar_rays(grid).reshape(-1, 3))
+    expected = np.where(t <= grid.max_range, t, 0.0).astype(np.float32).reshape(grid.n_rows, grid.n_cols)
+    assert expected.any()
+    np.testing.assert_array_equal(raster.data, expected)
 
 
 # -- camera and depth ------------------------------------------------------------------
