@@ -5,7 +5,9 @@ each with a reflectivity and a radial velocity.  Every sensor is simulated
 analytically from the same primitive list, so modalities stay consistent:
 the LiDAR raster comes from exact ray intersections, the camera and depth
 images from a pinhole projection of the same rays, and the radar cube from
-a sum of complex tones whose FFT peaks land at predictable bins.
+a sum of complex tones whose FFT peaks land at predictable bins.  Each tone
+is a separable product of three 1-D exponentials (rx, sample, chirp), so the
+cube is built by one matrix product instead of one full-cube exp per tone.
 
 Ray casting intersects each primitive only with the rays that meet its
 bounding sphere, for the LiDAR, camera and depth rays alike; the ground plane
@@ -432,25 +434,33 @@ def simulate_radar(scene: Scene, radar: RadarParams, seed: int) -> RadarCube:
     A * exp(2*pi*i * (f_r*n + f_a*k + f_v*m)) over (rx k, sample n, chirp m)
     with f_r = r / r_max, f_a = 0.5 * sin(a) (half-wavelength array), and
     f_v = v / v_max, so FFT peaks land at closed-form bins.
+
+    The phase is a sum of three 1-D terms, so each tone is the separable
+    product A * e(f_a*k) * e(f_r*n) * e(f_v*m) with e(x) = exp(2*pi*i*x):
+    only n_rx + n_samples + n_chirps exponentials per primitive, and one
+    [n_rx*n_samples, P] @ [P, n_chirps] product sums the P tones.  A scene
+    without primitives is an exact zero cube before noise.
     """
-    k = np.arange(radar.n_rx).reshape(-1, 1, 1)
-    n = np.arange(radar.n_samples).reshape(1, -1, 1)
-    m = np.arange(radar.n_chirps).reshape(1, 1, -1)
-    cube = np.zeros((radar.n_rx, radar.n_samples, radar.n_chirps), dtype=np.complex128)
-    for prim in scene.primitives:
-        x, y, z = prim.center
-        r = math.sqrt(x * x + y * y + z * z)
-        azimuth = math.atan2(y, x)
-        f_r = r / radar.r_max
-        f_a = 0.5 * math.sin(azimuth)
-        f_v = prim.radial_velocity / radar.v_max
-        phase = f_r * n + f_a * k + f_v * m
-        cube += prim.reflectivity * np.exp(2j * np.pi * phase)
+    n_rx, n_samples, n_chirps = radar.n_rx, radar.n_samples, radar.n_chirps
+    prims = scene.primitives
+    if prims:
+        x, y, z = np.array([p.center for p in prims], dtype=np.float64).T
+        amp = np.array([p.reflectivity for p in prims], dtype=np.float64)
+        f_r = np.sqrt(x * x + y * y + z * z) / radar.r_max
+        f_a = 0.5 * np.sin(np.arctan2(y, x))
+        f_v = np.array([p.radial_velocity for p in prims], dtype=np.float64) / radar.v_max
+        tone_k = np.exp(2j * np.pi * np.outer(f_a, np.arange(n_rx)))  # [P, n_rx]
+        tone_n = np.exp(2j * np.pi * np.outer(f_r, np.arange(n_samples)))  # [P, n_samples]
+        tone_m = np.exp(2j * np.pi * np.outer(f_v, np.arange(n_chirps)))  # [P, n_chirps]
+        rx_range = (amp[:, None, None] * tone_k[:, :, None] * tone_n[:, None, :]).reshape(len(prims), -1)
+        cube = (rx_range.T @ tone_m).reshape(n_rx, n_samples, n_chirps)
+    else:
+        cube = np.zeros((n_rx, n_samples, n_chirps), dtype=np.complex128)
     if radar.noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
-        shape = cube.shape
         scale = radar.noise_sigma / math.sqrt(2.0)
-        cube += rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+        cube.real += rng.normal(0.0, scale, cube.shape)
+        cube.imag += rng.normal(0.0, scale, cube.shape)
     return RadarCube(cube.astype(np.complex64))
 
 

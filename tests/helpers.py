@@ -10,6 +10,7 @@ non-degenerate scalar objective.
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Callable
 
@@ -64,6 +65,29 @@ def full_cast(scene: S.Scene, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         t_best = np.where(closer, t, t_best)
         refl = np.where(closer, prim.reflectivity, refl)
     return t_best, refl
+
+
+def full_radar(scene: S.Scene, radar: S.RadarParams, seed: int) -> np.ndarray:
+    """One complex exp over the whole cube per primitive, the oracle for the separable radar tones."""
+    k = np.arange(radar.n_rx).reshape(-1, 1, 1)
+    n = np.arange(radar.n_samples).reshape(1, -1, 1)
+    m = np.arange(radar.n_chirps).reshape(1, 1, -1)
+    cube = np.zeros((radar.n_rx, radar.n_samples, radar.n_chirps), dtype=np.complex128)
+    for prim in scene.primitives:
+        x, y, z = prim.center
+        r = math.sqrt(x * x + y * y + z * z)
+        azimuth = math.atan2(y, x)
+        f_r = r / radar.r_max
+        f_a = 0.5 * math.sin(azimuth)
+        f_v = prim.radial_velocity / radar.v_max
+        phase = f_r * n + f_a * k + f_v * m
+        cube += prim.reflectivity * np.exp(2j * np.pi * phase)
+    if radar.noise_sigma > 0.0:
+        rng = np.random.default_rng(seed)
+        shape = cube.shape
+        scale = radar.noise_sigma / math.sqrt(2.0)
+        cube += rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+    return cube.astype(np.complex64)
 
 
 def numeric_grads(f: Callable[[list[np.ndarray]], float], arrays: list[np.ndarray], h: float = H):

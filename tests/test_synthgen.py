@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import full_cast
+from helpers import full_cast, full_radar
 from lidarsynth import config as C
 from lidarsynth import radar as R
 from lidarsynth import synthgen as S
@@ -314,6 +314,59 @@ def test_radar_ground_excluded():
     scene = S.Scene(ground_height=-1.5, primitives=(), ambient_brightness=0.5)
     cube = S.simulate_radar(scene, S.RadarParams(n_rx=2, n_samples=16, n_chirps=8, noise_sigma=0.0), seed=0)
     assert not cube.data.any()
+
+
+@st.composite
+def _radar_primitives(draw):
+    dist = draw(st.floats(0.0, 85.0))
+    where = draw(st.sampled_from(("anywhere", "origin", "behind", "+y", "-y")))
+    if where == "origin":
+        center = (0.0, 0.0, 0.0)
+    elif where in ("+y", "-y"):
+        center = (0.0, dist if where == "+y" else -dist, draw(st.floats(-2.0, 2.0)))
+    else:
+        az = draw(st.floats(-180.0, 180.0)) if where == "anywhere" else draw(st.floats(91.0, 269.0))
+        el = math.radians(draw(st.floats(-30.0, 30.0)))
+        az = math.radians(az)
+        center = (dist * math.cos(el) * math.cos(az), dist * math.cos(el) * math.sin(az), dist * math.sin(el))
+    return S.Primitive(kind="box", center=center, size=1.0, reflectivity=draw(st.floats(0.0, 1.0)),
+                       radial_velocity=draw(st.floats(-40.0, 40.0)))
+
+
+_RADAR_SHAPES = ((4, 64, 64), (1, 64, 64), (1, 1, 1), (3, 17, 5), (2, 33, 7), (4, 256, 128))
+
+
+@settings(max_examples=120)
+@given(shape=st.sampled_from(_RADAR_SHAPES), prims=st.lists(_radar_primitives(), max_size=8))
+def test_separable_radar_matches_full_cube_tones(shape, prims):
+    scene = S.Scene(ground_height=-1.5, primitives=tuple(prims), ambient_brightness=0.5)
+    radar = S.RadarParams(n_rx=shape[0], n_samples=shape[1], n_chirps=shape[2], noise_sigma=0.0)
+    cube = S.simulate_radar(scene, radar, seed=0).data
+    expected = full_radar(scene, radar, seed=0)
+    assert cube.shape == expected.shape == shape
+    assert cube.dtype == np.complex64
+    tol = 1e-6 * max(1.0, sum(p.reflectivity for p in prims))
+    assert np.abs(cube.astype(np.complex128) - expected).max() <= tol
+
+
+@pytest.mark.parametrize("shape", [(4, 64, 64), (1, 1, 1), (3, 17, 5)])
+def test_radar_noise_is_bit_identical_to_full_cube_oracle(shape):
+    scene = S.Scene(ground_height=-1.5, primitives=(), ambient_brightness=0.5)
+    radar = S.RadarParams(n_rx=shape[0], n_samples=shape[1], n_chirps=shape[2], noise_sigma=0.05)
+    cube = S.simulate_radar(scene, radar, seed=11).data
+    expected = full_radar(scene, radar, seed=11)
+    np.testing.assert_array_equal(cube.view(np.uint32), expected.view(np.uint32))
+
+
+def test_radar_noise_is_circular_with_independent_parts():
+    sigma = 0.05
+    scene = S.Scene(ground_height=None, primitives=(), ambient_brightness=0.5)
+    cube = S.simulate_radar(scene, S.RadarParams(noise_sigma=sigma), seed=3).data
+    assert cube.shape == (4, 256, 128)
+    re, im = cube.real.astype(np.float64).ravel(), cube.imag.astype(np.float64).ravel()
+    for part in (re, im):
+        assert part.std() == pytest.approx(sigma / math.sqrt(2.0), rel=0.03)
+    assert abs(np.corrcoef(re, im)[0, 1]) < 0.02
 
 
 def test_radar_validation():
