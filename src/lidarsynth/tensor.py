@@ -1,9 +1,11 @@
 """Dense tensors with reverse-mode autodiff, covering exactly what the model needs.
 
 The graph is built eagerly: every op returns a new Tensor holding a closure
-that routes incoming gradients to its parents.  ``Tensor.backward()`` walks
-the graph once in reverse topological order, summing gradients at fan-in
-(shared subexpressions accumulate).
+that maps the output's gradient to one gradient (or None) per parent, in
+``parents`` order.  ``Tensor.backward()`` walks the graph once in reverse
+topological order and is the one place gradients are summed (shared
+subexpressions meet there).  An interior node's gradient is freed once its
+closure has consumed it; only leaves keep theirs, in ``Tensor.grad``.
 
 Parameters and activations are float32 by default; every op also works in
 float64 so finite-difference oracles can run at full precision.
@@ -71,7 +73,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A dense n-D float array with an optional gradient accumulator."""
+    """A dense n-D float array; ``grad`` accumulates the gradient of a leaf only."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
@@ -109,19 +111,18 @@ class Tensor:
 
     # -- graph plumbing -----------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
-
     def backward(self, gradient: np.ndarray | None = None) -> None:
-        """Reverse-mode sweep from this tensor; gradients sum at fan-in."""
+        """Reverse-mode sweep from this tensor; `gradient` has its shape and is copied."""
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
         if gradient is None:
             if self.size != 1:
                 raise ValueError("backward() without gradient needs a scalar output")
-            gradient = np.ones_like(self.data)
+            seed = np.ones_like(self.data)
+        else:
+            seed = np.array(gradient, dtype=self.data.dtype, order="C")
+            if seed.shape != self.shape:
+                raise ValueError(f"backward(): gradient shape {seed.shape} vs tensor shape {self.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack = [(self, False)]
@@ -137,10 +138,26 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.asarray(gradient, dtype=self.data.dtype))
+        pending = {id(self): seed}
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            g = pending.pop(id(node), None)
+            if g is None:
+                continue
+            if node._backward is None:  # a leaf
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
+                continue
+            for p, gp in zip(node._parents, node._backward(g), strict=True):
+                if gp is None or not p.requires_grad:
+                    continue
+                prev = pending.get(id(p))
+                if prev is None:
+                    # a strided gradient is copied: BLAS would run another kernel on it
+                    pending[id(p)] = gp if gp.flags.c_contiguous else gp.copy()
+                else:
+                    # never in place: an op may hand one array to several parents
+                    pending[id(p)] = prev + gp
 
     # -- indexing (the model reads the class token as x[:, 0]) ---------------
 
@@ -171,10 +188,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(out_data, (a, b), backward)
 
@@ -184,10 +199,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(-_unbroadcast(g, b.shape))
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                -_unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(out_data, (a, b), backward)
 
@@ -197,10 +210,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(out_data, (a, b), backward)
 
@@ -220,22 +231,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward_folded(g):
             g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b._accumulate(a2.T @ g2)
+            return ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
+                    a2.T @ g2 if b.requires_grad else None)
 
         return _make(out_data, (a, b), backward_folded)
 
     out_data = np.matmul(a.data, b.data)
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+        return (_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None,
+                _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None)
 
     return _make(out_data, (a, b), backward)
 
@@ -249,7 +254,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     out_data = x.data.reshape(shape)
 
     def backward(g):
-        x._accumulate(g.reshape(x.shape))
+        return (g.reshape(x.shape),)
 
     return _make(out_data, (x,), backward)
 
@@ -263,7 +268,7 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         inv = tuple(np.argsort(axes))
 
     def backward(g):
-        x._accumulate(np.transpose(g, inv))
+        return (np.transpose(g, inv),)
 
     return _make(out_data, (x,), backward)
 
@@ -273,8 +278,8 @@ def _getitem(x: Tensor, key) -> Tensor:
 
     def backward(g):
         full = np.zeros_like(x.data)
-        full[key] += g
-        x._accumulate(full)
+        np.add.at(full, key, g)  # a repeated index gets every contribution
+        return (full,)
 
     return _make(out_data, (x,), backward)
 
@@ -288,11 +293,8 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
+        lead = (slice(None),) * (axis % g.ndim)
+        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     return _make(out_data, tuple(ts), backward)
 
@@ -317,7 +319,7 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype))
+        return (np.broadcast_to(g, x.shape).astype(x.dtype),)
 
     return _make(out_data, (x,), backward)
 
@@ -341,7 +343,7 @@ def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0)
 
     def backward(g):
-        x._accumulate(g * (x.data > 0))
+        return (g * (x.data > 0),)
 
     return _make(out_data, (x,), backward)
 
@@ -355,7 +357,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        x._accumulate(y * (g - dot))
+        return (y * (g - dot),)
 
     return _make(y, (x,), backward)
 
@@ -375,7 +377,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     out_data = x.data * keep * scale
 
     def backward(g):
-        x._accumulate(g * keep * scale)
+        return (g * keep * scale,)
 
     return _make(out_data, (x,), backward)
 
@@ -407,15 +409,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data = xhat * gain.data + bias.data
 
     def backward(g):
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
+        gx = None
         if x.requires_grad:
             gh = g * gain.data
             m1 = gh.mean(axis=-1, keepdims=True)
             m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate((gh - m1 - xhat * m2) * inv)
+            gx = (gh - m1 - xhat * m2) * inv
+        return (gx,
+                _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
+                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
 
     return _make(out_data, (x, gain, bias), backward)
 
@@ -435,7 +437,11 @@ class BatchNormState:
 
 
 def batch_norm2d(x: Tensor, gain: Tensor, bias: Tensor, state: BatchNormState, training: bool) -> Tensor:
-    """Per-channel normalization over (N, H, W); training mode updates running stats."""
+    """Per-channel normalization over (N, H, W); training mode updates running stats.
+
+    Eval mode normalizes with the running stats and returns a constant: no
+    gradient flows back through it.
+    """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.ndim != 4:
         raise ValueError(f"batch_norm2d expects [N, C, H, W], got shape {x.shape}")
@@ -460,32 +466,21 @@ def batch_norm2d(x: Tensor, gain: Tensor, bias: Tensor, state: BatchNormState, t
         out_data = xhat * g4 + b4
 
         def backward(g):
-            if bias.requires_grad:
-                bias._accumulate(g.sum(axis=axes))
-            if gain.requires_grad:
-                gain._accumulate((g * xhat).sum(axis=axes))
+            gx = None
             if x.requires_grad:
                 gh = g * g4
                 m1 = gh.mean(axis=axes, keepdims=True)
                 m2 = (gh * xhat).mean(axis=axes, keepdims=True)
-                x._accumulate((gh - m1 - xhat * m2) * inv.reshape(1, c, 1, 1))
+                gx = (gh - m1 - xhat * m2) * inv.reshape(1, c, 1, 1)
+            return (gx,
+                    (g * xhat).sum(axis=axes) if gain.requires_grad else None,
+                    g.sum(axis=axes) if bias.requires_grad else None)
 
         return _make(out_data, (x, gain, bias), backward)
 
     inv = 1.0 / np.sqrt(state.running_var + state.eps)
     scale = (g4 * inv.reshape(1, c, 1, 1)).astype(x.dtype)
-    out_data = (x.data - state.running_mean.reshape(1, c, 1, 1)) * scale + b4
-    xhat_eval = (x.data - state.running_mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-
-    def backward_eval(g):
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
-        if gain.requires_grad:
-            gain._accumulate((g * xhat_eval).sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            x._accumulate(g * scale)
-
-    return _make(out_data, (x, gain, bias), backward_eval)
+    return Tensor((x.data - state.running_mean.reshape(1, c, 1, 1)) * scale + b4)
 
 
 def conv_transpose2d(
@@ -532,21 +527,20 @@ def conv_transpose2d(
     parents = (x, kernels) if bias is None else (x, kernels, bias)
 
     def backward(g):
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
         gfull = np.zeros((n, c_out, full_h, full_w), dtype=g.dtype)
         gfull[:, :, p : p + h_out, p : p + w_out] = g
         gcols = np.empty((n, c_out, kh, kw, h, w), dtype=g.dtype)
         for dh in range(kh):
             for dw in range(kw):
                 gcols[:, :, dh, dw] = gfull[:, :, dh : dh + (h - 1) * s + 1 : s, dw : dw + (w - 1) * s + 1 : s]
+        gx = gk = None
         if x.requires_grad:
             gx = np.tensordot(gcols, kernels.data, axes=([1, 2, 3], [1, 2, 3]))  # [N,H,W,Cin]
             gx = gx.transpose(0, 3, 1, 2)
-            x._accumulate(gx)
         if kernels.requires_grad:
             gk = np.tensordot(xd, gcols, axes=([0, 2, 3], [0, 4, 5]))  # [Cin,Cout,kh,kw]
-            kernels._accumulate(gk)
+        gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
+        return (gx, gk, gb)[: len(parents)]
 
     return _make(out_data, parents, backward)
 

@@ -201,23 +201,6 @@ def _batch_norm_train_case(label, shape):
     return factory
 
 
-def _batch_norm_eval_case(label, shape):
-    def factory():
-        c = shape[1]
-        x, g, b = _normals(label, shape, (c,), (c,))
-        state = T.BatchNormState.create(c)
-        rng = _rng(label + "/state")
-        state.running_mean = rng.standard_normal(c).astype(np.float32)
-        state.running_var = (0.5 + rng.random(c)).astype(np.float32)
-
-        def build(ts):
-            return T.batch_norm2d(ts[0], ts[1], ts[2], state, training=False)
-
-        return [x, g + 1.0, b], build
-
-    return factory
-
-
 def _conv_transpose_case(label, x_shape, c_out):
     def factory():
         c_in = x_shape[1]
@@ -344,9 +327,6 @@ GRAD_SUITE: list[tuple[str, Callable]] = [
     ("batch_norm/train1", _batch_norm_train_case("bn/a", (2, 1, 2, 3))),
     ("batch_norm/train2", _batch_norm_train_case("bn/b", (3, 2, 2, 2))),
     ("batch_norm/train3", _batch_norm_train_case("bn/c", (2, 3, 1, 4))),
-    ("batch_norm/eval1", _batch_norm_eval_case("bn/d", (1, 2, 3, 2))),
-    ("batch_norm/eval2", _batch_norm_eval_case("bn/e", (2, 1, 2, 2))),
-    ("batch_norm/eval3", _batch_norm_eval_case("bn/f", (3, 2, 1, 2))),
     ("conv_transpose/1to2", _conv_transpose_case("ct/a", (2, 1, 3, 3), 2)),
     ("conv_transpose/2to3", _conv_transpose_case("ct/b", (1, 2, 4, 5), 3)),
     ("conv_transpose/3to1", _conv_transpose_case("ct/c", (2, 3, 2, 2), 1)),
@@ -379,6 +359,7 @@ GRAD_SUITE: list[tuple[str, Callable]] = [
     ("getitem/row", _getitem_case("gi/a", (4, 3), np.s_[1])),
     ("getitem/slice", _getitem_case("gi/b", (5, 4), np.s_[1:4, ::2])),
     ("getitem/tail", _getitem_case("gi/c", (2, 3, 4), np.s_[:, 1:, :2])),
+    ("getitem/repeat", _getitem_case("gi/d", (4, 3), np.array([0, 2, 0]))),
     ("concat/axis0", _concat_case("cc/a", (2, 3), (4, 3), 0)),
     ("concat/axis1", _concat_case("cc/b", (2, 2), (2, 5), 1)),
     ("concat/last", _concat_case("cc/c", (2, 2, 1), (2, 2, 3), -1)),

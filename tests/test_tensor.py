@@ -47,6 +47,57 @@ def test_backward_requires_scalar_without_explicit_gradient():
         out.backward()
 
 
+def test_backward_rejects_a_gradient_of_another_shape():
+    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    y = T.mul(x, x)
+    with pytest.raises(ValueError, match="shape"):
+        y.backward(np.ones(1))
+    assert x.grad is None
+
+
+def test_backward_copies_the_callers_gradient():
+    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    seed = np.random.default_rng(0).standard_normal((2, 3))
+    kept = seed.copy()
+    y = T.reshape(x, (3, 2))
+    y.backward(seed.reshape(3, 2))
+    y.backward(seed.reshape(3, 2))
+    np.testing.assert_array_equal(seed, kept)
+    np.testing.assert_array_equal(x.grad, 2.0 * kept)
+
+
+def test_one_array_handed_to_both_parents_sums_exactly():
+    x = T.Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)
+    h = T.mul(x, x)
+    T.tensor_sum(T.add(h, h)).backward()  # add returns one array for both of its parents
+    np.testing.assert_array_equal(x.grad, 4.0 * x.data)
+
+
+def test_leaf_used_twice_sums_exactly():
+    x = T.Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)
+    T.tensor_sum(T.add(x, x)).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_a_taken_gradient_is_never_written_into():
+    # the outer add hands one array to s and b; s's add then hands it on to a
+    # and b, so summing b's two gradients in place would also change a's
+    x = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    a, b = T.mul(x, T.Tensor(3.0)), T.mul(x, T.Tensor(5.0))
+    s = T.add(a, b)
+    T.tensor_sum(T.add(s, b)).backward()
+    np.testing.assert_array_equal(x.grad, [13.0, 13.0])
+
+
+def test_interior_tensors_keep_no_gradient():
+    x = T.Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)
+    h = T.relu(T.mul(x, x))
+    y = T.tensor_sum(h)
+    y.backward()
+    assert h.grad is None and y.grad is None
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+
 def test_grad_not_tracked_without_requires_grad():
     x = T.Tensor(np.ones(3))
     out = T.mul(x, x)
@@ -214,6 +265,21 @@ def test_batch_norm_eval_ignores_batch_statistics():
     out = T.batch_norm2d(x, T.Tensor(np.ones(1)), T.Tensor(np.zeros(1)), state, training=False)
     # fresh running stats are mean 0, var 1
     np.testing.assert_allclose(out.data, 3.0, rtol=1e-4)
+
+
+def test_batch_norm_eval_is_a_constant_of_its_inputs():
+    rng = np.random.default_rng(3)
+    state = T.BatchNormState.create(2)
+    state.running_mean = np.array([0.5, -1.0], dtype=np.float32)
+    state.running_var = np.array([2.0, 0.25], dtype=np.float32)
+    mean, var = state.running_mean.copy(), state.running_var.copy()
+    x, gain, bias = (
+        T.Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((3, 2, 2, 2), (2,), (2,))
+    )
+    out = T.batch_norm2d(x, gain, bias, state, training=False)
+    assert not out.requires_grad
+    np.testing.assert_array_equal(state.running_mean, mean)
+    np.testing.assert_array_equal(state.running_var, var)
 
 
 # -- dropout --------------------------------------------------------------------
