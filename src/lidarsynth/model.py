@@ -2,7 +2,10 @@
 
 Each modality image is split into fixed-size patches, linearly embedded,
 and run through a small pre-norm transformer; the classification-token
-output is projected to a common 768-wide embedding.  The four embeddings
+output is projected to a common 768-wide embedding.  Nothing else leaves an
+encoder, so its last block computes the class token's row only: every
+token still supplies keys and values, but only the class token queries and
+runs through the feedforward.  The four embeddings
 form a 4-token sequence that one fusion encoder layer mixes (with learned
 type embeddings so slots stay distinguishable), after which the tokens are
 concatenated and projected to a 1024 latent.  The decoder expands that
@@ -320,7 +323,11 @@ class Model:
     # encoders
 
     def encode_batch(self, name: str, images: np.ndarray) -> Tensor:
-        """[B, H, W] (or [B, C, H, W]) -> [B, 768] class-token embeddings."""
+        """[B, H, W] (or [B, C, H, W]) -> [B, 768] class-token embeddings.
+
+        Every block but the last computes all tokens, since the next block
+        reads them all; the last computes the class token only.
+        """
         cfg = self.cfg.encoder(name)
         s = self.store
         tokens = np.stack([_patchify(img, cfg) for img in images])
@@ -331,9 +338,8 @@ class Model:
         x = T.concat([cls, x], axis=1)
         x = T.add(x, s[f"{name}.pos_embed"])
         for i in range(cfg.depth):
-            x, _ = self._block(x, f"{name}.layers.{i}", cfg.n_heads)
-        x = T.layer_norm(x, s[f"{name}.final_ln.gain"], s[f"{name}.final_ln.bias"])
-        cls_out = x[:, 0]
+            x, _ = self._block(x, f"{name}.layers.{i}", cfg.n_heads, n_queries=1 if i == cfg.depth - 1 else None)
+        cls_out = T.layer_norm(x[:, 0], s[f"{name}.final_ln.gain"], s[f"{name}.final_ln.bias"])
         return T.linear(cls_out, s[f"{name}.head.weight"], s[f"{name}.head.bias"])
 
     def _attn_params(self, prefix: str) -> AttentionParams:
@@ -344,15 +350,28 @@ class Model:
         )
 
     def _block(
-        self, x: Tensor, p: str, n_heads: int, dropout: float = 0.0, rng: np.random.Generator | None = None
+        self,
+        x: Tensor,
+        p: str,
+        n_heads: int,
+        dropout: float = 0.0,
+        rng: np.random.Generator | None = None,
+        n_queries: int | None = None,
     ) -> tuple[Tensor, np.ndarray]:
         """One pre-norm block; returns its output and the attention weights it computed.
 
-        Dropout draws from ``rng``; without one it is off.
+        Only the first ``n_queries`` tokens (default all) query and go on
+        through the feedforward, so the output has that many rows; keys and
+        values still come from every token.  Dropout draws from ``rng``;
+        without one it is off.
         """
         s = self.store
         h = T.layer_norm(x, s[f"{p}.ln1.gain"], s[f"{p}.ln1.bias"])
-        att, weights = T.multi_head_self_attention(h, self._attn_params(f"{p}.attn"), n_heads, return_weights=True)
+        att, weights = T.multi_head_self_attention(
+            h, self._attn_params(f"{p}.attn"), n_heads, return_weights=True, n_queries=n_queries
+        )
+        if n_queries is not None:
+            x = x[:, :n_queries]
         x = T.add(x, T.dropout(att, dropout, rng))
         h = T.layer_norm(x, s[f"{p}.ln2.gain"], s[f"{p}.ln2.bias"])
         h = T.relu(T.linear(h, s[f"{p}.ffn.w1"], s[f"{p}.ffn.b1"]))

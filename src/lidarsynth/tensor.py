@@ -159,7 +159,7 @@ class Tensor:
                     # never in place: an op may hand one array to several parents
                     pending[id(p)] = prev + gp
 
-    # -- indexing (the model reads the class token as x[:, 0]) ---------------
+    # -- indexing (the model slices query rows and reads the class token) ---
 
     def __getitem__(self, key):
         return _getitem(self, key)
@@ -567,12 +567,15 @@ def multi_head_self_attention(
     params: AttentionParams,
     n_heads: int,
     return_weights: bool = False,
+    n_queries: int | None = None,
 ):
     """Scaled dot-product self-attention over tokens.
 
     x: [N, T, D].  D must divide evenly into n_heads; each head
     uses scale 1/sqrt(D / n_heads).  Heads are concatenated and passed
-    through the output projection.
+    through the output projection.  Only the first ``n_queries`` tokens
+    (default all T) query; keys and values come from every token, so the
+    output is [N, n_queries, D] and the weights [N, heads, n_queries, T].
     """
     x = _as_tensor(x)
     if x.ndim != 3:
@@ -580,19 +583,22 @@ def multi_head_self_attention(
     n, t, d = x.shape
     if d % n_heads != 0:
         raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
+    nq = t if n_queries is None else n_queries
+    if not 1 <= nq <= t:
+        raise ValueError(f"n_queries {n_queries} outside [1, {t}]")
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
 
     def split_heads(y: Tensor) -> Tensor:
-        return transpose(reshape(y, (n, t, n_heads, dh)), (0, 2, 1, 3))
+        return transpose(reshape(y, (n, y.shape[1], n_heads, dh)), (0, 2, 1, 3))
 
-    q = split_heads(linear(x, params.wq, params.bq))
+    q = split_heads(linear(x if nq == t else x[:, :nq], params.wq, params.bq))
     k = split_heads(linear(x, params.wk, params.bk))
     v = split_heads(linear(x, params.wv, params.bv))
     scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), _as_tensor(scale, x.dtype))
     attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, v)  # [N, heads, T, dh]
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, t, d))
+    ctx = matmul(attn, v)  # [N, heads, nq, dh]
+    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, nq, d))
     out = linear(ctx, params.wo, params.bo)
     if return_weights:
         return out, attn.data

@@ -242,12 +242,15 @@ def _snapshot(model: Model, epoch: int, val_mmse: float) -> Checkpoint:
 
 
 def _cached_embeddings(model: Model, samples: list[Sample], batch_size: int) -> np.ndarray:
-    """[N, 4, EMBED_DIM] embeddings without gradients: once per run when every
-    encoder is frozen, otherwise at the start of each inference pass.
+    """[N, 4, EMBED_DIM] embeddings without gradients.
 
+    ``train`` computes them once per run when every encoder is frozen;
+    ``_predict`` computes them afresh whenever it is not handed any, as in
+    ``evaluate`` and in validation with trainable encoders.
     Each chunk of up to ``batch_size`` samples is one ``Model.embed`` call.
     Encoders hold no batch statistics, so a chunk embeds each sample as it
-    would alone, up to the GEMM's summation order (about 1e-6).
+    would alone, up to the GEMM's summation order (about 2e-6 on the toy
+    config).
     """
     out = np.empty((len(samples), len(MODALITIES), EMBED_DIM), dtype=np.float32)
     with T.no_grad():

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from lidarsynth import model as M
 from lidarsynth import synthgen as S
 from lidarsynth import tensor as T
 from lidarsynth import training as TR
@@ -88,6 +89,21 @@ def full_radar(scene: S.Scene, radar: S.RadarParams, seed: int) -> np.ndarray:
         scale = radar.noise_sigma / math.sqrt(2.0)
         cube += rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
     return cube.astype(np.complex64)
+
+
+def full_encode(model: M.Model, name: str, images: np.ndarray) -> T.Tensor:
+    """Every encoder block over every token, then the class token: the oracle for the pruned last block."""
+    cfg = model.cfg.encoder(name)
+    s = model.store
+    tokens = np.stack([M._patchify(img, cfg) for img in images])
+    x = T.linear(T.Tensor(tokens), s[f"{name}.patch_embed.weight"], s[f"{name}.patch_embed.bias"])
+    ones = T.Tensor(np.ones((x.shape[0], 1, 1), dtype=np.float32))
+    cls = T.mul(T.reshape(s[f"{name}.cls_token"], (1, 1, cfg.d_model)), ones)
+    x = T.add(T.concat([cls, x], axis=1), s[f"{name}.pos_embed"])
+    for i in range(cfg.depth):
+        x, _ = model._block(x, f"{name}.layers.{i}", cfg.n_heads)
+    x = T.layer_norm(x, s[f"{name}.final_ln.gain"], s[f"{name}.final_ln.bias"])
+    return T.linear(x[:, 0], s[f"{name}.head.weight"], s[f"{name}.head.bias"])
 
 
 def numeric_grads(f: Callable[[list[np.ndarray]], float], arrays: list[np.ndarray], h: float = H):
@@ -211,7 +227,7 @@ def _conv_transpose_case(label, x_shape, c_out):
     return factory
 
 
-def _attention_case(label, x_shape, n_heads):
+def _attention_case(label, x_shape, n_heads, n_queries=None):
     def factory():
         d = x_shape[-1]
         rng = _rng(label)
@@ -224,7 +240,7 @@ def _attention_case(label, x_shape, n_heads):
                 wq=ts[1], wk=ts[2], wv=ts[3], wo=ts[4],
                 bq=ts[5], bk=ts[6], bv=ts[7], bo=ts[8],
             )
-            return T.multi_head_self_attention(ts[0], params, n_heads)
+            return T.multi_head_self_attention(ts[0], params, n_heads, n_queries=n_queries)
 
         return [x] + ws + bs, build
 
@@ -321,6 +337,8 @@ GRAD_SUITE: list[tuple[str, Callable]] = [
     ("attention/t3d4h2", _attention_case("attn/a", (1, 3, 4), 2)),
     ("attention/t5d6h3", _attention_case("attn/b", (1, 5, 6), 3)),
     ("attention/batched", _attention_case("attn/c", (2, 3, 4), 2)),
+    ("attention/query1", _attention_case("attn/d", (1, 5, 6), 3, n_queries=1)),
+    ("attention/query1-batched", _attention_case("attn/e", (2, 5, 6), 3, n_queries=1)),
     ("layer_norm/vec", _layer_norm_case("ln/a", (6,))),
     ("layer_norm/mat", _layer_norm_case("ln/b", (3, 5))),
     ("layer_norm/3d", _layer_norm_case("ln/c", (2, 3, 4))),

@@ -402,3 +402,26 @@ def test_attention_batched_matches_per_sample():
     for i in range(2):
         single = T.multi_head_self_attention(T.Tensor(x[i : i + 1]), params, 2).data
         np.testing.assert_allclose(batched[i], single[0], rtol=1e-6)
+
+
+def test_attention_query_subset_is_the_first_rows_of_the_full_call():
+    rng = np.random.default_rng(8)
+    d, t, heads = 6, 5, 3
+    x = T.Tensor(rng.standard_normal((2, t, d)))
+    params = T.AttentionParams(
+        *(T.Tensor(rng.standard_normal((d, d)) / np.sqrt(d)) for _ in range(4)),
+        *(T.Tensor(rng.standard_normal(d) * 0.1) for _ in range(4)),
+    )
+    full, full_w = T.multi_head_self_attention(x, params, heads, return_weights=True)
+    for k in (1, 2, t):
+        out, w = T.multi_head_self_attention(x, params, heads, return_weights=True, n_queries=k)
+        assert out.shape == (2, k, d)
+        assert w.shape == (2, heads, k, t)
+        np.testing.assert_allclose(out.data, full.data[:, :k], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(w, full_w[:, :, :k], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 4])
+def test_attention_rejects_query_count_outside_token_range(k):
+    with pytest.raises(ValueError):
+        T.multi_head_self_attention(T.Tensor(np.zeros((1, 3, 4))), _zero_attention_params(4), 2, n_queries=k)
