@@ -104,36 +104,21 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
     ("encoder.camera.depth", "4", _parse_int, "camera encoder transformer layers"),
     ("encoder.camera.n_heads", "12", _parse_int, "camera encoder attention heads"),
     ("encoder.camera.ffn_dim", "3072", _parse_int, "camera encoder feedforward width"),
-    ("encoder.camera.frozen", "true", _parse_bool, "exclude camera encoder weights from optimization"),
     ("encoder.depth.patch_size", "16", _parse_int, "depth encoder patch edge, pixels"),
     ("encoder.depth.depth", "4", _parse_int, "depth encoder transformer layers"),
     ("encoder.depth.n_heads", "12", _parse_int, "depth encoder attention heads"),
     ("encoder.depth.ffn_dim", "3072", _parse_int, "depth encoder feedforward width"),
-    ("encoder.depth.frozen", "true", _parse_bool, "exclude depth encoder weights from optimization"),
     ("encoder.range_angle.patch_size", "4", _parse_int, "range-angle encoder patch edge"),
     ("encoder.range_angle.depth", "4", _parse_int, "range-angle encoder transformer layers"),
     ("encoder.range_angle.n_heads", "12", _parse_int, "range-angle encoder attention heads"),
     ("encoder.range_angle.ffn_dim", "3072", _parse_int, "range-angle encoder feedforward width"),
-    (
-        "encoder.range_angle.frozen",
-        "true",
-        _parse_bool,
-        "exclude range-angle encoder weights from optimization",
-    ),
     ("encoder.range_velocity.patch_size", "16", _parse_int, "range-velocity encoder patch edge"),
     ("encoder.range_velocity.depth", "4", _parse_int, "range-velocity encoder transformer layers"),
     ("encoder.range_velocity.n_heads", "12", _parse_int, "range-velocity encoder attention heads"),
     ("encoder.range_velocity.ffn_dim", "3072", _parse_int, "range-velocity encoder feedforward width"),
-    (
-        "encoder.range_velocity.frozen",
-        "true",
-        _parse_bool,
-        "exclude range-velocity encoder weights from optimization",
-    ),
     ("fusion.n_heads", "12", _parse_int, "fusion encoder attention heads"),
     ("fusion.ffn_dim", "2048", _parse_int, "fusion encoder feedforward width"),
     ("fusion.dropout", "0.1", _parse_float, "fusion encoder dropout probability, applied in training steps only"),
-    ("fusion.n_layers", "1", _parse_int, "fusion encoder layers"),
     ("fusion.latent_dim", "1024", _parse_int, "latent width fed to the decoder"),
     ("decoder.seed_h", "45", _parse_int, "decoder seed map height (azimuth axis); x32 gives output columns"),
     ("decoder.seed_w", "34", _parse_int, "decoder seed map width (elevation axis); x32 gives output rows"),
@@ -174,6 +159,15 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
 
 _DEFAULTS = {key: value for key, value, _, _ in _REGISTRY}
 
+# Keys of options the architecture now fixes: encoders are always frozen and
+# fusion is one layer.  Older dump-config files and the text inside older
+# checkpoints still carry them, so each is read, and dropped, when its value
+# parses to the one value it can still have.
+_REMOVED: dict[str, tuple[str, Callable[[str, str], Any]]] = {
+    **{f"encoder.{name}.frozen": ("true", _parse_bool) for name in MODALITIES},
+    "fusion.n_layers": ("1", _parse_int),
+}
+
 # the desk-scale profile used by the end-to-end tests and example scripts
 TOY_OVERRIDES: dict[str, str] = {
     "grid.theta": "-180:180:2.25",
@@ -208,7 +202,7 @@ class AppConfig:
 
 
 def parse_values(text: str) -> dict[str, str]:
-    """Overlay file text on the defaults; reject unknown keys and bad lines."""
+    """Overlay file text on the defaults; reject unknown keys and bad lines (see _REMOVED)."""
     values = dict(_DEFAULTS)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -218,6 +212,11 @@ def parse_values(text: str) -> dict[str, str]:
         if not sep:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
         key = key.strip()
+        if key in _REMOVED:
+            fixed, parse = _REMOVED[key]
+            if parse(key, value.strip()) != parse(key, fixed):
+                raise ValueError(f"line {lineno}: removed key {key} must be {fixed}, got {value.strip()!r}")
+            continue
         if key not in _DEFAULTS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         values[key] = value.strip()

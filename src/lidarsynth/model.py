@@ -1,4 +1,4 @@
-"""Multimodal network: four patch encoders, a fusion encoder, a LiDAR decoder.
+"""Multimodal network: four frozen patch encoders, a fusion encoder, a LiDAR decoder.
 
 Each modality image is split into fixed-size patches, linearly embedded,
 and run through a small pre-norm transformer; the classification-token
@@ -55,21 +55,19 @@ PADDING = 1
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """One modality encoder: patchify, embed, ``depth`` pre-norm layers, project."""
+    """One single-channel modality encoder: patchify, embed, ``depth`` pre-norm layers, project."""
 
     image_size: tuple[int, int]
-    channels: int = 1
     patch_size: int = 16
     depth: int = 4
     n_heads: int = 12
     d_model: int = 768
     ffn_dim: int = 3072
-    frozen: bool = False
 
     def __post_init__(self):
         h, w = self.image_size
-        if h < 1 or w < 1 or self.channels < 1:
-            raise ValueError("image dims and channels must be positive")
+        if h < 1 or w < 1:
+            raise ValueError("image dims must be positive")
         if h % self.patch_size or w % self.patch_size:
             raise ValueError(
                 f"image size {self.image_size} not divisible by patch {self.patch_size}"
@@ -88,7 +86,7 @@ class EncoderConfig:
 
     @property
     def patch_dim(self) -> int:
-        return self.patch_size * self.patch_size * self.channels
+        return self.patch_size * self.patch_size
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,6 @@ class FusionConfig:
     n_heads: int = 12
     ffn_dim: int = 2048
     dropout: float = 0.1
-    n_layers: int = 1
     latent_dim: int = 1024
 
     def __post_init__(self):
@@ -106,8 +103,8 @@ class FusionConfig:
             raise ValueError(f"width {EMBED_DIM} not divisible by {self.n_heads} heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
-        if self.n_layers < 1 or self.latent_dim < 1 or self.ffn_dim < 1:
-            raise ValueError("n_layers, latent_dim, ffn_dim must be positive")
+        if self.latent_dim < 1 or self.ffn_dim < 1:
+            raise ValueError("latent_dim, ffn_dim must be positive")
 
 
 @dataclass(frozen=True)
@@ -171,6 +168,9 @@ _INIT_BN_GAIN = "bn_gain"     # Normal(1, 0.02)
 _INIT_ZEROS = "zeros"
 _INIT_ONES = "ones"
 
+# the one fusion layer's name, which checkpoints and the parameter-shape digest carry
+_FUSION_BLOCK = "fusion.layers.0"
+
 
 def _block_shapes(prefix: str, d: int, ffn_dim: int, trainable: bool) -> list[tuple[str, tuple, str, bool]]:
     """One pre-norm transformer block: attention then feedforward, each behind a layer norm."""
@@ -193,21 +193,21 @@ def _block_shapes(prefix: str, d: int, ffn_dim: int, trainable: bool) -> list[tu
 
 
 def _encoder_shapes(name: str, cfg: EncoderConfig) -> list[tuple[str, tuple, str, bool]]:
-    train = not cfg.frozen
+    """An encoder's parameters; encoders stand in for pre-trained ones, so none is trainable."""
     d = cfg.d_model
     out = [
-        (f"{name}.patch_embed.weight", (cfg.patch_dim, d), _INIT_NORMAL, train),
-        (f"{name}.patch_embed.bias", (d,), _INIT_ZEROS, train),
-        (f"{name}.cls_token", (1, d), _INIT_NORMAL, train),
-        (f"{name}.pos_embed", (cfg.n_patches + 1, d), _INIT_NORMAL, train),
+        (f"{name}.patch_embed.weight", (cfg.patch_dim, d), _INIT_NORMAL, False),
+        (f"{name}.patch_embed.bias", (d,), _INIT_ZEROS, False),
+        (f"{name}.cls_token", (1, d), _INIT_NORMAL, False),
+        (f"{name}.pos_embed", (cfg.n_patches + 1, d), _INIT_NORMAL, False),
     ]
     for i in range(cfg.depth):
-        out += _block_shapes(f"{name}.layers.{i}", d, cfg.ffn_dim, train)
+        out += _block_shapes(f"{name}.layers.{i}", d, cfg.ffn_dim, False)
     out += [
-        (f"{name}.final_ln.gain", (d,), _INIT_ONES, train),
-        (f"{name}.final_ln.bias", (d,), _INIT_ZEROS, train),
-        (f"{name}.head.weight", (d, EMBED_DIM), _INIT_NORMAL, train),
-        (f"{name}.head.bias", (EMBED_DIM,), _INIT_ZEROS, train),
+        (f"{name}.final_ln.gain", (d,), _INIT_ONES, False),
+        (f"{name}.final_ln.bias", (d,), _INIT_ZEROS, False),
+        (f"{name}.head.weight", (d, EMBED_DIM), _INIT_NORMAL, False),
+        (f"{name}.head.bias", (EMBED_DIM,), _INIT_ZEROS, False),
     ]
     return out
 
@@ -222,8 +222,7 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
     d = EMBED_DIM
     if not cfg.fusion_bypass:
         shapes.append(("fusion.type_embed", (len(MODALITIES), d), _INIT_NORMAL, True))
-        for i in range(f.n_layers):
-            shapes += _block_shapes(f"fusion.layers.{i}", d, f.ffn_dim, True)
+        shapes += _block_shapes(_FUSION_BLOCK, d, f.ffn_dim, True)
         shapes += [
             ("fusion.final_ln.gain", (d,), _INIT_ONES, True),
             ("fusion.final_ln.bias", (d,), _INIT_ZEROS, True),
@@ -282,23 +281,21 @@ def param_breakdown(cfg: ModelConfig) -> dict[str, int]:
 # -- forward passes -----------------------------------------------------------
 
 
-def _patchify(image: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """[C, H, W] (or [H, W]) -> [n_patches, patch_dim], row-major patch order."""
-    img = np.asarray(image, dtype=np.float32)
-    if img.ndim == 2:
-        img = img[None]
-    if img.ndim != 3:
-        raise ValueError(f"expected 2-D or 3-D image, got shape {image.shape}")
-    c, h, w = img.shape
-    if c != cfg.channels or (h, w) != tuple(cfg.image_size):
-        raise ValueError(
-            f"image shape {img.shape} does not match configured "
-            f"{cfg.channels}x{cfg.image_size[0]}x{cfg.image_size[1]}"
-        )
+def _patchify(images: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+    """[B, H, W] -> [B, n_patches, patch_dim] float32, patches in row-major order.
+
+    Patch (i, j) of image b is ``images[b, i*p:(i+1)*p, j*p:(j+1)*p]``
+    flattened row by row, for patch edge p.
+    """
+    imgs = np.asarray(images, dtype=np.float32)
+    h, w = cfg.image_size
+    if imgs.ndim != 3 or imgs.shape[1:] != (h, w):
+        raise ValueError(f"expected images of shape [B, {h}, {w}], got {imgs.shape}")
+    b = imgs.shape[0]
     p = cfg.patch_size
     nh, nw = h // p, w // p
-    patches = img.reshape(c, nh, p, nw, p).transpose(1, 3, 0, 2, 4)
-    return np.ascontiguousarray(patches).reshape(nh * nw, c * p * p)
+    patches = imgs.reshape(b, nh, p, nw, p).transpose(0, 1, 3, 2, 4)
+    return np.ascontiguousarray(patches).reshape(b, nh * nw, p * p)
 
 
 class Model:
@@ -323,15 +320,14 @@ class Model:
     # encoders
 
     def encode_batch(self, name: str, images: np.ndarray) -> Tensor:
-        """[B, H, W] (or [B, C, H, W]) -> [B, 768] class-token embeddings.
+        """[B, H, W] images -> [B, 768] class-token embeddings.
 
         Every block but the last computes all tokens, since the next block
         reads them all; the last computes the class token only.
         """
         cfg = self.cfg.encoder(name)
         s = self.store
-        tokens = np.stack([_patchify(img, cfg) for img in images])
-        x = T.linear(Tensor(tokens), s[f"{name}.patch_embed.weight"], s[f"{name}.patch_embed.bias"])
+        x = T.linear(Tensor(_patchify(images, cfg)), s[f"{name}.patch_embed.weight"], s[f"{name}.patch_embed.bias"])
         b = x.shape[0]
         ones = Tensor(np.ones((b, 1, 1), dtype=np.float32))
         cls = T.mul(T.reshape(s[f"{name}.cls_token"], (1, 1, cfg.d_model)), ones)
@@ -386,7 +382,11 @@ class Model:
         return_attention: bool = False,
         train_rng: np.random.Generator | None = None,
     ):
-        """[B, 4, 768] modality embeddings -> [B, 1024] latent; dropout draws from ``train_rng``."""
+        """[B, 4, 768] modality embeddings -> [B, 1024] latent; dropout draws from ``train_rng``.
+
+        With ``return_attention`` also returns the fusion layer's attention
+        weights, [B, n_heads, 4, 4].
+        """
         s = self.store
         f = self.cfg.fusion
         x = embeddings
@@ -400,10 +400,7 @@ class Model:
                 raise ValueError("no attention weights in fusion-bypass mode")
         else:
             x = T.add(x, s["fusion.type_embed"])
-            for i in range(f.n_layers):
-                x, w = self._block(x, f"fusion.layers.{i}", f.n_heads, f.dropout, train_rng)
-                if attn_weights is None:
-                    attn_weights = w
+            x, attn_weights = self._block(x, _FUSION_BLOCK, f.n_heads, f.dropout, train_rng)
             x = T.layer_norm(x, s["fusion.final_ln.gain"], s["fusion.final_ln.bias"])
 
         flat = T.reshape(x, (b, t * d))
@@ -459,9 +456,10 @@ class Model:
     ) -> Tensor:
         """Differentiable batched pass -> [B, n_rows, n_cols] raster values.
 
-        Either raw modality arrays (each [B, ...]) or precomputed [B, 4, 768]
-        embeddings (the frozen-encoder fast path) may be supplied.  Given
-        ``train_rng`` the pass is a training step (see ``Model``).
+        Either raw modality arrays (each [B, H, W]) or their [B, 4, 768]
+        embeddings, precomputed by ``embed``, may be supplied; encoders are
+        frozen, so training steps pass embeddings.  Given ``train_rng`` the
+        pass is a training step (see ``Model``).
         """
         if embeddings is None:
             if batch is None:

@@ -221,7 +221,6 @@ class EpochStats:
 @dataclass
 class TrainResult:
     best: Checkpoint
-    final: Checkpoint
     history: list[EpochStats]
     model: Model  # carries the final parameters
 
@@ -244,9 +243,9 @@ def _snapshot(model: Model, epoch: int, val_mmse: float) -> Checkpoint:
 def _cached_embeddings(model: Model, samples: list[Sample], batch_size: int) -> np.ndarray:
     """[N, 4, EMBED_DIM] embeddings without gradients.
 
-    ``train`` computes them once per run when every encoder is frozen;
-    ``_predict`` computes them afresh whenever it is not handed any, as in
-    ``evaluate`` and in validation with trainable encoders.
+    Encoders are frozen, so ``train`` computes them once per run for its
+    train and validation splits; ``_predict`` computes them when it is not
+    handed any, as in ``evaluate``.
     Each chunk of up to ``batch_size`` samples is one ``Model.embed`` call.
     Encoders hold no batch statistics, so a chunk embeds each sample as it
     would alone, up to the GEMM's summation order (about 2e-6 on the toy
@@ -297,15 +296,16 @@ def train(
     train_cfg: TrainConfig,
     split_spec: SplitSpec = SplitSpec(),
 ) -> TrainResult:
-    """Mini-batch Adam on the band-weighted loss; returns best and final states.
+    """Mini-batch Adam on the band-weighted loss; returns the best state and the final model.
 
-    The dataset is split internally (sequential per scenario).  Batches are
-    drawn in a seeded shuffled order each epoch; a trailing short batch is
-    kept only if it has at least 2 samples.  Non-finite loss aborts.
+    The dataset is split internally (sequential per scenario) and the frozen
+    encoders embed it once.  Batches are drawn in a seeded shuffled order each
+    epoch; a trailing short batch is kept only if it has at least 2 samples.
+    Non-finite loss aborts.
     """
     tr, va, _ = split(dataset, split_spec)
-    if not tr:
-        raise ValueError("training split is empty")
+    if len(tr) < 2:
+        raise ValueError(f"training split has {len(tr)} samples; batch norm needs at least 2")
     grid = model_cfg.grid
     mask = weight_mask(grid, train_cfg.band, train_cfg.alpha)
     scale = 1.0 / grid.max_range if train_cfg.normalize_ranges else 1.0
@@ -323,9 +323,8 @@ def train(
         else np.zeros((0,) + targets_tr.shape[1:], dtype=np.float32)
     )
 
-    frozen = all(model_cfg.encoder(m).frozen for m in MODALITIES)
-    emb_tr = _cached_embeddings(model, tr, train_cfg.batch_size) if frozen else None
-    emb_va = _cached_embeddings(model, va, train_cfg.batch_size) if frozen and va else None
+    emb_tr = _cached_embeddings(model, tr, train_cfg.batch_size)
+    emb_va = _cached_embeddings(model, va, train_cfg.batch_size)
 
     history: list[EpochStats] = []
     best: Checkpoint | None = None
@@ -340,8 +339,7 @@ def train(
             if len(idx) < 2:
                 break  # batch norm needs at least 2 samples
             model.store.zero_grad()
-            embeddings = Tensor(emb_tr[idx]) if emb_tr is not None else model.embed(_batch_arrays(tr, idx))
-            out = model.forward_batch(embeddings=embeddings, train_rng=dropout_rng)
+            out = model.forward_batch(embeddings=Tensor(emb_tr[idx]), train_rng=dropout_rng)
             loss = mmse_loss(out, targets_tr[idx], mask)
             value = float(loss.data)
             if not np.isfinite(value):
@@ -363,8 +361,7 @@ def train(
         if best is None or val_mmse < best.val_mmse:
             best = _snapshot(model, epoch, val_mmse)
 
-    final = _snapshot(model, train_cfg.epochs, history[-1].val_mmse)
-    return TrainResult(best=best, final=final, history=history, model=model)
+    return TrainResult(best=best, history=history, model=model)
 
 
 def write_history(path, history: list[EpochStats]) -> None:
@@ -479,7 +476,7 @@ def evaluate(
     train_cfg: TrainConfig,
     batch_size: int = 32,
 ) -> EvalReport:
-    """Evaluation-pass forward per sample; MMSE in meters, grouped by scenario."""
+    """Evaluation passes of ``batch_size`` samples; per-sample MMSE in meters, grouped by scenario."""
     if not samples:
         raise ValueError("evaluation split is empty")
     grid = model.cfg.grid

@@ -95,8 +95,7 @@ def full_encode(model: M.Model, name: str, images: np.ndarray) -> T.Tensor:
     """Every encoder block over every token, then the class token: the oracle for the pruned last block."""
     cfg = model.cfg.encoder(name)
     s = model.store
-    tokens = np.stack([M._patchify(img, cfg) for img in images])
-    x = T.linear(T.Tensor(tokens), s[f"{name}.patch_embed.weight"], s[f"{name}.patch_embed.bias"])
+    x = T.linear(T.Tensor(M._patchify(images, cfg)), s[f"{name}.patch_embed.weight"], s[f"{name}.patch_embed.bias"])
     ones = T.Tensor(np.ones((x.shape[0], 1, 1), dtype=np.float32))
     cls = T.mul(T.reshape(s[f"{name}.cls_token"], (1, 1, cfg.d_model)), ones)
     x = T.add(T.concat([cls, x], axis=1), s[f"{name}.pos_embed"])

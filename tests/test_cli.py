@@ -255,6 +255,37 @@ def test_eval_accepts_equivalent_config_spelling(workspace, tmp_path):
                      "--report", str(tmp_path / "r.txt"), "--config", str(respelled)]) == cli.EXIT_OK
 
 
+def test_eval_reads_config_text_with_removed_keys(workspace, tmp_path):
+    # dump-config files and checkpoints written before the keys were removed carry them
+    old = tmp_path / "old.cfg"
+    old.write_text(workspace["cfg"].read_text() + "encoder.camera.frozen = true\nfusion.n_layers = 1\n")
+    reports = [tmp_path / "r.txt", tmp_path / "old-r.txt"]
+    for cfg_path, report in zip((workspace["cfg"], old), reports):
+        assert cli.main(["eval", "--data", str(workspace["data"]), "--ckpt", str(workspace["ckpt"]),
+                         "--report", str(report), "--config", str(cfg_path)]) == cli.EXIT_OK
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+def test_train_rejects_a_removed_key_with_another_value(workspace, tmp_path):
+    cfg = tmp_path / "two-layers.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + "fusion.n_layers = 2\n")
+    out = tmp_path / "m.lsck"
+    assert cli.main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert not out.exists()
+
+
+def test_train_one_sample_training_split_is_bad_input(workspace, tmp_path):
+    # two samples of one scenario split 1/0/1: one sample makes no batch-norm batch
+    data = tmp_path / "two"
+    for name in ("sample_000000", "sample_000004"):
+        shutil.copytree(workspace["data"] / name, data / name)
+    out = tmp_path / "m.lsck"
+    assert cli.main(["train", "--data", str(data), "--config", str(workspace["cfg"]),
+                     "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert not out.exists()
+
+
 def test_train_ablation_bypasses_fusion(workspace, tmp_path):
     ckpt = tmp_path / "ablation.lsck"
     assert cli.main(["train", "--data", str(workspace["data"]), "--config",

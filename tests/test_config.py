@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import pytest
 
@@ -128,24 +129,85 @@ def test_every_registry_key_has_doc_and_default():
         assert f"{key} = " in text
 
 
-# sha256 of the canonical texts: the text is embedded in every checkpoint and
-# compared byte for byte by `eval --config`, so it must not change
-DEFAULT_DOCS_SHA256 = "456c745e067b62a80232b464290fb54c51a05ceda074a312ac79419ace774728"
-TOY_TEXT_SHA256 = "f4f9bcfa9f90814c6f0f4ef8280b483d53a30375c30c2c6bcbf5a8115b6d8317"
+# sha256 of the canonical texts: the text is embedded in every checkpoint, so a
+# change to it is a change to every checkpoint written from now on
+DEFAULT_DOCS_SHA256 = "14ae67d37287f12456f4bd964beafc759f04830514355f78e1f7ba30a35efffa"
+TOY_TEXT_SHA256 = "3bbd1230274140beb72c2166de600ee66dbc1f733a85673fe7f5ff9cd093cdf2"
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_config_text_is_pinned():
-    def digest(text):
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert _digest(C.config_text(C.default_config(), docs=True)) == DEFAULT_DOCS_SHA256
+    assert _digest(C.config_text(C.toy_config())) == TOY_TEXT_SHA256
 
-    assert digest(C.config_text(C.default_config(), docs=True)) == DEFAULT_DOCS_SHA256
-    assert digest(C.config_text(C.toy_config())) == TOY_TEXT_SHA256
+
+# The canonical texts before the frozen and n_layers keys were removed: the
+# same digests, pinned then, identify them.  Each removed line is listed with
+# the key it followed and its doc comment.
+OLD_DEFAULT_DOCS_SHA256 = "456c745e067b62a80232b464290fb54c51a05ceda074a312ac79419ace774728"
+OLD_TOY_TEXT_SHA256 = "f4f9bcfa9f90814c6f0f4ef8280b483d53a30375c30c2c6bcbf5a8115b6d8317"
+REMOVED_LINES = [
+    *(
+        (f"encoder.{name}.ffn_dim", f"encoder.{name}.frozen = true",
+         f"exclude {name.replace('_', '-')} encoder weights from optimization")
+        for name in MODALITIES
+    ),
+    ("fusion.dropout", "fusion.n_layers = 1", "fusion encoder layers"),
+]
+
+
+def _old_text(text, docs):
+    lines = text.splitlines()
+    for after, line, doc in REMOVED_LINES:
+        i = next(k for k, old in enumerate(lines) if old.startswith(after + " = "))
+        lines[i + 1 : i + 1] = ["", f"# {doc}", line] if docs else [line]
+    return "\n".join(lines) + "\n"
+
+
+def test_old_canonical_texts_parse_to_todays_configs():
+    old_default = _old_text(C.config_text(C.default_config(), docs=True), docs=True)
+    old_toy = _old_text(C.config_text(C.toy_config()), docs=False)
+    # today's texts are the old ones minus exactly the removed lines
+    assert _digest(old_default) == OLD_DEFAULT_DOCS_SHA256
+    assert _digest(old_toy) == OLD_TOY_TEXT_SHA256
+    assert C.parse_config(old_default) == C.default_config()
+    assert C.parse_config(old_toy) == C.toy_config()
+
+
+def test_removed_keys_accept_other_spellings_of_their_value():
+    text = "encoder.depth.frozen = yes\nencoder.camera.frozen = 1\nfusion.n_layers = 01\n"
+    assert C.parse_config(text) == C.default_config()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "encoder.camera.frozen = false",
+        "encoder.range_velocity.frozen = no",
+        "encoder.depth.frozen = maybe",
+        "fusion.n_layers = 0",
+        "fusion.n_layers = 2",
+        "fusion.n_layers = one",
+    ],
+)
+def test_removed_keys_reject_any_other_value(line):
+    key = line.partition(" = ")[0]
+    with pytest.raises(ValueError, match=re.escape(key)):
+        C.parse_config("train.epochs = 5\n" + line + "\n")
+
+
+def test_removed_keys_are_not_overrides():
+    with pytest.raises(ValueError, match="unknown key"):
+        C.toy_config(overrides={"fusion.n_layers": "1"})
 
 
 # fields no key sets: derived from other keys, or fixed by the architecture
 UNKEYED_FIELDS = {
     GridSpec: {"theta_lo", "theta_hi", "theta_step"},  # all three from grid.theta
-    EncoderConfig: {"image_size", "channels", "d_model"},
+    EncoderConfig: {"image_size", "d_model"},
     ModelConfig: {*MODALITIES, "fusion", "decoder", "grid"},  # sections of their own
 }
 

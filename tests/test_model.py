@@ -138,6 +138,35 @@ def test_model_rejects_incomplete_store(toy_cfg):
 # -- encoders ----------------------------------------------------------------------
 
 
+def _patches_by_slicing(images, p):
+    """Patch (i, j) of image b is images[b, i*p:(i+1)*p, j*p:(j+1)*p], raveled row by row."""
+    b, h, w = images.shape
+    return np.array(
+        [
+            [images[k, i * p : (i + 1) * p, j * p : (j + 1) * p].ravel() for i in range(h // p) for j in range(w // p)]
+            for k in range(b)
+        ]
+    )
+
+
+# (4, 64) with patch 4 is the toy range-angle map, (64, 64) with 16 the toy camera
+@pytest.mark.parametrize("image_size, patch_size", [((8, 12), 4), ((12, 8), 2), ((4, 64), 4), ((64, 64), 16)])
+def test_patchify_matches_slice_loop_oracle(image_size, patch_size):
+    cfg = M.EncoderConfig(image_size=image_size, patch_size=patch_size)
+    images = np.random.default_rng(0).random((3,) + image_size)
+    got = M._patchify(images, cfg)
+    assert got.shape == (3, cfg.n_patches, cfg.patch_dim)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, _patches_by_slicing(images.astype(np.float32), patch_size))
+
+
+@pytest.mark.parametrize("shape", [(8, 12), (2, 1, 8, 12), (2, 12, 8), (2, 8, 16)])
+def test_patchify_rejects_unbatched_and_misshaped_images(shape):
+    cfg = M.EncoderConfig(image_size=(8, 12), patch_size=4)
+    with pytest.raises(ValueError, match="8, 12"):
+        M._patchify(np.zeros(shape, dtype=np.float32), cfg)
+
+
 def test_every_encoder_outputs_embed_dim(toy_cfg, toy_model):
     rng = np.random.default_rng(0)
     sample = _toy_inputs(toy_cfg, rng)
@@ -171,45 +200,21 @@ def test_embed_stacks_modalities(toy_cfg, toy_model):
         np.testing.assert_array_equal(emb.data[:, j], toy_model.encode_batch(name, batch[name]).data)
 
 
-def _mini_model(toy_cfg, depth, frozen):
-    # 4 patches + the class token, 8 wide, 2 heads: cheap enough for gradients
-    enc = M.EncoderConfig(
-        image_size=(8, 12), patch_size=4, depth=depth, n_heads=2, d_model=8, ffn_dim=16, frozen=frozen
-    )
+def _mini_model(toy_cfg, depth):
+    # 6 patches + the class token, 8 wide, 2 heads
+    enc = M.EncoderConfig(image_size=(8, 12), patch_size=4, depth=depth, n_heads=2, d_model=8, ffn_dim=16)
     return M.Model(replace(toy_cfg.model, **{name: enc for name in M.MODALITIES}))
 
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_pruned_encoder_matches_full_encoder(toy_cfg, depth):
-    model = _mini_model(toy_cfg, depth, frozen=True)
+    model = _mini_model(toy_cfg, depth)
     images = np.random.default_rng(depth).random((3, 8, 12)).astype(np.float32)
     with T.no_grad():
         got = model.encode_batch("camera", images).data
         want = full_encode(model, "camera", images).data
     # measured: at most 1.5e-8 apart on values up to 0.21
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
-
-
-@pytest.mark.parametrize("depth", [1, 2])
-def test_pruned_encoder_gradients_match_full_encoder(toy_cfg, depth):
-    model = _mini_model(toy_cfg, depth, frozen=False)
-    rng = np.random.default_rng(10 + depth)
-    images = rng.random((3, 8, 12)).astype(np.float32)
-    proj = T.Tensor(rng.standard_normal((3, M.EMBED_DIM)).astype(np.float32))
-    names = [n for n in model.store.trainable_names() if n.startswith("camera.")]
-    grads = []
-    for encode in (model.encode_batch, lambda name, imgs: full_encode(model, name, imgs)):
-        model.store.zero_grad()
-        T.tensor_sum(T.mul(encode("camera", images), proj)).backward()
-        grads.append({n: model.store[n].grad.copy() for n in names})
-    got, want = grads
-    last = f"camera.layers.{depth - 1}"
-    for part in ("attn.wq", "attn.wo", "ffn.w1", "ffn.w2"):
-        assert got[f"{last}.{part}"].any(), part
-    for n in names:
-        # measured: at most 3.3e-7 of each parameter's largest gradient; the key
-        # bias's true gradient is 0 (softmax shift invariance), its noise at most 1.2e-9
-        np.testing.assert_allclose(got[n], want[n], rtol=0, atol=1e-5 * np.abs(want[n]).max() + 1e-8, err_msg=n)
 
 
 # -- fusion ------------------------------------------------------------------------
@@ -347,13 +352,6 @@ def test_frozen_encoders_are_not_trainable(toy_cfg):
         assert name.startswith(("fusion.", "decoder."))
     frozen = set(model.store.names()) - trainable
     assert any(n.startswith("camera.") for n in frozen)
-
-
-def test_unfrozen_encoder_config_trains_encoder_params(toy_cfg):
-    cam = replace(toy_cfg.model.camera, frozen=False)
-    cfg = replace(toy_cfg.model, camera=cam)
-    model = M.Model(cfg)
-    assert any(n.startswith("camera.") for n in model.store.trainable_names())
 
 
 def test_gradients_reach_all_trainable_params(toy_cfg, tiny_dataset):

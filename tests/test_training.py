@@ -179,12 +179,6 @@ def test_training_history_shape_and_best(tiny_run, tiny_cfg):
         assert np.isfinite(h.train_mmse) and np.isfinite(h.val_mmse)
     best_val = min(h.val_mmse for h in history)
     assert tiny_run.best.val_mmse == pytest.approx(best_val, rel=1e-12)
-    assert tiny_run.final.epoch == len(history)
-
-
-def test_train_result_model_carries_final_params(tiny_run):
-    for name in ("fusion.proj.weight", "decoder.fc.bias"):
-        np.testing.assert_array_equal(tiny_run.model.store[name].data, tiny_run.final.params[name])
 
 
 def test_training_loss_decreases(tiny_run):
@@ -215,6 +209,16 @@ def test_train_rejects_empty_split(tiny_cfg):
         TR.train([], tiny_cfg.model, tiny_cfg.train, tiny_cfg.split)
 
 
+def test_train_rejects_one_sample_training_split(tiny_cfg, tiny_dataset):
+    # two samples of one scenario split 1/0/1; one sample makes no batch, so
+    # training would take no step and report a loss of 0
+    pair = [tiny_dataset[0], tiny_dataset[4]]
+    assert pair[0].scenario_id == pair[1].scenario_id
+    assert [len(part) for part in TR.split(pair, tiny_cfg.split)] == [1, 0, 1]
+    with pytest.raises(ValueError, match="at least 2"):
+        TR.train(pair, tiny_cfg.model, tiny_cfg.train, tiny_cfg.split)
+
+
 def test_cached_embeddings_match_per_sample_embed(tiny_cfg, tiny_dataset):
     model = Model(tiny_cfg.model)
     samples = tiny_dataset[:7]  # two full chunks of 3 and a trailing chunk of 1
@@ -234,8 +238,8 @@ def test_cached_embeddings_match_per_sample_embed(tiny_cfg, tiny_dataset):
 
 
 def test_eval_mmse_from_raw_samples_matches_forward_batch_oracle(tiny_cfg, tiny_dataset):
-    # an unfrozen encoder means no precomputed embeddings: the encoders run inside the pass
-    cfg = replace(tiny_cfg.model, camera=replace(tiny_cfg.model.camera, frozen=False))
+    # handed no embeddings, _eval_mmse runs the encoders over the same chunks
+    cfg = tiny_cfg.model
     model = Model(cfg)
     bn_before = model.bn_state_arrays()
     samples = tiny_dataset[:7]
@@ -287,9 +291,10 @@ def test_checkpoint_without_adam_loads_empty_dict(tmp_path, tiny_run, tiny_cfg):
 
 
 def test_model_from_checkpoint_restores_predictions(tiny_run, tiny_cfg, tiny_dataset):
-    model = TR.model_from_checkpoint(tiny_cfg.model, tiny_run.final)
+    final = TR._snapshot(tiny_run.model, len(tiny_run.history), tiny_run.history[-1].val_mmse)
+    model = TR.model_from_checkpoint(tiny_cfg.model, final)
     for name in model.store.names():
-        np.testing.assert_array_equal(model.store[name].data, tiny_run.final.params[name])
+        np.testing.assert_array_equal(model.store[name].data, tiny_run.model.store[name].data)
     _, _, test = TR.split(tiny_dataset, tiny_cfg.split)
     a = TR.evaluate(model, test, tiny_cfg.train)
     b = TR.evaluate(tiny_run.model, test, tiny_cfg.train)
@@ -366,19 +371,20 @@ def test_snapshots_share_frozen_params_and_copy_trainable_ones(tiny_cfg, tiny_da
     trainable = store.trainable_names()
     frozen = [name for name in store.names() if name not in trainable]
     assert frozen and trainable
-    for snap in (result.best, result.final):
+    final = TR._snapshot(result.model, 2, result.history[-1].val_mmse)
+    for snap in (result.best, final):
         for name in frozen:
             assert snap.params[name] is store[name].data
             assert not snap.params[name].flags.writeable
         for name in trainable:
             assert snap.params[name] is not store[name].data
-    before = {name: (result.best.params[name].copy(), result.final.params[name].copy()) for name in trainable}
+    before = {name: (result.best.params[name].copy(), final.params[name].copy()) for name in trainable}
     for name in trainable:
         store[name].grad[...] = 1.0
     adam_step(store, 1e-2)
     for name in trainable:
         np.testing.assert_array_equal(result.best.params[name], before[name][0])
-        np.testing.assert_array_equal(result.final.params[name], before[name][1])
+        np.testing.assert_array_equal(final.params[name], before[name][1])
     with pytest.raises(ValueError):
         store[frozen[0]].data[...] = 0.0
 
