@@ -3,9 +3,10 @@
 Each modality image is split into fixed-size patches, linearly embedded,
 and run through a small pre-norm transformer; the classification-token
 output is projected to a common 768-wide embedding.  Nothing else leaves an
-encoder, so its last block computes the class token's row only: every
-token still supplies keys and values, but only the class token queries and
-runs through the feedforward.  The four embeddings
+encoder, so its last block computes the class token's row only: only the
+class token queries and runs through the feedforward, and it attends to
+every token through key and value projections folded into its query row,
+so no token's key or value is formed.  The four embeddings
 form a 4-token sequence that one fusion encoder layer mixes (with learned
 type embeddings so slots stay distinguishable), after which the tokens are
 concatenated and projected to a 1024 latent.  The decoder expands that
@@ -323,7 +324,9 @@ class Model:
         """[B, H, W] images -> [B, 768] class-token embeddings.
 
         Every block but the last computes all tokens, since the next block
-        reads them all; the last computes the class token only.
+        reads them all; the last computes the class token only, attending
+        to every token without forming their keys and values (see
+        ``tensor.multi_head_self_attention``).
         """
         cfg = self.cfg.encoder(name)
         s = self.store
@@ -357,9 +360,9 @@ class Model:
         """One pre-norm block; returns its output and the attention weights it computed.
 
         Only the first ``n_queries`` tokens (default all) query and go on
-        through the feedforward, so the output has that many rows; keys and
-        values still come from every token.  Dropout draws from ``rng``;
-        without one it is off.
+        through the feedforward, so the output has that many rows; they
+        attend to every token.  Dropout draws from ``rng``; without one it
+        is off.
         """
         s = self.store
         h = T.layer_norm(x, s[f"{p}.ln1.gain"], s[f"{p}.ln1.bias"])

@@ -574,8 +574,16 @@ def multi_head_self_attention(
     x: [N, T, D].  D must divide evenly into n_heads; each head
     uses scale 1/sqrt(D / n_heads).  Heads are concatenated and passed
     through the output projection.  Only the first ``n_queries`` tokens
-    (default all T) query; keys and values come from every token, so the
-    output is [N, n_queries, D] and the weights [N, heads, n_queries, T].
+    (default all T) query and every token is attended to, so the output is
+    [N, n_queries, D] and the weights [N, heads, n_queries, T].
+
+    With fewer queries than tokens no key or value is formed: each head h
+    folds its projections into the query side instead,
+    ``scores_h = (q_h Wk_h^T) x^T + q_h . bk_h`` and
+    ``ctx_h = (attn_h x) Wv_h + bv_h`` (attention rows sum to one), which
+    costs about 2 D^2 + 2 heads T D multiply-adds per query row rather than
+    2 T D^2 per sample.  Softmax cancels the ``q_h . bk_h`` offset; it is
+    kept so ``bk`` still gets its (zero) gradient.
     """
     x = _as_tensor(x)
     if x.ndim != 3:
@@ -589,17 +597,34 @@ def multi_head_self_attention(
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
 
-    def split_heads(y: Tensor) -> Tensor:
-        return transpose(reshape(y, (n, y.shape[1], n_heads, dh)), (0, 2, 1, 3))
+    if nq == t:
+        def split_heads(y: Tensor) -> Tensor:
+            return transpose(reshape(y, (n, t, n_heads, dh)), (0, 2, 1, 3))
 
-    q = split_heads(linear(x if nq == t else x[:, :nq], params.wq, params.bq))
-    k = split_heads(linear(x, params.wk, params.bk))
-    v = split_heads(linear(x, params.wv, params.bv))
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), _as_tensor(scale, x.dtype))
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, v)  # [N, heads, nq, dh]
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, nq, d))
-    out = linear(ctx, params.wo, params.bo)
+        q = split_heads(linear(x, params.wq, params.bq))
+        k = split_heads(linear(x, params.wk, params.bk))
+        v = split_heads(linear(x, params.wv, params.bv))
+        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), _as_tensor(scale, x.dtype))
+        attn = softmax(scores, axis=-1)
+        ctx = transpose(matmul(attn, v), (0, 2, 1, 3))  # [N, nq, heads, dh]
+    else:
+        # query rows grouped by head, [heads, N*nq, dh], so each weight product
+        # below is one GEMM per head
+        q = linear(x[:, :nq], params.wq, params.bq)
+        q = transpose(reshape(q, (n * nq, n_heads, dh)), (1, 0, 2))
+        wk_t = transpose(reshape(params.wk, (d, n_heads, dh)), (1, 2, 0))  # Wk_h^T, [heads, dh, D]
+        bk = reshape(params.bk, (n_heads, dh, 1))
+        qk = matmul(q, wk_t)  # [heads, N*nq, D]
+        qk = reshape(transpose(reshape(qk, (n_heads, n, nq, d)), (1, 0, 2, 3)), (n, n_heads * nq, d))
+        offset = transpose(reshape(matmul(q, bk), (n_heads, n, nq, 1)), (1, 0, 2, 3))
+        scores = add(reshape(matmul(qk, transpose(x, (0, 2, 1))), (n, n_heads, nq, t)), offset)
+        attn = softmax(mul(scores, _as_tensor(scale, x.dtype)), axis=-1)
+        ax = matmul(reshape(attn, (n, n_heads * nq, t)), x)  # [N, heads*nq, D]
+        ax = reshape(transpose(reshape(ax, (n, n_heads, nq, d)), (1, 0, 2, 3)), (n_heads, n * nq, d))
+        wv = transpose(reshape(params.wv, (d, n_heads, dh)), (1, 0, 2))  # Wv_h, [heads, D, dh]
+        ctx = add(matmul(ax, wv), reshape(params.bv, (n_heads, 1, dh)))  # [heads, N*nq, dh]
+        ctx = transpose(reshape(ctx, (n_heads, n, nq, dh)), (1, 2, 0, 3))  # [N, nq, heads, dh]
+    out = linear(reshape(ctx, (n, nq, d)), params.wo, params.bo)
     if return_weights:
         return out, attn.data
     return out

@@ -421,6 +421,34 @@ def test_attention_query_subset_is_the_first_rows_of_the_full_call():
         np.testing.assert_allclose(w, full_w[:, :, :k], rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_attention_query_subset_backward_matches_the_full_call(k):
+    # D > T, as in the encoders, whose last block folds the key and value
+    # projections into its query rows
+    rng = np.random.default_rng(9)
+    d, t, heads = 12, 5, 3
+    x = rng.standard_normal((2, t, d))
+    arrays = [x] + [rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)]
+    arrays += [rng.standard_normal(d) * 0.1 for _ in range(4)]
+    proj = T.Tensor(rng.standard_normal((2, k, d)))
+
+    def grads(n_queries):
+        ts = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = T.multi_head_self_attention(ts[0], T.AttentionParams(*ts[1:]), heads, n_queries=n_queries)
+        T.tensor_sum(T.mul(out[:, :k], proj)).backward()
+        return [tt.grad for tt in ts]
+
+    names = ["x", "wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo"]
+    folded, full = grads(k), grads(None)
+    scale = max(np.abs(g).max() for g in full)
+    for name, got, want in zip(names, folded, full, strict=True):
+        assert got.shape == want.shape, name
+        if name == "bk":  # softmax cancels the key bias: its gradient is zero up to rounding
+            assert np.abs(got).max() <= 1e-10 * scale and np.abs(want).max() <= 1e-10 * scale
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max(), err_msg=name)
+
+
 @pytest.mark.parametrize("k", [-1, 0, 4])
 def test_attention_rejects_query_count_outside_token_range(k):
     with pytest.raises(ValueError):
