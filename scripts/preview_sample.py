@@ -1,8 +1,9 @@
 """Render one synthetic sample as PGM images for eyeballing.
 
-Generates a scene from a scenario profile, builds all five aligned arrays,
-and writes grayscale previews (camera, depth, the two radar maps, and the
-target range image) plus a short scene description.
+Builds all five aligned arrays of the first sample that ``lidarsynth synth``
+writes for the same profile and seed, and writes grayscale previews (camera,
+depth, the two radar maps, and the target range image) plus a short scene
+description.
 """
 
 import argparse
@@ -15,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lidarsynth import config as configmod
 from lidarsynth.formats import write_pgm
-from lidarsynth.synthgen import build_sample, generate_scene, resolve_profiles
+from lidarsynth.synthgen import build_sample, plan_scenes
 
 
 def main() -> int:
@@ -28,9 +29,9 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = configmod.default_config() if args.full_scale else configmod.toy_config()
-    prof = resolve_profiles(args.profile)[0]
-    scene = generate_scene(args.seed, prof)
-    arrays = build_sample(scene, cfg.grid, cfg.radar, cfg.cam_width, cfg.cam_height, args.seed)
+    # the plan `lidarsynth synth` follows, so the radar carries the profile's noise level
+    [(_, prof, scene, radar)] = plan_scenes(1, args.profile, cfg.radar, args.seed)
+    arrays = build_sample(scene, cfg.grid, radar, cfg.cam_width, cfg.cam_height, args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,7 @@ elevation bins, columns = azimuth bins).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,7 +306,8 @@ class Model:
     The model holds no mode.  A pass is a training step exactly when
     ``forward_batch`` is handed a generator: dropout draws from it and batch
     norm uses, and updates, batch statistics.  Every other pass is an
-    evaluation pass: deterministic, with running statistics left unchanged.
+    evaluation pass: deterministic, with running statistics left unchanged
+    and no autodiff graph recorded.
     """
 
     def __init__(self, cfg: ModelConfig, store: ParamStore | None = None):
@@ -457,21 +459,23 @@ class Model:
         embeddings: Tensor | None = None,
         train_rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Differentiable batched pass -> [B, n_rows, n_cols] raster values.
+        """Batched pass -> [B, n_rows, n_cols] raster values.
 
         Either raw modality arrays (each [B, H, W]) or their [B, 4, 768]
         embeddings, precomputed by ``embed``, may be supplied; encoders are
         frozen, so training steps pass embeddings.  Given ``train_rng`` the
-        pass is a training step (see ``Model``).
+        pass is a training step (see ``Model``) and records the graph that
+        backward walks; every other pass records none.
         """
-        if embeddings is None:
-            if batch is None:
-                raise ValueError("need batch arrays or precomputed embeddings")
-            embeddings = self.embed(batch)
-        latent = self.fuse(embeddings, train_rng=train_rng)
-        out = self.decode(latent, training=train_rng is not None)  # [B, 1, n_cols, n_rows]
-        out = T.reshape(out, (out.shape[0], out.shape[2], out.shape[3]))
-        return T.transpose(out, (0, 2, 1))
+        if embeddings is None and batch is None:
+            raise ValueError("need batch arrays or precomputed embeddings")
+        with T.no_grad() if train_rng is None else contextlib.nullcontext():
+            if embeddings is None:
+                embeddings = self.embed(batch)
+            latent = self.fuse(embeddings, train_rng=train_rng)
+            out = self.decode(latent, training=train_rng is not None)  # [B, 1, n_cols, n_rows]
+            out = T.reshape(out, (out.shape[0], out.shape[2], out.shape[3]))
+            return T.transpose(out, (0, 2, 1))
 
     def forward(self, sample: dict[str, np.ndarray]) -> PolarRaster:
         """Inference surface: one sample in, a raster on the model grid out.
@@ -481,9 +485,8 @@ class Model:
         it) outputs training units, fractions of ``grid.max_range``, not
         meters; multiply by ``grid.max_range`` for meters, as ``evaluate`` does.
         """
-        with T.no_grad():
-            batch = {name: np.asarray(sample[name])[None] for name in MODALITIES}
-            out = self.forward_batch(batch)
+        batch = {name: np.asarray(sample[name])[None] for name in MODALITIES}
+        out = self.forward_batch(batch)
         values = np.clip(out.data[0], 0.0, self.cfg.grid.max_range).astype(np.float32)
         return PolarRaster(grid=self.cfg.grid, data=values)
 

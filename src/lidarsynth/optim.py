@@ -22,9 +22,10 @@ _CHUNK = 1 << 16
 class ParamStore:
     """Ordered map of unique names to tensors over one flat trainable arena.
 
-    Built once from ``(name, array, trainable)`` entries, each copied:
-    trainable ones into the arena, frozen ones into owned read-only arrays,
-    so copy_values may share them and any write into one raises ValueError.
+    Built once from ``(name, array, trainable)`` entries.  Trainable ones are
+    copied into the arena.  A frozen C-contiguous float32 array is taken as
+    given, other frozen ones are converted to one, and either is marked
+    read-only, so copy_values may share them and any write raises ValueError.
     Backward accumulates into the ``grads`` views; ``t`` counts Adam steps.
     """
 
@@ -33,10 +34,8 @@ class ParamStore:
         for name, data, trainable in entries:
             if name in self.params:
                 raise ValueError(f"duplicate parameter name {name!r}")
-            if trainable:
-                arr = np.asarray(data, dtype=np.float32)  # copied into the arena below
-            else:
-                arr = np.array(data, dtype=np.float32)
+            arr = np.asarray(data, dtype=np.float32, order="C")  # a trainable one is copied into the arena below
+            if not trainable:
                 arr.flags.writeable = False
             self.params[name] = Tensor(arr, requires_grad=trainable)
         learned = [(name, p) for name, p in self.params.items() if p.requires_grad]

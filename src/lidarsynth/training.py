@@ -241,53 +241,39 @@ def _snapshot(model: Model, epoch: int, val_mmse: float) -> Checkpoint:
 
 
 def _cached_embeddings(model: Model, samples: list[Sample], batch_size: int) -> np.ndarray:
-    """[N, 4, EMBED_DIM] embeddings without gradients.
+    """[N, 4, EMBED_DIM] embeddings of the frozen encoders, which record no graph.
 
-    Encoders are frozen, so ``train`` computes them once per run for its
-    train and validation splits; ``_predict`` computes them when it is not
-    handed any, as in ``evaluate``.
+    ``train`` computes them once per run for its train and validation
+    splits, and ``evaluate`` once for its split.
     Each chunk of up to ``batch_size`` samples is one ``Model.embed`` call.
     Encoders hold no batch statistics, so a chunk embeds each sample as it
     would alone, up to the GEMM's summation order (at most 2.5e-6 on values
     up to 2.3 on the toy config).
     """
     out = np.empty((len(samples), len(MODALITIES), EMBED_DIM), dtype=np.float32)
-    with T.no_grad():
-        for start in range(0, len(samples), batch_size):
-            idx = np.arange(start, min(start + batch_size, len(samples)))
-            out[idx] = model.embed(_batch_arrays(samples, idx)).data
+    for start in range(0, len(samples), batch_size):
+        idx = np.arange(start, min(start + batch_size, len(samples)))
+        out[idx] = model.embed(_batch_arrays(samples, idx)).data
     return out
 
 
-def _predict(model: Model, samples: list[Sample], batch_size: int, embeddings: np.ndarray | None = None) -> np.ndarray:
-    """[N, rows, cols] outputs of evaluation passes, without gradients, batch by batch.
-
-    Fusion and decoder run from ``embeddings``; without them the encoders
-    compute them first over the same chunks.
-    """
-    if embeddings is None:
-        embeddings = _cached_embeddings(model, samples, batch_size)
-    out = np.empty((len(samples), model.cfg.grid.n_rows, model.cfg.grid.n_cols), dtype=np.float32)
-    with T.no_grad():
-        for start in range(0, len(samples), batch_size):
-            chunk = slice(start, start + batch_size)
-            out[chunk] = model.forward_batch(embeddings=Tensor(embeddings[chunk])).data
+def _predict(model: Model, embeddings: np.ndarray, batch_size: int) -> np.ndarray:
+    """[N, rows, cols] outputs of evaluation passes from [N, 4, EMBED_DIM] embeddings, batch by batch."""
+    out = np.empty((len(embeddings), model.cfg.grid.n_rows, model.cfg.grid.n_cols), dtype=np.float32)
+    for start in range(0, len(embeddings), batch_size):
+        chunk = slice(start, start + batch_size)
+        out[chunk] = model.forward_batch(embeddings=Tensor(embeddings[chunk])).data
     return out
 
 
-def _eval_mmse(
-    model: Model,
-    samples: list[Sample],
-    targets: np.ndarray,
-    mask: np.ndarray,
-    batch_size: int,
-    embeddings: np.ndarray | None = None,
-) -> float:
-    """Mean training-unit MMSE over a split, accumulated batch by batch."""
-    preds = _predict(model, samples, batch_size, embeddings)
-    chunks = [slice(start, start + batch_size) for start in range(0, len(samples), batch_size)]
-    total = sum(mmse_numpy(preds[c], targets[c], mask) * len(preds[c]) for c in chunks)
-    return total / max(len(samples), 1)
+def _per_sample_mmse(preds, targets, mask: np.ndarray) -> np.ndarray:
+    """``mmse_numpy`` of each prediction against its target, one value per sample."""
+    return np.array([mmse_numpy(pred, target, mask) for pred, target in zip(preds, targets, strict=True)])
+
+
+def _eval_mmse(model: Model, embeddings: np.ndarray, targets: np.ndarray, mask: np.ndarray, batch_size: int) -> float:
+    """Mean training-unit MMSE over a split, from its embeddings."""
+    return float(np.mean(_per_sample_mmse(_predict(model, embeddings, batch_size), targets, mask)))
 
 
 def train(
@@ -316,12 +302,7 @@ def train(
 
     model = Model(model_cfg)
 
-    targets_tr = np.stack([s.target.data for s in tr]).astype(np.float32) * scale
-    targets_va = (
-        np.stack([s.target.data for s in va]).astype(np.float32) * scale
-        if va
-        else np.zeros((0,) + targets_tr.shape[1:], dtype=np.float32)
-    )
+    targets_tr, targets_va = (np.array([s.target.data for s in part], dtype=np.float32) * scale for part in (tr, va))
 
     emb_tr = _cached_embeddings(model, tr, train_cfg.batch_size)
     emb_va = _cached_embeddings(model, va, train_cfg.batch_size)
@@ -351,11 +332,7 @@ def train(
             loss_sum += value * len(idx)
             seen += len(idx)
         train_mmse = loss_sum / max(seen, 1)
-        val_mmse = (
-            _eval_mmse(model, va, targets_va, mask, train_cfg.batch_size, emb_va)
-            if va
-            else train_mmse
-        )
+        val_mmse = _eval_mmse(model, emb_va, targets_va, mask, train_cfg.batch_size) if va else train_mmse
         history.append(EpochStats(epoch=epoch, lr=lr, train_mmse=train_mmse, val_mmse=val_mmse))
         log.debug("epoch %d lr %.2g train %.6f val %.6f", epoch, lr, train_mmse, val_mmse)
         if best is None or val_mmse < best.val_mmse:
@@ -482,10 +459,8 @@ def evaluate(
     grid = model.cfg.grid
     mask = weight_mask(grid, train_cfg.band, train_cfg.alpha)
     scale = grid.max_range if train_cfg.normalize_ranges else 1.0
-    preds = np.clip(_predict(model, samples, batch_size) * scale, 0.0, grid.max_range)
-    per_sample = np.array(
-        [mmse_numpy(preds[i], s.target.data, mask) for i, s in enumerate(samples)]
-    )
+    preds = _predict(model, _cached_embeddings(model, samples, batch_size), batch_size)
+    per_sample = _per_sample_mmse(np.clip(preds * scale, 0.0, grid.max_range), [s.target.data for s in samples], mask)
     per_scenario: dict[str, float] = {}
     counts: dict[str, int] = {}
     for value, s in zip(per_sample, samples):
@@ -510,7 +485,8 @@ def baseline_all_zeros(
         raise ValueError("empty split")
     mask = weight_mask(grid, band, alpha)
     zeros = np.zeros((grid.n_rows, grid.n_cols), dtype=np.float32)
-    return float(np.mean([mmse_numpy(zeros, s.target.data, mask) for s in samples]))
+    targets = [s.target.data for s in samples]
+    return float(np.mean(_per_sample_mmse([zeros] * len(targets), targets, mask)))
 
 
 def ablation_no_fusion(

@@ -354,6 +354,14 @@ def test_training_pass_updates_running_stats_draws_from_rng_and_repeats(toy_cfg)
     assert _bn_unchanged(models[1], models[0].bn_state_arrays())
 
 
+def test_only_a_training_pass_records_a_graph(toy_cfg, toy_model):
+    batch = _toy_inputs(toy_cfg, np.random.default_rng(14), batch=2)
+    out = toy_model.forward_batch(batch)
+    assert not out.requires_grad and out._parents == ()
+    out = toy_model.forward_batch(batch, train_rng=np.random.default_rng(0))
+    assert out.requires_grad and out._parents
+
+
 # -- freezing ----------------------------------------------------------------------
 
 

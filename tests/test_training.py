@@ -238,7 +238,7 @@ def test_cached_embeddings_match_per_sample_embed(tiny_cfg, tiny_dataset):
 
 
 def test_eval_mmse_from_raw_samples_matches_forward_batch_oracle(tiny_cfg, tiny_dataset):
-    # handed no embeddings, _eval_mmse runs the encoders over the same chunks
+    # embeddings cached over the same chunks as the raw forward_batch oracle
     cfg = tiny_cfg.model
     model = Model(cfg)
     bn_before = model.bn_state_arrays()
@@ -246,18 +246,18 @@ def test_eval_mmse_from_raw_samples_matches_forward_batch_oracle(tiny_cfg, tiny_
     targets = np.stack([s.target.data for s in samples]) / np.float32(cfg.grid.max_range)
     mask = TR.weight_mask(cfg.grid, tiny_cfg.train.band, tiny_cfg.train.alpha)
 
-    got = TR._eval_mmse(model, samples, targets, mask, batch_size=3)
+    got = TR._eval_mmse(model, TR._cached_embeddings(model, samples, 3), targets, mask, batch_size=3)
     for name, arr in model.bn_state_arrays().items():
         np.testing.assert_array_equal(arr, bn_before[name])
 
-    total = 0.0
+    per_sample = []
     with T.no_grad():
         for start in range(0, len(samples), 3):
             chunk = samples[start : start + 3]
             batch = {name: np.stack([s.modality(name) for s in chunk]) for name in MODALITIES}
             out = model.forward_batch(batch).data
-            total += TR.mmse_numpy(out, targets[start : start + 3], mask) * len(chunk)
-    assert got == total / len(samples)
+            per_sample += [TR.mmse_numpy(o, t, mask) for o, t in zip(out, targets[start : start + 3])]
+    assert got == np.mean(per_sample)
 
 
 # -- checkpoints --------------------------------------------------------------------
@@ -306,12 +306,19 @@ def test_model_from_checkpoint_draws_no_fresh_weights(monkeypatch, tiny_run, tin
         raise AssertionError("init_params must not run when loading a checkpoint")
 
     monkeypatch.setattr(M, "init_params", no_init)
-    model = TR.model_from_checkpoint(tiny_cfg.model, tiny_run.best)
+    # writable arrays, as read_lsck returns them
+    ckpt = replace(tiny_run.best, params={name: arr.copy() for name, arr in tiny_run.best.params.items()})
+    model = TR.model_from_checkpoint(tiny_cfg.model, ckpt)
     assert model.store.names() == [name for name, _, _, _ in M._param_shapes(tiny_cfg.model)]
     assert model.store.trainable_names() == tiny_run.model.store.trainable_names()
-    for name, arr in tiny_run.best.params.items():
+    trainable = set(model.store.trainable_names())
+    for name, arr in ckpt.params.items():
         got = model.store[name].data
-        assert got is not arr
+        if name in trainable:
+            assert not np.shares_memory(got, arr)
+        else:
+            # a frozen float32 array is used as it is, and made read-only
+            assert got is arr and not got.flags.writeable
         np.testing.assert_array_equal(got.view(np.uint32), arr.view(np.uint32))
 
 
