@@ -95,7 +95,6 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
     ("radar.n_rx", "4", _parse_int, "receive antennas (angle axis of the cube)"),
     ("radar.n_samples", "256", _parse_int, "samples per chirp (range axis)"),
     ("radar.n_chirps", "128", _parse_int, "chirps per frame (velocity axis)"),
-    ("radar.noise_sigma", "0.02", _parse_float, "circular Gaussian noise level of the simulated cube"),
     ("radar.r_max", "100.0", _parse_float, "range that maps to normalized frequency 1"),
     ("radar.v_max", "30.0", _parse_float, "radial speed that maps to normalized frequency 1, m/s"),
     ("camera.width", "224", _parse_int, "camera and depth image width, pixels"),
@@ -120,8 +119,6 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
     ("fusion.ffn_dim", "2048", _parse_int, "fusion encoder feedforward width"),
     ("fusion.dropout", "0.1", _parse_float, "fusion encoder dropout probability, applied in training steps only"),
     ("fusion.latent_dim", "1024", _parse_int, "latent width fed to the decoder"),
-    ("decoder.seed_h", "45", _parse_int, "decoder seed map height (azimuth axis); x32 gives output columns"),
-    ("decoder.seed_w", "34", _parse_int, "decoder seed map width (elevation axis); x32 gives output rows"),
     (
         "decoder.filters",
         "256,128,64,64",
@@ -154,18 +151,21 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
     ("train.normalize_ranges", "false", _parse_bool, "train on ranges divided by grid.max_range"),
     ("split.train", "0.6", _parse_float, "leading fraction of each scenario used for training"),
     ("split.val", "0.2", _parse_float, "next fraction used for validation"),
-    ("split.test", "0.2", _parse_float, "trailing fraction used for testing"),
 ]
 
 _DEFAULTS = {key: value for key, value, _, _ in _REGISTRY}
 
-# Keys of options the architecture now fixes: encoders are always frozen and
-# fusion is one layer.  Older dump-config files and the text inside older
-# checkpoints still carry them, so each is read, and dropped, when its value
-# parses to the one value it can still have.
-_REMOVED: dict[str, tuple[str, Callable[[str, str], Any]]] = {
-    **{f"encoder.{name}.frozen": ("true", _parse_bool) for name in MODALITIES},
-    "fusion.n_layers": ("1", _parse_int),
+# Keys that set nothing: the architecture fixes them (frozen, n_layers), the grid
+# or the split implies them (the seed map is the grid over 32; test gets the rest),
+# or nothing reads them (profiles set the radar noise).  Older config text carries
+# them, so each is parsed, checked against the config the other keys build, and dropped.
+_REMOVED: dict[str, tuple[Callable[[str, str], Any], Callable[[Any, AppConfig], bool]]] = {
+    **{f"encoder.{name}.frozen": (_parse_bool, lambda v, cfg: v) for name in MODALITIES},
+    "fusion.n_layers": (_parse_int, lambda v, cfg: v == 1),
+    "decoder.seed_h": (_parse_int, lambda v, cfg: v == cfg.model.seed_shape[0]),
+    "decoder.seed_w": (_parse_int, lambda v, cfg: v == cfg.model.seed_shape[1]),
+    "split.test": (_parse_float, lambda v, cfg: abs(v - (1.0 - cfg.split.train - cfg.split.val)) <= 1e-9),
+    "radar.noise_sigma": (_parse_float, lambda v, cfg: v >= 0.0),
 }
 
 # the desk-scale profile used by the end-to-end tests and example scripts
@@ -180,8 +180,6 @@ TOY_OVERRIDES: dict[str, str] = {
     "encoder.depth.depth": "1",
     "encoder.range_angle.depth": "1",
     "encoder.range_velocity.depth": "1",
-    "decoder.seed_h": "5",
-    "decoder.seed_w": "4",
     "decoder.filters": "8,8,4,4",
     "train.normalize_ranges": "true",
 }
@@ -201,9 +199,10 @@ class AppConfig:
     raw: dict[str, str]
 
 
-def parse_values(text: str) -> dict[str, str]:
-    """Overlay file text on the defaults; reject unknown keys and bad lines (see _REMOVED)."""
+def parse_values(text: str) -> tuple[dict[str, str], list[tuple[int, str, Any]]]:
+    """Overlay file text on the defaults; reject bad lines; list removed keys as (line, key, value)."""
     values = dict(_DEFAULTS)
+    removed = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -213,14 +212,12 @@ def parse_values(text: str) -> dict[str, str]:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
         key = key.strip()
         if key in _REMOVED:
-            fixed, parse = _REMOVED[key]
-            if parse(key, value.strip()) != parse(key, fixed):
-                raise ValueError(f"line {lineno}: removed key {key} must be {fixed}, got {value.strip()!r}")
+            removed.append((lineno, key, _REMOVED[key][0](key, value.strip())))
             continue
         if key not in _DEFAULTS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         values[key] = value.strip()
-    return values
+    return values, removed
 
 
 def _section(typed: dict[str, Any], prefix: str) -> dict[str, Any]:
@@ -264,7 +261,12 @@ def _build(values: dict[str, str]) -> AppConfig:
 
 
 def parse_config(text: str) -> AppConfig:
-    return _build(parse_values(text))
+    values, removed = parse_values(text)
+    cfg = _build(values)
+    for lineno, key, value in removed:
+        if not _REMOVED[key][1](value, cfg):
+            raise ValueError(f"line {lineno}: removed key {key} = {value!r} disagrees with the rest of the config")
+    return cfg
 
 
 def config_text(cfg: AppConfig, docs: bool = False) -> str:

@@ -215,6 +215,8 @@ def write_pgm(path, image: np.ndarray) -> None:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("PGM render expects a 2-D array")
+    if not np.isfinite(img).all():
+        raise ValueError("PGM render expects finite values")
     lo, hi = img.min(), img.max()
     if hi > lo:
         scaled = np.round((img - lo) / (hi - lo) * 255.0)

@@ -10,8 +10,8 @@ so no token's key or value is formed.  The four embeddings
 form a 4-token sequence that one fusion encoder layer mixes (with learned
 type embeddings so slots stay distinguishable), after which the tokens are
 concatenated and projected to a 1024 latent.  The decoder expands that
-latent through a fully connected layer to a small seed map and five
-stride-2 transposed convolutions into the output raster.
+latent through a fully connected layer to a seed map, the grid divided by
+32, and five stride-2 transposed convolutions into the output raster.
 
 The decoder's height axis runs along azimuth and its width axis along
 elevation; ``Model.forward`` transposes into raster layout (rows =
@@ -111,26 +111,14 @@ class FusionConfig:
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Seed map dims plus the four hidden transposed-convolution widths."""
+    """The four hidden transposed-convolution widths; the grid fixes the seed map."""
 
-    seed_h: int = 45
-    seed_w: int = 34
     filters: tuple[int, int, int, int] = (256, 128, 64, 64)
 
     def __post_init__(self):
         object.__setattr__(self, "filters", tuple(self.filters))
-        if self.seed_h < 1 or self.seed_w < 1:
-            raise ValueError("seed dims must be positive")
         if len(self.filters) != 4 or any(f < 1 for f in self.filters):
             raise ValueError(f"filters must be four positive ints, got {self.filters}")
-
-    @property
-    def out_h(self) -> int:
-        return self.seed_h * UPSCALE
-
-    @property
-    def out_w(self) -> int:
-        return self.seed_w * UPSCALE
 
     @property
     def channel_chain(self) -> tuple[int, ...]:
@@ -150,12 +138,16 @@ class ModelConfig:
     fusion_bypass: bool = False
 
     def __post_init__(self):
-        # decoder height axis = azimuth (columns), width axis = elevation (rows)
-        if self.decoder.out_h != self.grid.n_cols or self.decoder.out_w != self.grid.n_rows:
+        if self.grid.n_cols % UPSCALE or self.grid.n_rows % UPSCALE:
             raise ValueError(
-                f"decoder output {self.decoder.out_h}x{self.decoder.out_w} does not match "
-                f"grid {self.grid.n_cols} cols x {self.grid.n_rows} rows"
+                f"grid {self.grid.n_cols} cols x {self.grid.n_rows} rows is not a multiple of "
+                f"{UPSCALE}, the decoder's upscale factor"
             )
+
+    @property
+    def seed_shape(self) -> tuple[int, int]:
+        """Decoder seed map dims: height along azimuth (columns), width along elevation (rows)."""
+        return (self.grid.n_cols // UPSCALE, self.grid.n_rows // UPSCALE)
 
     def encoder(self, name: str) -> EncoderConfig:
         if name not in MODALITIES:
@@ -235,12 +227,12 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
         ("fusion.proj.bias", (f.latent_dim,), _INIT_ZEROS, True),
     ]
 
-    dec = cfg.decoder
+    seed_h, seed_w = cfg.seed_shape
     shapes += [
-        ("decoder.fc.weight", (f.latent_dim, dec.seed_h * dec.seed_w), _INIT_NORMAL, True),
-        ("decoder.fc.bias", (dec.seed_h * dec.seed_w,), _INIT_ZEROS, True),
+        ("decoder.fc.weight", (f.latent_dim, seed_h * seed_w), _INIT_NORMAL, True),
+        ("decoder.fc.bias", (seed_h * seed_w,), _INIT_ZEROS, True),
     ]
-    chain = dec.channel_chain
+    chain = cfg.decoder.channel_chain
     for i in range(N_DECONV):
         shapes += [
             (f"decoder.deconv.{i}.weight", (chain[i], chain[i + 1], KERNEL, KERNEL), _INIT_NORMAL, True),
@@ -417,17 +409,16 @@ class Model:
     # decoder
 
     def decode(self, latent: Tensor, training: bool = False) -> Tensor:
-        """[B, 1024] -> [B, 1, out_h, out_w], non-negative.
+        """[B, 1024] -> [B, 1, n_cols, n_rows], non-negative.
 
         With ``training`` batch norm normalizes by batch statistics and
         updates its running statistics; otherwise it uses them unchanged.
         """
         s = self.store
-        dec = self.cfg.decoder
         if latent.ndim != 2:
             raise ValueError(f"decode expects [B, {self.cfg.fusion.latent_dim}], got {latent.shape}")
         x = T.linear(latent, s["decoder.fc.weight"], s["decoder.fc.bias"])
-        x = T.reshape(x, (x.shape[0], 1, dec.seed_h, dec.seed_w))
+        x = T.reshape(x, (x.shape[0], 1, *self.cfg.seed_shape))
         for i in range(N_DECONV):
             x = T.conv_transpose2d(
                 x,

@@ -79,17 +79,16 @@ class Sample:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Sequential per-scenario split fractions (no shuffling across boundaries)."""
+    """Sequential per-scenario split fractions (no shuffling across boundaries); test gets the rest."""
 
     train: float = 0.6
     val: float = 0.2
-    test: float = 0.2
 
     def __post_init__(self):
-        if min(self.train, self.val, self.test) < 0.0:
+        if min(self.train, self.val) < 0.0:
             raise ValueError("split fractions must be non-negative")
-        if abs(self.train + self.val + self.test - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+        if self.train + self.val > 1.0 + 1e-9:
+            raise ValueError("train and val fractions must sum to at most 1")
 
 
 @dataclass(frozen=True)
@@ -434,6 +433,8 @@ def load_checkpoint(path) -> tuple[str, Checkpoint, dict[str, np.ndarray]]:
     config_text, tensors = formats.read_lsck(path)
     adam = {k[len(formats.ADAM_PREFIX):]: v for k, v in tensors.items() if k.startswith(formats.ADAM_PREFIX)}
     meta = tensors.get(_META_NAME)
+    if meta is not None and meta.shape != (2,):
+        raise formats.MalformedFileError(f"{_META_NAME} must hold (epoch, val_mmse), got shape {meta.shape}")
     epoch, val = (int(meta[0]), float(meta[1])) if meta is not None else (0, float("nan"))
     params: dict[str, np.ndarray] = {}
     bn: dict[str, np.ndarray] = {}

@@ -19,7 +19,7 @@ from lidarsynth.geometry import (
     legacy_grid,
     rasterize_with_stats,
 )
-from lidarsynth.model import DecoderConfig, EncoderConfig, Model, _param_shapes
+from lidarsynth.model import EncoderConfig, Model, _param_shapes
 from lidarsynth.radar import RadarCube, range_transform
 from lidarsynth.tensor import Tensor
 
@@ -114,7 +114,7 @@ def test_criterion_4_decoder_shapes(capsys):
     shapes = {name: shape for name, shape, _, _ in _param_shapes(base)}
     chain_ok = (
         base.decoder.channel_chain == (1, 256, 128, 64, 64, 1)
-        and (base.decoder.seed_h, base.decoder.seed_w) == (45, 34)
+        and base.seed_shape == (45, 34)
         and shapes["decoder.deconv.0.weight"] == (1, 256, 4, 4)
         and shapes["decoder.deconv.1.weight"] == (256, 128, 4, 4)
         and shapes["decoder.deconv.2.weight"] == (128, 64, 4, 4)
@@ -130,7 +130,7 @@ def test_criterion_4_decoder_shapes(capsys):
     out = Model(cfg).decode(Tensor(rng.standard_normal((2, 1024)).astype(np.float32)))
     default_ok = out.shape == (2, 1, 1440, 1088)
 
-    legacy = replace(cfg, grid=legacy_grid(), decoder=DecoderConfig(seed_h=45, seed_w=30))
+    legacy = replace(cfg, grid=legacy_grid())
     out2 = Model(legacy).decode(Tensor(rng.standard_normal((1, 1024)).astype(np.float32)))
     legacy_ok = out2.shape == (1, 1, 1440, 960)
 

@@ -258,12 +258,21 @@ def test_eval_accepts_equivalent_config_spelling(workspace, tmp_path):
 def test_eval_reads_config_text_with_removed_keys(workspace, tmp_path):
     # dump-config files and checkpoints written before the keys were removed carry them
     old = tmp_path / "old.cfg"
-    old.write_text(workspace["cfg"].read_text() + "encoder.camera.frozen = true\nfusion.n_layers = 1\n")
+    old.write_text(workspace["cfg"].read_text() + "encoder.camera.frozen = true\nfusion.n_layers = 1\n"
+                   "decoder.seed_h = 5\ndecoder.seed_w = 4\nradar.noise_sigma = 0.02\nsplit.test = 0.2\n")
     reports = [tmp_path / "r.txt", tmp_path / "old-r.txt"]
     for cfg_path, report in zip((workspace["cfg"], old), reports):
         assert cli.main(["eval", "--data", str(workspace["data"]), "--ckpt", str(workspace["ckpt"]),
                          "--report", str(report), "--config", str(cfg_path)]) == cli.EXIT_OK
     assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+def test_eval_rejects_checkpoint_with_malformed_meta_state(workspace, tmp_path):
+    # meta.state holds (epoch, val_mmse); one value is a malformed file, not a crash
+    ckpt = tmp_path / "bad-meta.lsck"
+    formats.write_lsck(ckpt, workspace["cfg"].read_text(), {"meta.state": np.array([3.0], dtype=np.float32)})
+    assert cli.main(["eval", "--data", str(workspace["data"]), "--ckpt", str(ckpt),
+                     "--report", str(tmp_path / "r.txt")]) == cli.EXIT_BAD_INPUT
 
 
 def test_train_rejects_a_removed_key_with_another_value(workspace, tmp_path):
@@ -332,6 +341,15 @@ def test_render_rejects_non_2d(tmp_path, workspace):
     cube = workspace["data"] / "sample_000000" / "radar_cube.lstf"
     assert cli.main(["render", "--raster", str(cube),
                      "--out", str(tmp_path / "x.pgm")]) == cli.EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_render_rejects_non_finite(tmp_path, bad):
+    raster = tmp_path / "r.lstf"
+    formats.write_lstf(raster, np.array([[1.0, bad], [2.0, 3.0]], dtype=np.float32))
+    out = tmp_path / "r.pgm"
+    assert cli.main(["render", "--raster", str(raster), "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert not out.exists()
 
 
 def test_dump_config_round_trips(tmp_path, capsys):

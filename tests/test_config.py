@@ -19,14 +19,14 @@ def test_default_config_dimensions():
     assert cfg.grid.max_range == 100.0
     assert (cfg.radar.n_rx, cfg.radar.n_samples, cfg.radar.n_chirps) == (4, 256, 128)
     assert (cfg.cam_width, cfg.cam_height) == (224, 224)
-    assert cfg.model.decoder.seed_w == 34
+    assert cfg.model.seed_shape == (45, 34)
     assert cfg.train.batch_size == 32
     assert cfg.split.train == 0.6
 
 
 def test_toy_config_dimensions(toy_cfg):
     assert (toy_cfg.grid.n_rows, toy_cfg.grid.n_cols) == (128, 160)
-    assert (toy_cfg.model.decoder.seed_h, toy_cfg.model.decoder.seed_w) == (5, 4)
+    assert toy_cfg.model.seed_shape == (5, 4)
     assert toy_cfg.model.decoder.filters == (8, 8, 4, 4)
     assert toy_cfg.train.normalize_ranges is True
     assert toy_cfg.model.camera.depth == 1
@@ -104,7 +104,7 @@ def test_parse_rejects_semantically_bad_values():
     with pytest.raises(ValueError):
         C.parse_config("train.batch_size = 1\n")
     with pytest.raises(ValueError):
-        C.parse_config("split.train = 0.9\n")  # fractions no longer sum to 1
+        C.parse_config("split.train = 0.9\n")  # train and val fractions exceed 1
     with pytest.raises(ValueError):
         C.parse_config("grid.theta = -180:180:0.7\n")  # non-integer bin count
 
@@ -131,8 +131,8 @@ def test_every_registry_key_has_doc_and_default():
 
 # sha256 of the canonical texts: the text is embedded in every checkpoint, so a
 # change to it is a change to every checkpoint written from now on
-DEFAULT_DOCS_SHA256 = "14ae67d37287f12456f4bd964beafc759f04830514355f78e1f7ba30a35efffa"
-TOY_TEXT_SHA256 = "3bbd1230274140beb72c2166de600ee66dbc1f733a85673fe7f5ff9cd093cdf2"
+DEFAULT_DOCS_SHA256 = "aaad1b8203366dcf899f42e5ba660d7a46b7f0dc0d0c16152c79a6f85e493a5c"
+TOY_TEXT_SHA256 = "4e43d888c8b500c48df961c78ec16aa9f6f20f97b99e9ffd3b81b65ca8566ebb"
 
 
 def _digest(text):
@@ -144,42 +144,67 @@ def test_config_text_is_pinned():
     assert _digest(C.config_text(C.toy_config())) == TOY_TEXT_SHA256
 
 
-# The canonical texts before the frozen and n_layers keys were removed: the
-# same digests, pinned then, identify them.  Each removed line is listed with
-# the key it followed and its doc comment.
-OLD_DEFAULT_DOCS_SHA256 = "456c745e067b62a80232b464290fb54c51a05ceda074a312ac79419ace774728"
-OLD_TOY_TEXT_SHA256 = "f4f9bcfa9f90814c6f0f4ef8280b483d53a30375c30c2c6bcbf5a8115b6d8317"
-REMOVED_LINES = [
+# Canonical texts of earlier versions are today's texts plus the lines removed
+# since, each listed with the key it followed, its doc comment and its value
+# in the config at hand.  The digests pinned while each text was current
+# identify them.
+DERIVED_LINES = [  # keys the grid or the split implies, or nothing reads
+    ("radar.n_chirps", "radar.noise_sigma", "circular Gaussian noise level of the simulated cube",
+     lambda cfg: "0.02"),
+    ("fusion.latent_dim", "decoder.seed_h", "decoder seed map height (azimuth axis); x32 gives output columns",
+     lambda cfg: str(cfg.model.seed_shape[0])),
+    ("decoder.seed_h", "decoder.seed_w", "decoder seed map width (elevation axis); x32 gives output rows",
+     lambda cfg: str(cfg.model.seed_shape[1])),
+    ("split.val", "split.test", "trailing fraction used for testing", lambda cfg: "0.2"),
+]
+DERIVED_DEFAULT_DOCS_SHA256 = "14ae67d37287f12456f4bd964beafc759f04830514355f78e1f7ba30a35efffa"
+DERIVED_TOY_TEXT_SHA256 = "3bbd1230274140beb72c2166de600ee66dbc1f733a85673fe7f5ff9cd093cdf2"
+REMOVED_LINES = [  # and, before those, the frozen and n_layers keys
+    *DERIVED_LINES,
     *(
-        (f"encoder.{name}.ffn_dim", f"encoder.{name}.frozen = true",
-         f"exclude {name.replace('_', '-')} encoder weights from optimization")
+        (f"encoder.{name}.ffn_dim", f"encoder.{name}.frozen",
+         f"exclude {name.replace('_', '-')} encoder weights from optimization", lambda cfg: "true")
         for name in MODALITIES
     ),
-    ("fusion.dropout", "fusion.n_layers = 1", "fusion encoder layers"),
+    ("fusion.dropout", "fusion.n_layers", "fusion encoder layers", lambda cfg: "1"),
 ]
+OLD_DEFAULT_DOCS_SHA256 = "456c745e067b62a80232b464290fb54c51a05ceda074a312ac79419ace774728"
+OLD_TOY_TEXT_SHA256 = "f4f9bcfa9f90814c6f0f4ef8280b483d53a30375c30c2c6bcbf5a8115b6d8317"
 
 
-def _old_text(text, docs):
-    lines = text.splitlines()
-    for after, line, doc in REMOVED_LINES:
+def _old_text(cfg, removed, docs):
+    lines = C.config_text(cfg, docs=docs).splitlines()
+    for after, key, doc, value in removed:
         i = next(k for k, old in enumerate(lines) if old.startswith(after + " = "))
+        line = f"{key} = {value(cfg)}"
         lines[i + 1 : i + 1] = ["", f"# {doc}", line] if docs else [line]
     return "\n".join(lines) + "\n"
 
 
 def test_old_canonical_texts_parse_to_todays_configs():
-    old_default = _old_text(C.config_text(C.default_config(), docs=True), docs=True)
-    old_toy = _old_text(C.config_text(C.toy_config()), docs=False)
-    # today's texts are the old ones minus exactly the removed lines
-    assert _digest(old_default) == OLD_DEFAULT_DOCS_SHA256
-    assert _digest(old_toy) == OLD_TOY_TEXT_SHA256
-    assert C.parse_config(old_default) == C.default_config()
-    assert C.parse_config(old_toy) == C.toy_config()
+    for removed, default_sha, toy_sha in [
+        (DERIVED_LINES, DERIVED_DEFAULT_DOCS_SHA256, DERIVED_TOY_TEXT_SHA256),
+        (REMOVED_LINES, OLD_DEFAULT_DOCS_SHA256, OLD_TOY_TEXT_SHA256),
+    ]:
+        old_default = _old_text(C.default_config(), removed, docs=True)
+        old_toy = _old_text(C.toy_config(), removed, docs=False)
+        # today's texts are the old ones minus exactly the removed lines
+        assert _digest(old_default) == default_sha
+        assert _digest(old_toy) == toy_sha
+        assert C.parse_config(old_default) == C.default_config()
+        assert C.parse_config(old_toy) == C.toy_config()
 
 
 def test_removed_keys_accept_other_spellings_of_their_value():
-    text = "encoder.depth.frozen = yes\nencoder.camera.frozen = 1\nfusion.n_layers = 01\n"
+    text = (
+        "encoder.depth.frozen = yes\nencoder.camera.frozen = 1\nfusion.n_layers = 01\n"
+        "decoder.seed_h = 045\ndecoder.seed_w = +34\nsplit.test = 2e-1\nradar.noise_sigma = 0.5\n"
+    )
     assert C.parse_config(text) == C.default_config()
+    # the seed keys and split.test are checked against the grid and split they come with
+    legacy = "grid.phi_regions = -60:-5:0.25;-5:5:0.015625;5:30:0.25\ndecoder.seed_w = 30\n"
+    assert C.parse_config(legacy).model.seed_shape == (45, 30)
+    assert C.parse_config("split.train = 0.5\nsplit.test = 0.3\n").split == SplitSpec(train=0.5, val=0.2)
 
 
 @pytest.mark.parametrize(
@@ -191,12 +216,27 @@ def test_removed_keys_accept_other_spellings_of_their_value():
         "fusion.n_layers = 0",
         "fusion.n_layers = 2",
         "fusion.n_layers = one",
+        "decoder.seed_h = 6",
+        "decoder.seed_h = 5",
+        "decoder.seed_w = 30",
+        "decoder.seed_w = 34.0",
+        "split.test = 0.3",
+        "split.test = nan",
+        "radar.noise_sigma = -0.1",
+        "radar.noise_sigma = inf",
     ],
 )
 def test_removed_keys_reject_any_other_value(line):
     key = line.partition(" = ")[0]
     with pytest.raises(ValueError, match=re.escape(key)):
         C.parse_config("train.epochs = 5\n" + line + "\n")
+
+
+def test_removed_key_rejection_names_its_line():
+    with pytest.raises(ValueError, match="line 3: removed key decoder.seed_h"):
+        C.parse_config("train.epochs = 5\n# the grid implies 45\ndecoder.seed_h = 6\n")
+    with pytest.raises(ValueError, match="line 2: removed key split.test"):
+        C.parse_config("split.train = 0.5\nsplit.test = 0.2\n")
 
 
 def test_removed_keys_are_not_overrides():
@@ -208,6 +248,7 @@ def test_removed_keys_are_not_overrides():
 UNKEYED_FIELDS = {
     GridSpec: {"theta_lo", "theta_hi", "theta_step"},  # all three from grid.theta
     EncoderConfig: {"image_size", "d_model"},
+    RadarParams: {"noise_sigma"},  # set per sample from the scenario profile
     ModelConfig: {*MODALITIES, "fusion", "decoder", "grid"},  # sections of their own
 }
 
@@ -231,3 +272,20 @@ def test_every_dataclass_field_has_a_registry_key(prefix, cls):
     keys = {key for key in C.default_config().raw if key.startswith(prefix + ".")}
     fields = {f.name for f in dataclasses.fields(cls)} - UNKEYED_FIELDS.get(cls, set())
     assert {f"{prefix}.{name}" for name in fields} <= keys
+
+
+def test_registry_defaults_match_dataclass_defaults():
+    # split(), train() and the baselines fall back on dataclass defaults, so the
+    # registry must not keep a second, different copy of them
+    cfg = C.default_config()
+    assert cfg.train == TrainConfig()
+    assert cfg.split == SplitSpec()
+    assert cfg.radar == RadarParams()
+    assert cfg.grid == GridSpec()
+    assert cfg.model.fusion == FusionConfig()
+    assert cfg.model.decoder == DecoderConfig()
+    assert cfg.model == ModelConfig(**{name: cfg.model.encoder(name) for name in MODALITIES})
+    # the range-angle map is 4 antennas tall, so its encoder's patch edge is 4
+    for name in MODALITIES:
+        enc = cfg.model.encoder(name)
+        assert enc == EncoderConfig(image_size=enc.image_size, patch_size=4 if name == "range_angle" else 16)

@@ -306,3 +306,12 @@ def test_pgm_dims_match_raster(tmp_path):
 def test_pgm_rejects_non_2d(tmp_path):
     with pytest.raises(ValueError):
         F.write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_rejects_non_finite(tmp_path, bad):
+    # min-max scaling would turn the whole image gray or black
+    path = tmp_path / "n.pgm"
+    with pytest.raises(ValueError, match="finite"):
+        F.write_pgm(path, np.array([[1.0, bad], [2.0, 3.0]]))
+    assert not path.exists()

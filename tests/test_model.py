@@ -36,26 +36,23 @@ def _toy_inputs(cfg, rng, batch=None):
 
 def test_default_config_matches_grid():
     cfg = C.default_config().model
-    assert cfg.decoder.seed_h == 45
-    assert cfg.decoder.seed_w == 34
-    assert cfg.decoder.out_h == 1440
-    assert cfg.decoder.out_w == 1088
+    assert cfg.seed_shape == (45, 34)
+    assert tuple(M.UPSCALE * d for d in cfg.seed_shape) == (1440, 1088)
     assert cfg.decoder.channel_chain == (1, 256, 128, 64, 64, 1)
 
 
 def test_legacy_config_dimensions():
-    cfg = C.parse_config(
-        "grid.phi_regions = -60:-5:0.25;-5:5:0.015625;5:30:0.25\ndecoder.seed_w = 30\n"
-    ).model
+    # the grid alone sets the decoder's seed map
+    cfg = C.parse_config("grid.phi_regions = -60:-5:0.25;-5:5:0.015625;5:30:0.25\n").model
     assert cfg.grid == legacy_grid()
-    assert (cfg.decoder.seed_h, cfg.decoder.seed_w) == (45, 30)
-    assert (cfg.decoder.out_h, cfg.decoder.out_w) == (1440, 960)
+    assert cfg.seed_shape == (45, 30)
+    assert tuple(M.UPSCALE * d for d in cfg.seed_shape) == (1440, 960)
 
 
 def test_config_rejects_grid_decoder_mismatch():
-    cfg = C.default_config().model
-    with pytest.raises(ValueError):
-        replace(cfg, decoder=M.DecoderConfig(seed_h=10, seed_w=10))
+    # 360 columns: five doublings cannot reach them from a whole seed map
+    with pytest.raises(ValueError, match="multiple of 32"):
+        C.parse_config("grid.theta = -180:180:1\n")
 
 
 def test_encoder_config_validation():
@@ -293,8 +290,8 @@ def test_fusion_bypass_skips_transformer(toy_cfg):
 def test_decode_doubles_five_times(toy_cfg, toy_model):
     latent = T.Tensor(np.random.default_rng(8).standard_normal((1, 1024)).astype(np.float32))
     out = toy_model.decode(latent)
-    dec = toy_cfg.model.decoder
-    assert out.shape == (1, 1, dec.seed_h * 32, dec.seed_w * 32)
+    seed_h, seed_w = toy_cfg.model.seed_shape
+    assert out.shape == (1, 1, seed_h * 32, seed_w * 32)
     assert (out.data >= 0.0).all()
 
 

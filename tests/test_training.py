@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 
 from lidarsynth import config as C
+from lidarsynth import formats
 from lidarsynth import model as M
 from lidarsynth import tensor as T
 from lidarsynth import training as TR
@@ -134,10 +135,15 @@ def test_split_is_sequential_and_partitions():
 
 
 def test_split_spec_validation():
+    # test gets the rest, so a test fraction that leaves some over is rejected in the config
+    assert TR.SplitSpec(train=0.5, val=0.2) == C.parse_config("split.train = 0.5\n").split
     with pytest.raises(ValueError):
-        TR.SplitSpec(train=0.5, val=0.2, test=0.2)
+        C.parse_config("split.train = 0.5\nsplit.val = 0.2\nsplit.test = 0.2\n")
     with pytest.raises(ValueError):
-        TR.SplitSpec(train=1.2, val=-0.1, test=-0.1)
+        TR.SplitSpec(train=1.2, val=-0.1)
+    with pytest.raises(ValueError):
+        TR.SplitSpec(train=0.9, val=0.2)
+    TR.SplitSpec(train=0.7, val=0.3)  # leaving nothing for test is allowed
 
 
 # -- schedule and config ------------------------------------------------------------
@@ -288,6 +294,14 @@ def test_checkpoint_without_adam_loads_empty_dict(tmp_path, tiny_run, tiny_cfg):
     TR.save_checkpoint(path, C.config_text(tiny_cfg), tiny_run.best)
     _, _, adam = TR.load_checkpoint(path)
     assert adam == {}
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
+def test_load_checkpoint_rejects_malformed_meta_state(tmp_path, shape):
+    path = tmp_path / "model.lsck"
+    formats.write_lsck(path, "", {"meta.state": np.ones(shape, dtype=np.float32)})
+    with pytest.raises(formats.MalformedFileError, match="meta.state"):
+        TR.load_checkpoint(path)
 
 
 def test_model_from_checkpoint_restores_predictions(tiny_run, tiny_cfg, tiny_dataset):
