@@ -58,6 +58,8 @@ def cmd_synth(args) -> int:
     cfg = _load_config(args.config)
     plan = plan_scenes(args.num, args.profile, cfg.radar, args.seed)  # rejects an unknown profile
     out = Path(args.out)
+    if out.is_dir() and any(p.is_dir() for p in out.glob("sample_*")):
+        raise FileExistsError(f"{out} already holds sample directories; synth writes only into a fresh --out")
     out.mkdir(parents=True, exist_ok=True)
     for i, (seed, prof, scene, radar) in enumerate(plan):
         export_sample(

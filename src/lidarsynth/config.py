@@ -154,6 +154,7 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
 ]
 
 _DEFAULTS = {key: value for key, value, _, _ in _REGISTRY}
+_PARSERS = {key: parse for key, _, parse, _ in _REGISTRY}
 
 # Keys that set nothing: the architecture fixes them (frozen, n_layers), the grid
 # or the split implies them (the seed map is the grid over 32; test gets the rest),
@@ -199,10 +200,14 @@ class AppConfig:
     raw: dict[str, str]
 
 
-def parse_values(text: str) -> tuple[dict[str, str], list[tuple[int, str, Any]]]:
-    """Overlay file text on the defaults; reject bad lines; list removed keys as (line, key, value)."""
+def parse_values(text: str) -> tuple[dict[str, str], list[tuple[int, str, Any]], dict[str, int]]:
+    """Overlay file text on the defaults, parsing each value as its line is read.
+
+    Returns the raw values, the removed keys as (line, key, value) and each set key's last line.
+    """
     values = dict(_DEFAULTS)
     removed = []
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -210,14 +215,19 @@ def parse_values(text: str) -> tuple[dict[str, str], list[tuple[int, str, Any]]]
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
-        key = key.strip()
-        if key in _REMOVED:
-            removed.append((lineno, key, _REMOVED[key][0](key, value.strip())))
-            continue
-        if key not in _DEFAULTS:
+        key, value = key.strip(), value.strip()
+        parse = _REMOVED[key][0] if key in _REMOVED else _PARSERS.get(key)
+        if parse is None:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        values[key] = value.strip()
-    return values, removed
+        try:
+            parsed = parse(key, value)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
+        if key in _REMOVED:
+            removed.append((lineno, key, parsed))
+        else:
+            values[key], lines[key] = value, lineno
+    return values, removed, lines
 
 
 def _section(typed: dict[str, Any], prefix: str) -> dict[str, Any]:
@@ -225,28 +235,38 @@ def _section(typed: dict[str, Any], prefix: str) -> dict[str, Any]:
     return {key[len(prefix) + 1 :]: value for key, value in typed.items() if key.startswith(prefix + ".")}
 
 
-def _build(values: dict[str, str]) -> AppConfig:
-    typed = {key: parse(key, values[key]) for key, _, parse, _ in _REGISTRY}
+def _build(values: dict[str, str], lines: dict[str, int] | None = None) -> AppConfig:
+    """Typed config from raw values; `lines` gives the line of each key a text set."""
+    typed = {key: parse(key, values[key]) for key, parse in _PARSERS.items()}
     theta_lo, theta_hi, theta_step = typed.pop("grid.theta")
-    grid = GridSpec(theta_lo=theta_lo, theta_hi=theta_hi, theta_step=theta_step, **_section(typed, "grid"))
-    radar = RadarParams(**_section(typed, "radar"))
+
+    def checked(cls, section: str, *feeds: str, **fields):
+        """`cls` built from `section`'s keys; a failed check names the section and the
+        text lines that set its keys or the `feeds` keys."""
+        try:
+            return cls(**_section(typed, section), **fields)
+        except ValueError as e:
+            prefixes = tuple(p + "." for p in (section, *feeds))  # "radar.n_rx." matches that key alone
+            where = sorted((n, key) for key, n in (lines or {}).items() if (key + ".").startswith(prefixes))
+            at = "; set at " + ", ".join(f"line {n}: {key}" for n, key in where) if where else ""
+            raise ValueError(f"{section}: {e}{at}") from None
+
+    grid = checked(GridSpec, "grid", theta_lo=theta_lo, theta_hi=theta_hi, theta_step=theta_step)
+    radar = checked(RadarParams, "radar")
     cam_w, cam_h = typed["camera.width"], typed["camera.height"]
-    image_sizes = {
-        "camera": (cam_h, cam_w),
-        "depth": (cam_h, cam_w),
-        "range_angle": (radar.n_rx, radar.n_samples),
-        "range_velocity": (radar.n_chirps, radar.n_samples),
+    image_sizes = {  # each encoder's input size, and the keys that set it
+        "camera": ((cam_h, cam_w), ("camera",)),
+        "depth": ((cam_h, cam_w), ("camera",)),
+        "range_angle": ((radar.n_rx, radar.n_samples), ("radar.n_rx", "radar.n_samples")),
+        "range_velocity": ((radar.n_chirps, radar.n_samples), ("radar.n_chirps", "radar.n_samples")),
     }
     encoders = {
-        name: EncoderConfig(image_size=image_sizes[name], **_section(typed, f"encoder.{name}"))
+        name: checked(EncoderConfig, f"encoder.{name}", *image_sizes[name][1], image_size=image_sizes[name][0])
         for name in MODALITIES
     }
-    model = ModelConfig(
-        **encoders,
-        fusion=FusionConfig(**_section(typed, "fusion")),
-        decoder=DecoderConfig(**_section(typed, "decoder")),
-        grid=grid,
-        **_section(typed, "model"),
+    model = checked(
+        ModelConfig, "model", "grid",
+        **encoders, fusion=checked(FusionConfig, "fusion"), decoder=checked(DecoderConfig, "decoder"), grid=grid,
     )
     return AppConfig(
         grid=grid,
@@ -254,15 +274,15 @@ def _build(values: dict[str, str]) -> AppConfig:
         cam_width=cam_w,
         cam_height=cam_h,
         model=model,
-        train=TrainConfig(**_section(typed, "train")),
-        split=SplitSpec(**_section(typed, "split")),
+        train=checked(TrainConfig, "train"),
+        split=checked(SplitSpec, "split"),
         raw=dict(values),
     )
 
 
 def parse_config(text: str) -> AppConfig:
-    values, removed = parse_values(text)
-    cfg = _build(values)
+    values, removed, lines = parse_values(text)
+    cfg = _build(values, lines)
     for lineno, key, value in removed:
         if not _REMOVED[key][1](value, cfg):
             raise ValueError(f"line {lineno}: removed key {key} = {value!r} disagrees with the rest of the config")

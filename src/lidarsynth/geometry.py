@@ -186,7 +186,7 @@ def rasterize_with_stats(cloud: np.ndarray, grid: GridSpec) -> tuple[PolarRaster
 
 def derasterize_arrays(raster: PolarRaster) -> np.ndarray:
     """Nonzero bins as an [N, 3] float64 point array at bin-center directions."""
-    rows, cols = np.nonzero(raster.data)
+    rows, cols = np.divmod(np.flatnonzero(raster.data != 0), raster.grid.n_cols)  # row-major, as np.nonzero
     r = raster.data[rows, cols].astype(np.float64)
     theta = np.radians(raster.grid.theta_lo + (cols + 0.5) * raster.grid.theta_step)
     phi = np.radians(raster.grid.row_centers()[rows])

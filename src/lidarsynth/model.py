@@ -28,7 +28,7 @@ import numpy as np
 from lidarsynth import tensor as T
 from lidarsynth.geometry import GridSpec, PolarRaster
 from lidarsynth.optim import ParamStore
-from lidarsynth.tensor import AttentionParams, BatchNormState, Tensor
+from lidarsynth.tensor import AttentionParams, Tensor
 
 __all__ = [
     "MODALITIES",
@@ -310,7 +310,10 @@ class Model:
                 raise ValueError(f"parameter store missing {name!r}")
             if self.store[name].shape != shape:
                 raise ValueError(f"parameter {name!r} has shape {self.store[name].shape}, want {shape}")
-        self.bn_states = [BatchNormState.create(c) for c in cfg.decoder.filters]
+        self.bn_stats: dict[str, np.ndarray] = {}
+        for i, c in enumerate(cfg.decoder.filters):
+            self.bn_stats[f"decoder.bn.{i}.running_mean"] = np.zeros(c, dtype=np.float32)
+            self.bn_stats[f"decoder.bn.{i}.running_var"] = np.ones(c, dtype=np.float32)
 
     # encoders
 
@@ -432,7 +435,8 @@ class Model:
                     x,
                     s[f"decoder.bn.{i}.gain"],
                     s[f"decoder.bn.{i}.bias"],
-                    self.bn_states[i],
+                    self.bn_stats[f"decoder.bn.{i}.running_mean"],
+                    self.bn_stats[f"decoder.bn.{i}.running_var"],
                     training,
                 )
             x = T.relu(x)
@@ -484,19 +488,16 @@ class Model:
     # batch-norm running statistics (model state outside the ParamStore)
 
     def bn_state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, st in enumerate(self.bn_states):
-            out[f"decoder.bn.{i}.running_mean"] = st.running_mean.copy()
-            out[f"decoder.bn.{i}.running_var"] = st.running_var.copy()
-        return out
+        return {name: arr.copy() for name, arr in self.bn_stats.items()}
 
     def load_bn_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for i, st in enumerate(self.bn_states):
-            mean = arrays.get(f"decoder.bn.{i}.running_mean")
-            var = arrays.get(f"decoder.bn.{i}.running_var")
-            if mean is None or var is None:
-                raise KeyError(f"missing running statistics for batch-norm layer {i}")
-            if mean.shape != st.running_mean.shape or var.shape != st.running_var.shape:
-                raise ValueError(f"running-stat shape mismatch for batch-norm layer {i}")
-            st.running_mean = mean.astype(np.float32, copy=True)
-            st.running_var = var.astype(np.float32, copy=True)
+        """Replace every running statistic with a float32 copy of its entry in `arrays`."""
+        loaded = {}
+        for name, arr in self.bn_stats.items():
+            new = arrays.get(name)
+            if new is None:
+                raise KeyError(f"missing batch-norm statistic {name!r}")
+            if new.shape != arr.shape:
+                raise ValueError(f"batch-norm statistic {name!r} has shape {new.shape}, want {arr.shape}")
+            loaded[name] = new.astype(np.float32, copy=True)
+        self.bn_stats = loaded

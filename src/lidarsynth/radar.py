@@ -38,18 +38,6 @@ class RadarCube:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("cube contains non-finite values")
 
-    @property
-    def n_rx(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n_chirps(self) -> int:
-        return self.data.shape[2]
-
     def to_interleaved(self) -> np.ndarray:
         """Real view (n_rx, n_samples, n_chirps, 2) with (re, im) last."""
         out = np.empty(self.data.shape + (2,), dtype=np.float32)

@@ -38,7 +38,6 @@ __all__ = [
     "linear",
     "layer_norm",
     "batch_norm2d",
-    "BatchNormState",
     "conv_transpose2d",
     "AttentionParams",
     "multi_head_self_attention",
@@ -399,88 +398,74 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return y
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+NORM_EPS = 1e-5  # added to the variance by layer norm and batch norm alike
+BN_MOMENTUM = 0.1  # weight of the batch statistic in a running-statistic update
+
+
+def _normalize(x: Tensor, gain: Tensor, bias: Tensor, axes: tuple[int, ...], param_shape: tuple[int, ...]):
+    """Normalize `x` over `axes`, then scale and shift by gain and bias viewed as `param_shape`.
+
+    The one normalize-then-scale forward and backward behind layer norm and
+    training-mode batch norm.  Returns the output and the batch mean and
+    (biased) variance, with the reduced axes kept.
+    """
+    mu = x.data.mean(axis=axes, keepdims=True)
+    var = x.data.var(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) * inv
-    out_data = xhat * gain.data + bias.data
+    gd = gain.data.reshape(param_shape)
+    out_data = xhat * gd + bias.data.reshape(param_shape)
 
     def backward(g):
         gx = None
         if x.requires_grad:
-            gh = g * gain.data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+            gh = g * gd
+            m1 = gh.mean(axis=axes, keepdims=True)
+            m2 = (gh * xhat).mean(axis=axes, keepdims=True)
             gx = (gh - m1 - xhat * m2) * inv
         return (gx,
-                _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
-                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
+                _unbroadcast(g * xhat, param_shape).reshape(gain.shape) if gain.requires_grad else None,
+                _unbroadcast(g, param_shape).reshape(bias.shape) if bias.requires_grad else None)
 
-    return _make(out_data, (x, gain, bias), backward)
-
-
-@dataclass
-class BatchNormState:
-    """Running statistics for one batch-norm layer (not part of the autodiff graph)."""
-
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
-
-    @classmethod
-    def create(cls, channels: int) -> "BatchNormState":
-        return cls(np.zeros(channels, dtype=np.float32), np.ones(channels, dtype=np.float32))
+    return _make(out_data, (x, gain, bias), backward), mu, var
 
 
-def batch_norm2d(x: Tensor, gain: Tensor, bias: Tensor, state: BatchNormState, training: bool) -> Tensor:
-    """Per-channel normalization over (N, H, W); training mode updates running stats.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    return _normalize(x, gain, bias, (-1,), gain.shape)[0]
 
-    Eval mode normalizes with the running stats and returns a constant: no
+
+def batch_norm2d(
+    x: Tensor, gain: Tensor, bias: Tensor, running_mean: np.ndarray, running_var: np.ndarray, training: bool
+) -> Tensor:
+    """Per-channel normalization over (N, H, W).
+
+    A training pass normalizes with the batch statistics and updates the
+    float32 arrays `running_mean` and `running_var` in place.  An evaluation
+    pass normalizes with those arrays instead and returns a constant: no
     gradient flows back through it.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.ndim != 4:
         raise ValueError(f"batch_norm2d expects [N, C, H, W], got shape {x.shape}")
     n, c, h, w = x.shape
-    if gain.shape != (c,) or bias.shape != (c,):
-        raise ValueError("batch_norm2d: gain/bias must have one entry per channel")
-    g4 = gain.data.reshape(1, c, 1, 1)
-    b4 = bias.data.reshape(1, c, 1, 1)
+    if any(a.shape != (c,) for a in (gain, bias, running_mean, running_var)):
+        raise ValueError("batch_norm2d: gain, bias and running statistics must have one entry per channel")
     if training:
         if n < 2:
             raise ValueError("batch_norm2d training mode needs a batch of at least 2")
-        axes = (0, 2, 3)
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        out, mu, var = _normalize(x, gain, bias, (0, 2, 3), (1, c, 1, 1))
         count = n * h * w
-        unbiased = var * count / (count - 1)
-        m = state.momentum
-        state.running_mean = ((1 - m) * state.running_mean + m * mu).astype(np.float32)
-        state.running_var = ((1 - m) * state.running_var + m * unbiased).astype(np.float32)
-        inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.data - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-        out_data = xhat * g4 + b4
+        running_mean *= 1 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu.reshape(c)
+        running_var *= 1 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * (var.reshape(c) * count / (count - 1))
+        return out
 
-        def backward(g):
-            gx = None
-            if x.requires_grad:
-                gh = g * g4
-                m1 = gh.mean(axis=axes, keepdims=True)
-                m2 = (gh * xhat).mean(axis=axes, keepdims=True)
-                gx = (gh - m1 - xhat * m2) * inv.reshape(1, c, 1, 1)
-            return (gx,
-                    (g * xhat).sum(axis=axes) if gain.requires_grad else None,
-                    g.sum(axis=axes) if bias.requires_grad else None)
-
-        return _make(out_data, (x, gain, bias), backward)
-
-    inv = 1.0 / np.sqrt(state.running_var + state.eps)
-    scale = (g4 * inv.reshape(1, c, 1, 1)).astype(x.dtype)
-    return Tensor((x.data - state.running_mean.reshape(1, c, 1, 1)) * scale + b4)
+    inv = 1.0 / np.sqrt(running_var + NORM_EPS)
+    scale = (gain.data.reshape(1, c, 1, 1) * inv.reshape(1, c, 1, 1)).astype(x.dtype)
+    return Tensor((x.data - running_mean.reshape(1, c, 1, 1)) * scale + bias.data.reshape(1, c, 1, 1))
 
 
 def conv_transpose2d(

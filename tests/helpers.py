@@ -206,10 +206,10 @@ def _batch_norm_train_case(label, shape):
     def factory():
         c = shape[1]
         x, g, b = _normals(label, shape, (c,), (c,))
-        state = T.BatchNormState.create(c)
+        running = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
 
         def build(ts):
-            return T.batch_norm2d(ts[0], ts[1], ts[2], state, training=True)
+            return T.batch_norm2d(ts[0], ts[1], ts[2], *running, training=True)
 
         return [x, g + 1.0, b], build
 

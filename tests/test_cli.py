@@ -112,6 +112,16 @@ def test_synth_unknown_profile_creates_no_directory(tmp_path):
     assert not out.exists()
 
 
+def test_synth_into_a_directory_with_samples_is_bad_input(tmp_path, workspace):
+    out = tmp_path / "data"
+    shutil.copytree(workspace["data"] / "sample_000000", out / "sample_000000")
+    before = {p.name: p.read_bytes() for p in (out / "sample_000000").iterdir()}
+    assert cli.main(["synth", "--out", str(out), "--num", "3", "--seed", "100",
+                     "--config", str(workspace["cfg"])]) == cli.EXIT_BAD_INPUT
+    assert [p.name for p in out.iterdir()] == ["sample_000000"]
+    assert {p.name: p.read_bytes() for p in (out / "sample_000000").iterdir()} == before
+
+
 @pytest.mark.parametrize("num", ["0", "-1"])
 def test_synth_count_below_one_is_usage_error(tmp_path, num):
     out = tmp_path / "x"

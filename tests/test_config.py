@@ -65,6 +65,34 @@ def test_parse_rejects_unknown_key_with_line_number():
         C.parse_config("train.epochs = 5\ntrain.momentum = 0.9\n")
 
 
+def test_bad_value_names_its_line_even_when_the_key_repeats():
+    with pytest.raises(ValueError, match=r"^line 2: train\.epochs: expected integer"):
+        C.parse_config("train.epochs = 5\ntrain.epochs = many\n")
+
+
+@pytest.mark.parametrize(
+    "line, section",
+    [
+        ("train.batch_size = 1", "train"),
+        ("split.train = 0.9", "split"),
+        ("fusion.n_heads = 7", "fusion"),
+        ("encoder.camera.patch_size = 10", "encoder.camera"),
+        ("grid.theta = -180:180:0.7", "grid"),
+    ],
+)
+def test_failed_dataclass_check_names_its_section_and_lines(line, section):
+    key = line.partition(" = ")[0]
+    text = "# a comment\ntrain.epochs = 5\n" + line + "\n"
+    with pytest.raises(ValueError, match=rf"^{re.escape(section)}: .*; set at .*line 3: {re.escape(key)}"):
+        C.parse_config(text)
+
+
+def test_failed_check_names_every_line_that_set_its_section():
+    text = "split.val = 0.3\n\nsplit.train = 0.8\n"
+    with pytest.raises(ValueError, match=r"set at line 1: split\.val, line 3: split\.train$"):
+        C.parse_config(text)
+
+
 def test_parse_rejects_line_without_equals():
     with pytest.raises(ValueError, match="line 1"):
         C.parse_config("train.epochs 5\n")

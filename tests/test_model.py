@@ -351,6 +351,18 @@ def test_training_pass_updates_running_stats_draws_from_rng_and_repeats(toy_cfg)
     assert _bn_unchanged(models[1], models[0].bn_state_arrays())
 
 
+def test_load_bn_state_arrays_names_a_missing_or_misshaped_statistic(toy_cfg, toy_model):
+    before = toy_model.bn_state_arrays()
+    missing = dict(before)
+    del missing["decoder.bn.2.running_var"]
+    with pytest.raises(KeyError, match=r"decoder\.bn\.2\.running_var"):
+        toy_model.load_bn_state_arrays(missing)
+    misshaped = dict(before, **{"decoder.bn.1.running_mean": np.zeros(3, dtype=np.float32)})
+    with pytest.raises(ValueError, match=r"decoder\.bn\.1\.running_mean"):
+        toy_model.load_bn_state_arrays(misshaped)
+    assert _bn_unchanged(toy_model, before)
+
+
 def test_only_a_training_pass_records_a_graph(toy_cfg, toy_model):
     batch = _toy_inputs(toy_cfg, np.random.default_rng(14), batch=2)
     out = toy_model.forward_batch(batch)

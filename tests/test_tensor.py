@@ -224,12 +224,16 @@ def test_layer_norm_standardizes_last_axis():
     np.testing.assert_allclose(out.var(axis=-1), 1.0, rtol=1e-3)
 
 
+def _fresh_stats(c):
+    """Running statistics as a new batch-norm layer holds them: mean 0, variance 1."""
+    return np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
+
+
 def test_batch_norm_training_normalizes_per_channel():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 3, 2, 5)) * 2.0 + 1.0
-    state = T.BatchNormState.create(3)
     out = T.batch_norm2d(
-        T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), state, training=True
+        T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), *_fresh_stats(3), training=True
     ).data
     np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
     np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, rtol=1e-3)
@@ -238,48 +242,74 @@ def test_batch_norm_training_normalizes_per_channel():
 def test_batch_norm_updates_running_stats_with_momentum():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((8, 2, 3, 3)) + 5.0
-    state = T.BatchNormState.create(2)
-    T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), state, training=True)
+    running_mean, running_var = _fresh_stats(2)
+    T.batch_norm2d(
+        T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), running_mean, running_var, training=True
+    )
     mu = x.mean(axis=(0, 2, 3))
     count = 8 * 3 * 3
     var_unbiased = x.var(axis=(0, 2, 3)) * count / (count - 1)
-    np.testing.assert_allclose(state.running_mean, 0.1 * mu, rtol=1e-5)
-    np.testing.assert_allclose(state.running_var, 0.9 * 1.0 + 0.1 * var_unbiased, rtol=1e-5)
+    np.testing.assert_allclose(running_mean, 0.1 * mu, rtol=1e-5)
+    np.testing.assert_allclose(running_var, 0.9 * 1.0 + 0.1 * var_unbiased, rtol=1e-5)
+
+
+def test_batch_norm_training_updates_the_arrays_it_was_given():
+    rng = np.random.default_rng(4)
+    x = T.Tensor(rng.standard_normal((3, 2, 2, 2)).astype(np.float32))
+    running_mean = np.array([0.5, -1.0], dtype=np.float32)
+    running_var = np.array([2.0, 0.25], dtype=np.float32)
+    mu, var = x.data.mean(axis=(0, 2, 3)), x.data.var(axis=(0, 2, 3))
+    want_mean = (0.9 * running_mean + 0.1 * mu).astype(np.float32)
+    want_var = (0.9 * running_var + 0.1 * (var * 12 / 11)).astype(np.float32)  # N·H·W = 12
+    T.batch_norm2d(x, T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), running_mean, running_var, training=True)
+    assert running_mean.dtype == running_var.dtype == np.float32
+    np.testing.assert_array_equal(running_mean, want_mean)
+    np.testing.assert_array_equal(running_var, want_var)
 
 
 def test_batch_norm_rejects_singleton_batches_in_training():
-    state = T.BatchNormState.create(1)
     with pytest.raises(ValueError):
         T.batch_norm2d(
             T.Tensor(np.ones((1, 1, 2, 2))),
             T.Tensor(np.ones(1)),
             T.Tensor(np.zeros(1)),
-            state,
+            *_fresh_stats(1),
             training=True,
         )
 
 
 def test_batch_norm_eval_ignores_batch_statistics():
-    state = T.BatchNormState.create(1)
     x = T.Tensor(np.full((1, 1, 2, 2), 3.0))
-    out = T.batch_norm2d(x, T.Tensor(np.ones(1)), T.Tensor(np.zeros(1)), state, training=False)
+    out = T.batch_norm2d(x, T.Tensor(np.ones(1)), T.Tensor(np.zeros(1)), *_fresh_stats(1), training=False)
     # fresh running stats are mean 0, var 1
     np.testing.assert_allclose(out.data, 3.0, rtol=1e-4)
 
 
 def test_batch_norm_eval_is_a_constant_of_its_inputs():
     rng = np.random.default_rng(3)
-    state = T.BatchNormState.create(2)
-    state.running_mean = np.array([0.5, -1.0], dtype=np.float32)
-    state.running_var = np.array([2.0, 0.25], dtype=np.float32)
-    mean, var = state.running_mean.copy(), state.running_var.copy()
+    running_mean = np.array([0.5, -1.0], dtype=np.float32)
+    running_var = np.array([2.0, 0.25], dtype=np.float32)
+    mean, var = running_mean.copy(), running_var.copy()
     x, gain, bias = (
         T.Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((3, 2, 2, 2), (2,), (2,))
     )
-    out = T.batch_norm2d(x, gain, bias, state, training=False)
+    out = T.batch_norm2d(x, gain, bias, running_mean, running_var, training=False)
     assert not out.requires_grad
-    np.testing.assert_array_equal(state.running_mean, mean)
-    np.testing.assert_array_equal(state.running_var, var)
+    np.testing.assert_array_equal(running_mean, mean)
+    np.testing.assert_array_equal(running_var, var)
+
+
+def test_batch_norm_eval_leaves_the_running_arrays_untouched():
+    rng = np.random.default_rng(5)
+    running_mean = np.array([0.5, -1.0], dtype=np.float32)
+    running_var = np.array([2.0, 0.25], dtype=np.float32)
+    for arr in (running_mean, running_var):
+        arr.flags.writeable = False  # an in-place write raises
+    x = rng.standard_normal((3, 2, 2, 2)).astype(np.float32)
+    gain, bias = np.array([1.5, 0.5], dtype=np.float32), np.array([0.1, -0.2], dtype=np.float32)
+    out = T.batch_norm2d(T.Tensor(x), T.Tensor(gain), T.Tensor(bias), running_mean, running_var, training=False)
+    want = (x - running_mean[:, None, None]) / np.sqrt(running_var[:, None, None] + 1e-5) * gain[:, None, None]
+    np.testing.assert_allclose(out.data, want + bias[:, None, None], rtol=1e-6, atol=1e-6)
 
 
 # -- dropout --------------------------------------------------------------------
