@@ -105,6 +105,22 @@ def full_encode(model: M.Model, name: str, images: np.ndarray) -> T.Tensor:
     return T.linear(x[:, 0], s[f"{name}.head.weight"], s[f"{name}.head.bias"])
 
 
+def grad_norms(store) -> dict[str, float]:
+    """L2 norm of each trainable component's gradient, keyed by component.
+
+    A component is a parameter name without its last part, so
+    ``decoder.deconv.0`` covers that layer's weight and bias; a name with a
+    single dot (``fusion.type_embed``) is its own component.  The sums run
+    in float64.
+    """
+    squares: dict[str, float] = {}
+    for name in store.trainable_names():
+        component = name.rsplit(".", 1)[0] if name.count(".") > 1 else name
+        g = store[name].grad.astype(np.float64)
+        squares[component] = squares.get(component, 0.0) + float(np.vdot(g, g))
+    return {component: math.sqrt(v) for component, v in squares.items()}
+
+
 def numeric_grads(f: Callable[[list[np.ndarray]], float], arrays: list[np.ndarray], h: float = H):
     """Central-difference gradients of a scalar function of several arrays."""
     grads = []

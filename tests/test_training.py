@@ -15,6 +15,8 @@ from lidarsynth.optim import adam_step
 from lidarsynth.synthgen import PROFILE_ORDER, PROFILES, export_sample, generate_scene
 from lidarsynth.tensor import Tensor
 
+from helpers import grad_norms
+
 
 # -- weight mask --------------------------------------------------------------------
 
@@ -264,6 +266,54 @@ def test_eval_mmse_from_raw_samples_matches_forward_batch_oracle(tiny_cfg, tiny_
             out = model.forward_batch(batch).data
             per_sample += [TR.mmse_numpy(o, t, mask) for o, t in zip(out, targets[start : start + 3])]
     assert got == np.mean(per_sample)
+
+
+# -- step-one golden ---------------------------------------------------------------
+
+# loss and per-component gradient L2 norms of the first training step below,
+# before any Adam update; a rounding-level change stays well inside 1e-4
+# relative, while a wiring or scaling fault in one component moves its norm
+STEP_ONE_GOLDEN = {
+    "loss": 0.2608,
+    "fusion.type_embed": 0.001642448,
+    "fusion.layers.0.ln1": 0.0005556497,
+    "fusion.layers.0.attn": 0.01857492,
+    "fusion.layers.0.ln2": 0.0006613382,
+    "fusion.layers.0.ffn": 0.03288082,
+    "fusion.final_ln": 0.001294362,
+    "fusion.proj": 0.04480097,
+    "decoder.fc": 0.0469304,
+    "decoder.deconv.0": 0.04997042,
+    "decoder.bn.0": 0.00117981,
+    "decoder.deconv.1": 0.05992148,
+    "decoder.bn.1": 0.001935975,
+    "decoder.deconv.2": 0.06986004,
+    "decoder.bn.2": 0.0007701616,
+    "decoder.deconv.3": 0.0636775,
+    "decoder.bn.3": 0.005709837,
+    "decoder.deconv.4": 0.2811573,
+}
+
+
+def test_step_one_loss_and_gradient_norms_match_golden(toy_cfg):
+    # four toy samples (one per profile), the toy model at its config seed,
+    # one batch of all four, dropout drawn from a generator seeded 5
+    samples = TR.synthetic_dataset(
+        4, "mixed", toy_cfg.grid, toy_cfg.radar, toy_cfg.cam_width, toy_cfg.cam_height, seed=11
+    )
+    model = Model(toy_cfg.model)
+    assert toy_cfg.train.normalize_ranges
+    targets = np.array([s.target.data for s in samples], dtype=np.float32) / toy_cfg.grid.max_range
+    mask = TR.weight_mask(toy_cfg.grid, toy_cfg.train.band, toy_cfg.train.alpha)
+    emb = TR._cached_embeddings(model, samples, len(samples))
+    model.store.zero_grad()
+    out = model.forward_batch(embeddings=Tensor(emb), train_rng=np.random.default_rng(5))
+    loss = TR.mmse_loss(out, targets, mask)
+    loss.backward()
+    got = {"loss": float(loss.data), **grad_norms(model.store)}
+    assert got.keys() == STEP_ONE_GOLDEN.keys()
+    for key, want in STEP_ONE_GOLDEN.items():
+        assert got[key] == pytest.approx(want, rel=1e-4), key
 
 
 # -- checkpoints --------------------------------------------------------------------
