@@ -11,7 +11,8 @@ form a 4-token sequence that one fusion encoder layer mixes (with learned
 type embeddings so slots stay distinguishable), after which the tokens are
 concatenated and projected to a 1024 latent.  The decoder expands that
 latent through a fully connected layer to a seed map, the grid divided by
-32, and five stride-2 transposed convolutions into the output raster.
+32, and five transposed convolutions, each doubling H and W
+(``tensor.conv_transpose2d``), into the output raster.
 
 The decoder's height axis runs along azimuth and its width axis along
 elevation; ``Model.forward`` transposes into raster layout (rows =
@@ -48,11 +49,7 @@ MODALITIES = ("camera", "depth", "range_angle", "range_velocity")
 # and its modality type embeddings are defined in terms of it
 EMBED_DIM = 768
 N_DECONV = 5
-UPSCALE = 2 ** N_DECONV
-# every decoder layer exactly doubles the spatial dims: kernel = stride + 2 * padding
-KERNEL = 4
-STRIDE = 2
-PADDING = 1
+UPSCALE = 2 ** N_DECONV  # each transposed convolution doubles H and W
 
 
 @dataclass(frozen=True)
@@ -233,9 +230,10 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
         ("decoder.fc.bias", (seed_h * seed_w,), _INIT_ZEROS, True),
     ]
     chain = cfg.decoder.channel_chain
+    k = T.DECONV_KERNEL
     for i in range(N_DECONV):
         shapes += [
-            (f"decoder.deconv.{i}.weight", (chain[i], chain[i + 1], KERNEL, KERNEL), _INIT_NORMAL, True),
+            (f"decoder.deconv.{i}.weight", (chain[i], chain[i + 1], k, k), _INIT_NORMAL, True),
             (f"decoder.deconv.{i}.bias", (chain[i + 1],), _INIT_ZEROS, True),
         ]
         if i < N_DECONV - 1:
@@ -246,9 +244,9 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
     return shapes
 
 
-def init_params(cfg: ModelConfig, seed: int | None = None) -> ParamStore:
-    """Fresh parameters: weights Normal(0, 0.02), batch-norm gains Normal(1, 0.02)."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+def init_params(cfg: ModelConfig) -> ParamStore:
+    """Fresh parameters drawn from ``cfg.seed``: weights Normal(0, 0.02), batch-norm gains Normal(1, 0.02)."""
+    rng = np.random.default_rng(cfg.seed)
     draw = {
         _INIT_NORMAL: lambda shape: rng.normal(0.0, 0.02, shape),
         _INIT_BN_GAIN: lambda shape: rng.normal(1.0, 0.02, shape),
@@ -363,9 +361,7 @@ class Model:
         """
         s = self.store
         h = T.layer_norm(x, s[f"{p}.ln1.gain"], s[f"{p}.ln1.bias"])
-        att, weights = T.multi_head_self_attention(
-            h, self._attn_params(f"{p}.attn"), n_heads, return_weights=True, n_queries=n_queries
-        )
+        att, weights = T.multi_head_self_attention(h, self._attn_params(f"{p}.attn"), n_heads, n_queries=n_queries)
         if n_queries is not None:
             x = x[:, :n_queries]
         x = T.add(x, T.dropout(att, dropout, rng))
@@ -377,15 +373,12 @@ class Model:
     # fusion
 
     def fuse(
-        self,
-        embeddings: Tensor,
-        return_attention: bool = False,
-        train_rng: np.random.Generator | None = None,
-    ):
-        """[B, 4, 768] modality embeddings -> [B, 1024] latent; dropout draws from ``train_rng``.
+        self, embeddings: Tensor, train_rng: np.random.Generator | None = None
+    ) -> tuple[Tensor, np.ndarray | None]:
+        """[B, 4, 768] modality embeddings -> [B, 1024] latent and the fusion attention weights.
 
-        With ``return_attention`` also returns the fusion layer's attention
-        weights, [B, n_heads, 4, 4].
+        The weights are [B, n_heads, 4, 4], or None under ``fusion_bypass``,
+        which has no attention.  Dropout draws from ``train_rng``.
         """
         s = self.store
         f = self.cfg.fusion
@@ -394,20 +387,13 @@ class Model:
             raise ValueError(f"fuse expects [B, {len(MODALITIES)}, {EMBED_DIM}], got {x.shape}")
         b, t, d = x.shape
         attn_weights = None
-
-        if self.cfg.fusion_bypass:
-            if return_attention:
-                raise ValueError("no attention weights in fusion-bypass mode")
-        else:
+        if not self.cfg.fusion_bypass:
             x = T.add(x, s["fusion.type_embed"])
             x, attn_weights = self._block(x, _FUSION_BLOCK, f.n_heads, f.dropout, train_rng)
             x = T.layer_norm(x, s["fusion.final_ln.gain"], s["fusion.final_ln.bias"])
 
         flat = T.reshape(x, (b, t * d))
-        latent = T.linear(flat, s["fusion.proj.weight"], s["fusion.proj.bias"])
-        if return_attention:
-            return latent, attn_weights
-        return latent
+        return T.linear(flat, s["fusion.proj.weight"], s["fusion.proj.bias"]), attn_weights
 
     # decoder
 
@@ -423,13 +409,7 @@ class Model:
         x = T.linear(latent, s["decoder.fc.weight"], s["decoder.fc.bias"])
         x = T.reshape(x, (x.shape[0], 1, *self.cfg.seed_shape))
         for i in range(N_DECONV):
-            x = T.conv_transpose2d(
-                x,
-                s[f"decoder.deconv.{i}.weight"],
-                s[f"decoder.deconv.{i}.bias"],
-                stride=STRIDE,
-                padding=PADDING,
-            )
+            x = T.conv_transpose2d(x, s[f"decoder.deconv.{i}.weight"], s[f"decoder.deconv.{i}.bias"])
             if i < N_DECONV - 1:
                 x = T.batch_norm2d(
                     x,
@@ -467,7 +447,7 @@ class Model:
         with T.no_grad() if train_rng is None else contextlib.nullcontext():
             if embeddings is None:
                 embeddings = self.embed(batch)
-            latent = self.fuse(embeddings, train_rng=train_rng)
+            latent, _ = self.fuse(embeddings, train_rng=train_rng)
             out = self.decode(latent, training=train_rng is not None)  # [B, 1, n_cols, n_rows]
             out = T.reshape(out, (out.shape[0], out.shape[2], out.shape[3]))
             return T.transpose(out, (0, 2, 1))

@@ -384,18 +384,14 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
 # -- layers ------------------------------------------------------------------
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y = x @ weight + bias, for x of shape [..., I] and weight [I, O]."""
-    x, weight = _as_tensor(x), _as_tensor(weight)
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """y = x @ weight + bias, for x of shape [..., I], weight [I, O] and bias [O]."""
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.shape[-1] != weight.shape[0]:
         raise ValueError(f"linear: input dim {x.shape[-1]} vs weight rows {weight.shape[0]}")
-    y = matmul(x, weight)
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (weight.shape[1],):
-            raise ValueError(f"linear: bias shape {bias.shape} vs out dim {weight.shape[1]}")
-        y = add(y, bias)
-    return y
+    if bias.shape != (weight.shape[1],):
+        raise ValueError(f"linear: bias shape {bias.shape} vs out dim {weight.shape[1]}")
+    return add(matmul(x, weight), bias)
 
 
 NORM_EPS = 1e-5  # added to the variance by layer norm and batch norm alike
@@ -468,66 +464,54 @@ def batch_norm2d(
     return Tensor((x.data - running_mean.reshape(1, c, 1, 1)) * scale + bias.data.reshape(1, c, 1, 1))
 
 
-def conv_transpose2d(
-    x: Tensor,
-    kernels: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 2,
-    padding: int = 1,
-) -> Tensor:
-    """Transposed 2-D convolution.
+DECONV_KERNEL = 4  # the edge of every transposed-convolution kernel
 
-    x: [N, C_in, H, W], kernels: [C_in, C_out, k, k].  Output spatial dims follow
-    H' = (H - 1) * stride - 2 * padding + k.
+
+def conv_transpose2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """The decoder's doubling step: a transposed 2-D convolution that doubles H and W.
+
+    x: [N, C_in, H, W], kernels: [C_in, C_out, 4, 4], bias: [C_out] ->
+    [N, C_out, 2H, 2W].  Tap (a, b) of input pixel (i, j) lands on output
+    pixel (2i + a - 1, 2j + b - 1); taps that fall outside the output are
+    dropped.
     """
-    x, kernels = _as_tensor(x), _as_tensor(kernels)
+    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"conv_transpose2d expects [N, C, H, W], got shape {x.shape}")
     n, c_in, h, w = xd.shape
-    kc_in, c_out, kh, kw = kernels.shape
-    if kc_in != c_in:
-        raise ValueError(f"conv_transpose2d: {c_in} input channels vs kernel {kc_in}")
-    s, p = int(stride), int(padding)
-    h_out = (h - 1) * s - 2 * p + kh
-    w_out = (w - 1) * s - 2 * p + kw
-    if h_out <= 0 or w_out <= 0:
-        raise ValueError(f"conv_transpose2d: non-positive output dims ({h_out}, {w_out})")
+    k = DECONV_KERNEL
+    if kernels.ndim != 4 or kernels.shape[0] != c_in or kernels.shape[2:] != (k, k):
+        raise ValueError(f"conv_transpose2d: kernels must be [{c_in}, C_out, {k}, {k}], got {kernels.shape}")
+    c_out = kernels.shape[1]
+    if bias.shape != (c_out,):
+        raise ValueError(f"conv_transpose2d: bias shape {bias.shape} vs {c_out} output channels")
 
-    # cols[n, co, dh, dw, i, j] = sum_ci x[n, ci, i, j] * k[ci, co, dh, dw]
-    cols = np.tensordot(xd, kernels.data, axes=([1], [0]))  # [N,H,W,Cout,kh,kw]
+    # cols[n, co, a, b, i, j] = sum_ci x[n, ci, i, j] * k[ci, co, a, b]
+    cols = np.tensordot(xd, kernels.data, axes=([1], [0]))  # [N,H,W,Cout,k,k]
     cols = cols.transpose(0, 3, 4, 5, 1, 2)
-    full_h, full_w = (h - 1) * s + kh, (w - 1) * s + kw
-    full = np.zeros((n, c_out, full_h, full_w), dtype=xd.dtype)
-    for dh in range(kh):
-        for dw in range(kw):
-            full[:, :, dh : dh + (h - 1) * s + 1 : s, dw : dw + (w - 1) * s + 1 : s] += cols[:, :, dh, dw]
-    out_data = full[:, :, p : p + h_out, p : p + w_out]
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (c_out,):
-            raise ValueError("conv_transpose2d: bias must have one entry per output channel")
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
-
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
+    # every tap lands in a [2H + 2, 2W + 2] map; the output is its interior
+    full = np.zeros((n, c_out, 2 * h + 2, 2 * w + 2), dtype=xd.dtype)
+    for a in range(k):
+        for b in range(k):
+            full[:, :, a : a + 2 * h : 2, b : b + 2 * w : 2] += cols[:, :, a, b]
+    out_data = full[:, :, 1:-1, 1:-1] + bias.data.reshape(1, c_out, 1, 1)
 
     def backward(g):
-        gfull = np.zeros((n, c_out, full_h, full_w), dtype=g.dtype)
-        gfull[:, :, p : p + h_out, p : p + w_out] = g
-        gcols = np.empty((n, c_out, kh, kw, h, w), dtype=g.dtype)
-        for dh in range(kh):
-            for dw in range(kw):
-                gcols[:, :, dh, dw] = gfull[:, :, dh : dh + (h - 1) * s + 1 : s, dw : dw + (w - 1) * s + 1 : s]
+        gfull = np.pad(g, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        gcols = np.empty((n, c_out, k, k, h, w), dtype=g.dtype)
+        for a in range(k):
+            for b in range(k):
+                gcols[:, :, a, b] = gfull[:, :, a : a + 2 * h : 2, b : b + 2 * w : 2]
         gx = gk = None
         if x.requires_grad:
             gx = np.tensordot(gcols, kernels.data, axes=([1, 2, 3], [1, 2, 3]))  # [N,H,W,Cin]
             gx = gx.transpose(0, 3, 1, 2)
         if kernels.requires_grad:
-            gk = np.tensordot(xd, gcols, axes=([0, 2, 3], [0, 4, 5]))  # [Cin,Cout,kh,kw]
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
-        return (gx, gk, gb)[: len(parents)]
+            gk = np.tensordot(xd, gcols, axes=([0, 2, 3], [0, 4, 5]))  # [Cin,Cout,k,k]
+        return (gx, gk, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
 
-    return _make(out_data, parents, backward)
+    return _make(out_data, (x, kernels, bias), backward)
 
 
 # -- attention ---------------------------------------------------------------
@@ -551,10 +535,9 @@ def multi_head_self_attention(
     x: Tensor,
     params: AttentionParams,
     n_heads: int,
-    return_weights: bool = False,
     n_queries: int | None = None,
-):
-    """Scaled dot-product self-attention over tokens.
+) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product self-attention over tokens; returns the output and the attention weights.
 
     x: [N, T, D].  D must divide evenly into n_heads; each head
     uses scale 1/sqrt(D / n_heads).  Heads are concatenated and passed
@@ -609,7 +592,4 @@ def multi_head_self_attention(
         wv = transpose(reshape(params.wv, (d, n_heads, dh)), (1, 0, 2))  # Wv_h, [heads, D, dh]
         ctx = add(matmul(ax, wv), reshape(params.bv, (n_heads, 1, dh)))  # [heads, N*nq, dh]
         ctx = transpose(reshape(ctx, (n_heads, n, nq, dh)), (1, 2, 0, 3))  # [N, nq, heads, dh]
-    out = linear(reshape(ctx, (n, nq, d)), params.wo, params.bo)
-    if return_weights:
-        return out, attn.data
-    return out
+    return linear(reshape(ctx, (n, nq, d)), params.wo, params.bo), attn.data

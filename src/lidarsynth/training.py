@@ -175,8 +175,10 @@ def mmse_numpy(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> float:
 def split(samples: list[Sample], spec: SplitSpec = SplitSpec()) -> tuple[list[Sample], list[Sample], list[Sample]]:
     """Per-scenario sequential split: first train fraction, then val, rest test.
 
-    Counts use floor for train and val; the remainder goes to test.  Original
-    sample order is preserved inside every part.
+    Counts use floor for train and val, with the same 1e-9 slack that
+    ``SplitSpec`` allows, so a product such as 0.7 * 90 = 62.99999999999999
+    counts 63; the remainder goes to test.  Original sample order is
+    preserved inside every part.
     """
     by_scenario: dict[str, list[Sample]] = {}
     for s in samples:
@@ -186,8 +188,8 @@ def split(samples: list[Sample], spec: SplitSpec = SplitSpec()) -> tuple[list[Sa
     te: list[Sample] = []
     for group in by_scenario.values():
         n = len(group)
-        n_tr = int(np.floor(spec.train * n))
-        n_va = int(np.floor(spec.val * n))
+        n_tr = int(np.floor(spec.train * n + 1e-9))
+        n_va = int(np.floor(spec.val * n + 1e-9))
         tr.extend(group[:n_tr])
         va.extend(group[n_tr : n_tr + n_va])
         te.extend(group[n_tr + n_va :])
@@ -275,6 +277,23 @@ def _eval_mmse(model: Model, embeddings: np.ndarray, targets: np.ndarray, mask: 
     return float(np.mean(_per_sample_mmse(_predict(model, embeddings, batch_size), targets, mask)))
 
 
+def _step_loss(
+    model: Model, embeddings: np.ndarray, targets: np.ndarray, mask: np.ndarray, rng: np.random.Generator
+) -> float:
+    """One training step's loss; when it is finite, its gradient fills the store's cleared buffer.
+
+    The step's autodiff graph lives only inside this call, so none of it is
+    held through the optimizer update or the next step.
+    """
+    model.store.zero_grad()
+    out = model.forward_batch(embeddings=Tensor(embeddings), train_rng=rng)
+    loss = mmse_loss(out, targets, mask)
+    value = float(loss.data)
+    if np.isfinite(value):
+        loss.backward()
+    return value
+
+
 def train(
     dataset: list[Sample],
     model_cfg: ModelConfig,
@@ -318,15 +337,11 @@ def train(
             idx = order[start : start + train_cfg.batch_size]
             if len(idx) < 2:
                 break  # batch norm needs at least 2 samples
-            model.store.zero_grad()
-            out = model.forward_batch(embeddings=Tensor(emb_tr[idx]), train_rng=dropout_rng)
-            loss = mmse_loss(out, targets_tr[idx], mask)
-            value = float(loss.data)
+            value = _step_loss(model, emb_tr[idx], targets_tr[idx], mask, dropout_rng)
             if not np.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss {value} at epoch {epoch}, batch start {start}"
                 )
-            loss.backward()
             adam_step(model.store, lr, train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
             loss_sum += value * len(idx)
             seen += len(idx)

@@ -255,7 +255,7 @@ def _attention_case(label, x_shape, n_heads, n_queries=None):
                 wq=ts[1], wk=ts[2], wv=ts[3], wo=ts[4],
                 bq=ts[5], bk=ts[6], bv=ts[7], bo=ts[8],
             )
-            return T.multi_head_self_attention(ts[0], params, n_heads, n_queries=n_queries)
+            return T.multi_head_self_attention(ts[0], params, n_heads, n_queries=n_queries)[0]
 
         return [x] + ws + bs, build
 

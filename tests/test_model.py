@@ -106,9 +106,10 @@ def test_param_shapes_match_golden_digest(label):
 
 
 def test_init_is_seeded_and_distributed(toy_cfg):
-    a = M.init_params(toy_cfg.model, seed=0)
-    b = M.init_params(toy_cfg.model, seed=0)
-    c = M.init_params(toy_cfg.model, seed=1)
+    assert toy_cfg.model.seed == 0
+    a = M.init_params(toy_cfg.model)
+    b = M.init_params(toy_cfg.model)
+    c = M.init_params(replace(toy_cfg.model, seed=1))
     np.testing.assert_array_equal(a["fusion.proj.weight"].data, b["fusion.proj.weight"].data)
     assert (a["fusion.proj.weight"].data != c["fusion.proj.weight"].data).any()
 
@@ -233,17 +234,17 @@ def test_toy_encoders_match_full_encoder(toy_cfg, toy_model, batch):
 def test_fuse_produces_latent(toy_cfg, toy_model):
     rng = np.random.default_rng(4)
     emb = T.Tensor(rng.standard_normal((1, 4, 768)).astype(np.float32))
-    latent = toy_model.fuse(emb)
+    latent, _ = toy_model.fuse(emb)
     assert latent.shape == (1, toy_cfg.model.fusion.latent_dim)
-    batched = toy_model.fuse(T.Tensor(rng.standard_normal((2, 4, 768)).astype(np.float32)))
+    batched, _ = toy_model.fuse(T.Tensor(rng.standard_normal((2, 4, 768)).astype(np.float32)))
     assert batched.shape == (2, toy_cfg.model.fusion.latent_dim)
 
 
 def test_fuse_is_sensitive_to_slot_order(toy_model):
     rng = np.random.default_rng(5)
     emb = rng.standard_normal((1, 4, 768)).astype(np.float32)
-    a = toy_model.fuse(T.Tensor(emb)).data
-    b = toy_model.fuse(T.Tensor(emb[:, ::-1].copy())).data
+    a = toy_model.fuse(T.Tensor(emb))[0].data
+    b = toy_model.fuse(T.Tensor(emb[:, ::-1].copy()))[0].data
     # modality type embeddings break permutation symmetry
     assert np.abs(a - b).max() > 1e-6
 
@@ -251,7 +252,7 @@ def test_fuse_is_sensitive_to_slot_order(toy_model):
 def test_fuse_attention_weights_shape(toy_model):
     rng = np.random.default_rng(6)
     emb = T.Tensor(rng.standard_normal((1, 4, 768)).astype(np.float32))
-    _, weights = toy_model.fuse(emb, return_attention=True)
+    _, weights = toy_model.fuse(emb)
     n_heads = toy_model.cfg.fusion.n_heads
     assert weights.shape == (1, n_heads, 4, 4)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-4)
@@ -275,13 +276,12 @@ def test_fusion_bypass_skips_transformer(toy_cfg):
     fusion_params = [n for n in model.store.names() if n.startswith("fusion.")]
     assert sorted(fusion_params) == ["fusion.proj.bias", "fusion.proj.weight"]
     emb = T.Tensor(np.random.default_rng(7).standard_normal((1, 4, 768)).astype(np.float32))
-    latent = model.fuse(emb)
+    latent, weights = model.fuse(emb)
+    assert weights is None  # no attention to report
     # bypass is a plain affine map of the concatenated embeddings
     want = emb.data.reshape(1, -1) @ model.store["fusion.proj.weight"].data
     want = want + model.store["fusion.proj.bias"].data
     np.testing.assert_allclose(latent.data, want, rtol=2e-4, atol=1e-5)
-    with pytest.raises(ValueError):
-        model.fuse(emb, return_attention=True)
 
 
 # -- decoder -----------------------------------------------------------------------

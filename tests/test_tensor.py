@@ -333,18 +333,18 @@ def test_dropout_zeros_or_rescales_exactly():
 # -- conv transpose and attention oracles ---------------------------------------
 
 
-def _naive_conv_transpose(x, k, b, stride=2, padding=1):
+def _naive_conv_transpose(x, k, b):
+    # input pixel (i, j) scatters its 4x4 kernel onto [2i, 2i + 4) x [2j, 2j + 4)
+    # of a (2H + 2) x (2W + 2) map; the output is the map minus its one-pixel rim
     n, cin, h, w = x.shape
     _, cout, kh, kw = k.shape
-    full = np.zeros((n, cout, (h - 1) * stride + kh, (w - 1) * stride + kw))
+    full = np.zeros((n, cout, 2 * (h - 1) + kh, 2 * (w - 1) + kw))
     for nn in range(n):
         for ci in range(cin):
             for i in range(h):
                 for j in range(w):
-                    full[nn, :, i * stride : i * stride + kh, j * stride : j * stride + kw] += (
-                        x[nn, ci, i, j] * k[ci]
-                    )
-    out = full[:, :, padding : full.shape[2] - padding, padding : full.shape[3] - padding]
+                    full[nn, :, 2 * i : 2 * i + kh, 2 * j : 2 * j + kw] += x[nn, ci, i, j] * k[ci]
+    out = full[:, :, 1 : full.shape[2] - 1, 1 : full.shape[3] - 1]
     return out + b.reshape(1, -1, 1, 1)
 
 
@@ -359,13 +359,22 @@ def test_conv_transpose_matches_naive_scatter():
 
 
 def test_conv_transpose_doubles_spatial_dims():
-    out = T.conv_transpose2d(T.Tensor(np.zeros((1, 4, 7, 9))), T.Tensor(np.zeros((4, 2, 4, 4))))
+    out = T.conv_transpose2d(T.Tensor(np.zeros((1, 4, 7, 9))), T.Tensor(np.zeros((4, 2, 4, 4))), T.Tensor(np.zeros(2)))
     assert out.shape == (1, 2, 14, 18)
 
 
 def test_conv_transpose_rejects_unbatched_input():
     with pytest.raises(ValueError):
-        T.conv_transpose2d(T.Tensor(np.zeros((4, 7, 9))), T.Tensor(np.zeros((4, 2, 4, 4))))
+        T.conv_transpose2d(T.Tensor(np.zeros((4, 7, 9))), T.Tensor(np.zeros((4, 2, 4, 4))), T.Tensor(np.zeros(2)))
+
+
+@pytest.mark.parametrize(
+    "k_shape, b_len",
+    [((4, 2, 3, 3), 2), ((4, 2, 4, 5), 2), ((3, 2, 4, 4), 2), ((4, 2, 4), 2), ((4, 2, 4, 4), 3), ((4, 2, 4, 4), 1)],
+)
+def test_conv_transpose_rejects_kernels_that_are_not_4x4_and_misshaped_bias(k_shape, b_len):
+    with pytest.raises(ValueError):
+        T.conv_transpose2d(T.Tensor(np.zeros((1, 4, 7, 9))), T.Tensor(np.zeros(k_shape)), T.Tensor(np.zeros(b_len)))
 
 
 def _naive_attention_single_head(x, p):
@@ -385,7 +394,7 @@ def test_attention_matches_numpy_single_head():
     raw = {n: rng.standard_normal((d, d)) / np.sqrt(d) for n in ("wq", "wk", "wv", "wo")}
     raw.update({n: rng.standard_normal(d) * 0.1 for n in ("bq", "bk", "bv", "bo")})
     params = T.AttentionParams(**{n: T.Tensor(v) for n, v in raw.items()})
-    out = T.multi_head_self_attention(T.Tensor(x[None]), params, n_heads=1).data
+    out = T.multi_head_self_attention(T.Tensor(x[None]), params, n_heads=1)[0].data
     np.testing.assert_allclose(out[0], _naive_attention_single_head(x, raw), rtol=1e-8)
 
 
@@ -397,7 +406,7 @@ def test_attention_weights_rows_sum_to_one():
         *(T.Tensor(rng.standard_normal((d, d)) * 0.3) for _ in range(4)),
         *(T.Tensor(np.zeros(d)) for _ in range(4)),
     )
-    out, weights = T.multi_head_self_attention(T.Tensor(x), params, heads, return_weights=True)
+    out, weights = T.multi_head_self_attention(T.Tensor(x), params, heads)
     assert out.shape == (1, t, d)
     assert weights.shape == (1, heads, t, t)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-5)
@@ -428,9 +437,9 @@ def test_attention_batched_matches_per_sample():
         *(T.Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)),
         *(T.Tensor(rng.standard_normal(d) * 0.1) for _ in range(4)),
     )
-    batched = T.multi_head_self_attention(T.Tensor(x), params, 2).data
+    batched = T.multi_head_self_attention(T.Tensor(x), params, 2)[0].data
     for i in range(2):
-        single = T.multi_head_self_attention(T.Tensor(x[i : i + 1]), params, 2).data
+        single = T.multi_head_self_attention(T.Tensor(x[i : i + 1]), params, 2)[0].data
         np.testing.assert_allclose(batched[i], single[0], rtol=1e-6)
 
 
@@ -442,9 +451,9 @@ def test_attention_query_subset_is_the_first_rows_of_the_full_call():
         *(T.Tensor(rng.standard_normal((d, d)) / np.sqrt(d)) for _ in range(4)),
         *(T.Tensor(rng.standard_normal(d) * 0.1) for _ in range(4)),
     )
-    full, full_w = T.multi_head_self_attention(x, params, heads, return_weights=True)
+    full, full_w = T.multi_head_self_attention(x, params, heads)
     for k in (1, 2, t):
-        out, w = T.multi_head_self_attention(x, params, heads, return_weights=True, n_queries=k)
+        out, w = T.multi_head_self_attention(x, params, heads, n_queries=k)
         assert out.shape == (2, k, d)
         assert w.shape == (2, heads, k, t)
         np.testing.assert_allclose(out.data, full.data[:, :k], rtol=1e-12, atol=1e-15)
@@ -464,7 +473,7 @@ def test_attention_query_subset_backward_matches_the_full_call(k):
 
     def grads(n_queries):
         ts = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
-        out = T.multi_head_self_attention(ts[0], T.AttentionParams(*ts[1:]), heads, n_queries=n_queries)
+        out, _ = T.multi_head_self_attention(ts[0], T.AttentionParams(*ts[1:]), heads, n_queries=n_queries)
         T.tensor_sum(T.mul(out[:, :k], proj)).backward()
         return [tt.grad for tt in ts]
 

@@ -1,5 +1,7 @@
 """Loss, masking, splits, schedule, training loop, checkpoints, evaluation."""
 
+import gc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -122,6 +124,18 @@ def test_split_fractions_floor_per_scenario():
     assert (len(tr), len(va), len(te)) == (6, 2, 3)
 
 
+def test_split_counts_survive_binary_rounding_of_the_fraction():
+    # 0.7 * 90 is 62.99999999999999 in binary floating point
+    spec = TR.SplitSpec(train=0.7, val=0.2)
+    assert [len(part) for part in TR.split(_fake_samples({"a": 90}), spec)] == [63, 18, 9]
+
+
+def test_split_default_counts_are_the_exact_floors():
+    for n in range(1, 1001):
+        samples = _fake_samples({"a": n})
+        assert [len(part) for part in TR.split(samples)] == [6 * n // 10, 2 * n // 10, n - 6 * n // 10 - 2 * n // 10]
+
+
 def test_split_is_sequential_and_partitions():
     samples = _fake_samples({"a": 10, "b": 7})
     tr, va, te = TR.split(samples)
@@ -200,6 +214,23 @@ def test_training_is_deterministic(tiny_cfg, tiny_dataset):
     for a, b in zip(rerun.history, again.history):
         assert a.train_mmse == b.train_mmse
         assert a.val_mmse == b.val_mmse
+
+
+def test_each_training_step_starts_with_no_graph_alive(monkeypatch, tiny_cfg, tiny_dataset):
+    # a step's autodiff graph must be gone before the next step's forward pass
+    forward_batch = Model.forward_batch
+    graph_nodes = []
+
+    def counting(self, *args, train_rng=None, **kwargs):
+        if train_rng is not None:
+            gc.collect()
+            graph_nodes.append(sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o._parents))
+        return forward_batch(self, *args, train_rng=train_rng, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_batch", counting)
+    TR.train(tiny_dataset, tiny_cfg.model, replace(tiny_cfg.train, epochs=2, batch_size=8), tiny_cfg.split)
+    assert len(graph_nodes) > 2
+    assert graph_nodes == [0] * len(graph_nodes)
 
 
 def test_training_diverges_on_nan_input(tiny_cfg, tiny_dataset):
