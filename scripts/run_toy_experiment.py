@@ -1,24 +1,29 @@
 """Desk-scale experiment: synthesize a dataset, train, evaluate, optionally ablate.
 
-Runs the whole pipeline in one process without touching sample directories
-(everything stays in memory) and writes the checkpoint, loss history, and
-evaluation report under --out.  With default arguments this is the same
-configuration the acceptance suite exercises, finishing in a couple of
-minutes on one core.
+Runs the CLI's `synth`, `train` and `eval` stages on the toy config (with
+the given epochs and seed), keeping the samples in a temporary directory,
+and leaves the checkpoint, loss history, and evaluation report under --out.
+With --ablation it also trains and evaluates the no-fusion variant in the
+temporary directory and adds its overall MMSE to the report.  With default
+arguments this is the same configuration the acceptance suite exercises,
+finishing in a couple of minutes on one core.
 """
 
 import argparse
 import sys
+import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from lidarsynth import cli
 from lidarsynth import config as configmod
-from lidarsynth import training
+from lidarsynth.training import EvalReport
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="runs/toy", help="output directory")
     ap.add_argument("--samples", type=int, default=200)
@@ -27,40 +32,48 @@ def main() -> int:
     ap.add_argument("--profile", default="mixed")
     ap.add_argument("--ablation", action="store_true",
                     help="also train the no-fusion variant and compare")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = configmod.toy_config(overrides={
         "train.epochs": str(args.epochs),
         "train.seed": str(args.seed),
     })
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    ckpt, report_path = out / "model.lsck", out / "report.txt"
 
-    t0 = time.monotonic()
-    dataset = training.synthetic_dataset(
-        args.samples, args.profile, cfg.grid, cfg.radar,
-        cfg.cam_width, cfg.cam_height, seed=args.seed,
-    )
-    print(f"dataset: {len(dataset)} samples in {time.monotonic() - t0:.1f}s")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, data, nofusion = Path(tmp) / "toy.cfg", Path(tmp) / "data", Path(tmp) / "nofusion"
+        cfg_path.write_text(configmod.config_text(cfg), encoding="utf-8")
+        stages = [
+            ("dataset", ["synth", "--out", data, "--num", args.samples, "--profile", args.profile,
+                         "--seed", args.seed, "--config", cfg_path]),
+            ("training", ["train", "--data", data, "--config", cfg_path, "--out", ckpt]),
+            ("evaluation", ["eval", "--data", data, "--ckpt", ckpt, "--report", report_path]),
+        ]
+        if args.ablation:
+            stages += [
+                ("no-fusion training", ["train", "--data", data, "--config", cfg_path,
+                                        "--out", nofusion / "model.lsck", "--ablation", "no-fusion"]),
+                ("no-fusion evaluation", ["eval", "--data", data, "--ckpt", nofusion / "model.lsck",
+                                          "--report", nofusion / "report.txt"]),
+            ]
+        for name, stage_argv in stages:
+            t0 = time.monotonic()
+            status = cli.main([str(a) for a in stage_argv])
+            if status != cli.EXIT_OK:
+                return status
+            print(f"{name}: {time.monotonic() - t0:.1f}s")
 
-    t0 = time.monotonic()
-    result = training.train(dataset, cfg.model, cfg.train, cfg.split)
-    print(f"training: {len(result.history)} epochs in {time.monotonic() - t0:.1f}s")
-    for h in result.history:
-        print(f"  epoch {h.epoch:3d}  lr {h.lr:g}  train {h.train_mmse:.6f}  val {h.val_mmse:.6f}")
+        report = EvalReport.from_text(report_path.read_text(encoding="utf-8"))
+        if args.ablation:
+            ablation = EvalReport.from_text((nofusion / "report.txt").read_text(encoding="utf-8"))
+            report = replace(report, ablation_no_fusion=ablation.overall)
+            report_path.write_text(report.to_text(), encoding="utf-8")
 
-    _, _, test = training.split(dataset, cfg.split)
-    model = training.model_from_checkpoint(cfg.model, result.best)
-    report = training.evaluate(model, test, cfg.train)
-
-    if args.ablation:
-        ablation_report, _ = training.ablation_no_fusion(dataset, cfg.model, cfg.train, cfg.split)
-        from dataclasses import replace
-        report = replace(report, ablation_no_fusion=ablation_report.overall)
-
-    training.save_checkpoint(out / "model.lsck", configmod.config_text(cfg), result.best)
-    training.write_history(out / "history.txt", result.history)
-    (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
+    # history.txt: epoch, train MMSE, val MMSE, lr per line
+    for line in (out / "history.txt").read_text(encoding="utf-8").splitlines():
+        epoch, train_mmse, val_mmse, lr = line.split("\t")
+        print(f"  epoch {int(epoch):3d}  lr {lr}  train {float(train_mmse):.6f}  val {float(val_mmse):.6f}")
 
     print(f"\ntest MMSE by scenario (meters^2, band-weighted):")
     for sid, value in report.per_scenario.items():

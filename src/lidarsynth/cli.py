@@ -125,12 +125,10 @@ def cmd_eval(args) -> int:
     if args.config is not None:
         given = configmod.parse_config(Path(args.config).read_text(encoding="utf-8"))
         # compare parsed values: `raw` keeps each value's spelling (10 vs 10.0)
-        if replace(given, raw=cfg.raw) != cfg and not args.force:
-            raise ValueError("checkpoint config differs from --config (use --force to override)")
+        if replace(given, raw=cfg.raw) != cfg:
+            raise ValueError("checkpoint config differs from --config")
     dataset = training.load_dataset(args.data, cfg.grid)
     _, _, test = training.split(dataset, cfg.split)
-    if not test:
-        raise ValueError("test split is empty")
     model = training.model_from_checkpoint(cfg.model, ckpt)
     report = training.evaluate(model, test, cfg.train, cfg.train.batch_size)
     Path(args.report).write_text(report.to_text(), encoding="utf-8")
@@ -201,7 +199,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--config", help="cross-check against the embedded config")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("render", help="raster LSTF -> binary PGM image")

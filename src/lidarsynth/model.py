@@ -40,7 +40,6 @@ __all__ = [
     "ModelConfig",
     "Model",
     "init_params",
-    "param_count",
     "param_breakdown",
 ]
 
@@ -255,10 +254,6 @@ def init_params(cfg: ModelConfig) -> ParamStore:
     }
     # a generator, so each float64 draw is freed once the store has copied it
     return ParamStore((name, draw[kind](shape), trainable) for name, shape, kind, trainable in _param_shapes(cfg))
-
-
-def param_count(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape, _, _ in _param_shapes(cfg))
 
 
 def param_breakdown(cfg: ModelConfig) -> dict[str, int]:

@@ -60,9 +60,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self.params
 
-    def names(self) -> list[str]:
-        return list(self.params)
-
     def trainable_names(self) -> list[str]:
         return list(self._slots)
 

@@ -12,7 +12,7 @@ headline comparison table.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "write_history",
     "evaluate",
     "baseline_all_zeros",
-    "ablation_no_fusion",
     "model_from_checkpoint",
     "save_checkpoint",
     "load_checkpoint",
@@ -467,7 +466,7 @@ def evaluate(
     model: Model,
     samples: list[Sample],
     train_cfg: TrainConfig,
-    batch_size: int = 32,
+    batch_size: int,
 ) -> EvalReport:
     """Evaluation passes of ``batch_size`` samples; per-sample MMSE in meters, grouped by scenario."""
     if not samples:
@@ -503,25 +502,6 @@ def baseline_all_zeros(
     zeros = np.zeros((grid.n_rows, grid.n_cols), dtype=np.float32)
     targets = [s.target.data for s in samples]
     return float(np.mean(_per_sample_mmse([zeros] * len(targets), targets, mask)))
-
-
-def ablation_no_fusion(
-    dataset: list[Sample],
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    split_spec: SplitSpec = SplitSpec(),
-) -> tuple[EvalReport, TrainResult]:
-    """Train and evaluate the variant that skips the fusion encoder layer.
-
-    The four embeddings are concatenated and linearly projected straight to
-    the decoder latent; everything else (data, split, schedule) is identical.
-    """
-    cfg = replace(model_cfg, fusion_bypass=True)
-    result = train(dataset, cfg, train_cfg, split_spec)
-    _, _, test = split(dataset, split_spec)
-    model = model_from_checkpoint(cfg, result.best)
-    report = evaluate(model, test, train_cfg, train_cfg.batch_size)
-    return report, result
 
 
 # -- dataset assembly ---------------------------------------------------------

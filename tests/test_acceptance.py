@@ -208,12 +208,14 @@ def test_criterion_7_toy_end_to_end(capsys, toy_cfg, toy_dataset, toy_run, timin
 
     _, _, test = TR.split(toy_dataset, toy_cfg.split)
     model = TR.model_from_checkpoint(toy_cfg.model, toy_run.best)
-    report = TR.evaluate(model, test, toy_cfg.train)
+    report = TR.evaluate(model, test, toy_cfg.train, toy_cfg.train.batch_size)
     b_ok = report.overall <= 0.70 * report.baseline_zeros
 
-    ablation_report, ablation_run = TR.ablation_no_fusion(
-        toy_dataset, toy_cfg.model, toy_cfg.train, toy_cfg.split
-    )
+    # the no-fusion ablation: same data, split and schedule, fusion layer skipped
+    ablation_cfg = replace(toy_cfg.model, fusion_bypass=True)
+    ablation_run = TR.train(toy_dataset, ablation_cfg, toy_cfg.train, toy_cfg.split)
+    ablation_model = TR.model_from_checkpoint(ablation_cfg, ablation_run.best)
+    ablation_report = TR.evaluate(ablation_model, test, toy_cfg.train, toy_cfg.train.batch_size)
     merged = replace(report, ablation_no_fusion=ablation_report.overall)
     parsed = TR.EvalReport.from_text(merged.to_text())  # text keeps 6 decimals
     c_ok = (

@@ -1,7 +1,9 @@
 """End-to-end command line coverage: every subcommand plus the exit-code contract."""
 
+import importlib.util
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,7 +251,7 @@ def test_eval_checks_config_consistency(workspace, tmp_path):
     args = ["eval", "--data", str(workspace["data"]), "--ckpt", str(workspace["ckpt"]),
             "--report", str(tmp_path / "r.txt"), "--config", str(other)]
     assert cli.main(args) == cli.EXIT_BAD_INPUT
-    assert cli.main(args + ["--force"]) == cli.EXIT_OK
+    assert cli.main(args[:-2]) == cli.EXIT_OK  # the same run without --config
     matching = ["eval", "--data", str(workspace["data"]), "--ckpt", str(workspace["ckpt"]),
                 "--report", str(tmp_path / "r2.txt"), "--config", str(workspace["cfg"])]
     assert cli.main(matching) == cli.EXIT_OK
@@ -283,6 +285,20 @@ def test_eval_rejects_checkpoint_with_malformed_meta_state(workspace, tmp_path):
     formats.write_lsck(ckpt, workspace["cfg"].read_text(), {"meta.state": np.array([3.0], dtype=np.float32)})
     assert cli.main(["eval", "--data", str(workspace["data"]), "--ckpt", str(ckpt),
                      "--report", str(tmp_path / "r.txt")]) == cli.EXIT_BAD_INPUT
+
+
+def test_eval_with_an_empty_test_split_is_bad_input(workspace, tmp_path):
+    # five samples of one scenario split 0.8/0.2 leave 4/1/0: nothing to test on
+    data = tmp_path / "five"
+    for i in range(0, 20, 4):
+        shutil.copytree(workspace["data"] / f"sample_{i:06d}", data / f"sample_{i:06d}")
+    cfg = C.toy_config(overrides={"train.epochs": "2", "split.train": "0.8", "split.val": "0.2"})
+    ckpt = tmp_path / "m.lsck"
+    formats.write_lsck(ckpt, C.config_text(cfg), formats.read_lsck(workspace["ckpt"])[1])
+    report = tmp_path / "r.txt"
+    assert cli.main(["eval", "--data", str(data), "--ckpt", str(ckpt),
+                     "--report", str(report)]) == cli.EXIT_BAD_INPUT
+    assert not report.exists()
 
 
 def test_train_rejects_a_removed_key_with_another_value(workspace, tmp_path):
@@ -370,3 +386,19 @@ def test_dump_config_round_trips(tmp_path, capsys):
     assert cli.main(["dump-config", "--toy"]) == cli.EXIT_OK
     text = capsys.readouterr().out
     assert C.parse_config(text).raw == C.toy_config().raw
+
+
+# -- scripts/run_toy_experiment.py --------------------------------------------------
+
+
+def test_toy_experiment_script_leaves_only_its_three_artifacts(tmp_path):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_toy_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_toy_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "toy"
+    assert script.main(["--samples", "12", "--epochs", "1", "--ablation", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["history.txt", "model.lsck", "report.txt"]
+    assert len((out / "history.txt").read_text().splitlines()) == 1
+    report = TR.EvalReport.from_text((out / "report.txt").read_text())
+    assert report.ablation_no_fusion is not None

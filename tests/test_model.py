@@ -67,7 +67,7 @@ def test_encoder_config_validation():
 
 def test_param_count_is_sum_of_shapes(toy_cfg):
     shapes = M._param_shapes(toy_cfg.model)
-    assert M.param_count(toy_cfg.model) == sum(int(np.prod(s)) for _, s, _, _ in shapes)
+    assert sum(M.param_breakdown(toy_cfg.model).values()) == sum(int(np.prod(s)) for _, s, _, _ in shapes)
 
 
 def test_toy_decoder_param_count_by_hand(toy_cfg):
@@ -273,7 +273,7 @@ def test_fuse_and_decode_reject_unbatched_input(toy_model):
 def test_fusion_bypass_skips_transformer(toy_cfg):
     bypass_cfg = replace(toy_cfg.model, fusion_bypass=True)
     model = M.Model(bypass_cfg)
-    fusion_params = [n for n in model.store.names() if n.startswith("fusion.")]
+    fusion_params = [n for n in model.store.params if n.startswith("fusion.")]
     assert sorted(fusion_params) == ["fusion.proj.bias", "fusion.proj.weight"]
     emb = T.Tensor(np.random.default_rng(7).standard_normal((1, 4, 768)).astype(np.float32))
     latent, weights = model.fuse(emb)
@@ -380,7 +380,7 @@ def test_frozen_encoders_are_not_trainable(toy_cfg):
     assert trainable  # fusion + decoder
     for name in trainable:
         assert name.startswith(("fusion.", "decoder."))
-    frozen = set(model.store.names()) - trainable
+    frozen = set(model.store.params) - trainable
     assert any(n.startswith("camera.") for n in frozen)
 
 
@@ -402,6 +402,6 @@ def test_gradients_reach_all_trainable_params(toy_cfg, tiny_dataset):
         # every gradient lives in the store's zeroed arena, so "not None" proves nothing
         for name in trainable:
             assert model.store[name].grad.any(), name
-        for name in model.store.names():
+        for name in model.store.params:
             if name not in trainable:
                 assert model.store[name].grad is None, name

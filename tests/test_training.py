@@ -388,11 +388,11 @@ def test_load_checkpoint_rejects_malformed_meta_state(tmp_path, shape):
 def test_model_from_checkpoint_restores_predictions(tiny_run, tiny_cfg, tiny_dataset):
     final = TR._snapshot(tiny_run.model, len(tiny_run.history), tiny_run.history[-1].val_mmse)
     model = TR.model_from_checkpoint(tiny_cfg.model, final)
-    for name in model.store.names():
+    for name in model.store.params:
         np.testing.assert_array_equal(model.store[name].data, tiny_run.model.store[name].data)
     _, _, test = TR.split(tiny_dataset, tiny_cfg.split)
-    a = TR.evaluate(model, test, tiny_cfg.train)
-    b = TR.evaluate(tiny_run.model, test, tiny_cfg.train)
+    a = TR.evaluate(model, test, tiny_cfg.train, tiny_cfg.train.batch_size)
+    b = TR.evaluate(tiny_run.model, test, tiny_cfg.train, tiny_cfg.train.batch_size)
     assert a.overall == pytest.approx(b.overall, rel=1e-6)
 
 
@@ -404,7 +404,7 @@ def test_model_from_checkpoint_draws_no_fresh_weights(monkeypatch, tiny_run, tin
     # writable arrays, as read_lsck returns them
     ckpt = replace(tiny_run.best, params={name: arr.copy() for name, arr in tiny_run.best.params.items()})
     model = TR.model_from_checkpoint(tiny_cfg.model, ckpt)
-    assert model.store.names() == [name for name, _, _, _ in M._param_shapes(tiny_cfg.model)]
+    assert list(model.store.params) == [name for name, _, _, _ in M._param_shapes(tiny_cfg.model)]
     assert model.store.trainable_names() == tiny_run.model.store.trainable_names()
     trainable = set(model.store.trainable_names())
     for name, arr in ckpt.params.items():
@@ -471,7 +471,7 @@ def test_snapshots_share_frozen_params_and_copy_trainable_ones(tiny_cfg, tiny_da
     result = TR.train(tiny_dataset[:20], tiny_cfg.model, replace(tiny_cfg.train, epochs=2), tiny_cfg.split)
     store = result.model.store
     trainable = store.trainable_names()
-    frozen = [name for name in store.names() if name not in trainable]
+    frozen = [name for name in store.params if name not in trainable]
     assert frozen and trainable
     final = TR._snapshot(result.model, 2, result.history[-1].val_mmse)
     for snap in (result.best, final):
@@ -497,7 +497,7 @@ def test_snapshots_share_frozen_params_and_copy_trainable_ones(tiny_cfg, tiny_da
 def test_evaluate_matches_direct_oracle(tiny_run, tiny_cfg, tiny_dataset):
     _, _, test = TR.split(tiny_dataset, tiny_cfg.split)
     model = TR.model_from_checkpoint(tiny_cfg.model, tiny_run.best)
-    report = TR.evaluate(model, test, tiny_cfg.train)
+    report = TR.evaluate(model, test, tiny_cfg.train, tiny_cfg.train.batch_size)
 
     grid = tiny_cfg.grid
     mask = TR.weight_mask(grid, tiny_cfg.train.band, tiny_cfg.train.alpha)
