@@ -22,6 +22,7 @@ elevation bins, columns = azimuth bins).
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +154,7 @@ class ModelConfig:
 
 # -- parameter enumeration ----------------------------------------------------
 
-_INIT_NORMAL = "normal"       # Normal(0, 0.02)
+_INIT_NORMAL = "normal"       # Normal(0, 0.02) if trainable, else uniform with that std
 _INIT_BN_GAIN = "bn_gain"     # Normal(1, 0.02)
 _INIT_ZEROS = "zeros"
 _INIT_ONES = "ones"
@@ -244,16 +245,47 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
 
 
 def init_params(cfg: ModelConfig) -> ParamStore:
-    """Fresh parameters drawn from ``cfg.seed``: weights Normal(0, 0.02), batch-norm gains Normal(1, 0.02)."""
-    rng = np.random.default_rng(cfg.seed)
-    draw = {
-        _INIT_NORMAL: lambda shape: rng.normal(0.0, 0.02, shape),
-        _INIT_BN_GAIN: lambda shape: rng.normal(1.0, 0.02, shape),
-        _INIT_ONES: np.ones,
-        _INIT_ZEROS: np.zeros,
-    }
-    # a generator, so each float64 draw is freed once the store has copied it
-    return ParamStore((name, draw[kind](shape), trainable) for name, shape, kind, trainable in _param_shapes(cfg))
+    """Fresh float32 parameters drawn from ``cfg.seed``, each value once, into the array that keeps it.
+
+    ``SeedSequence(cfg.seed)`` spawns one child per encoder, in MODALITIES
+    order, and one more for every trainable parameter, so no encoder's size
+    moves another encoder's or a trainable draw.  Each generator draws in
+    ``_param_shapes`` order.
+
+    - Frozen ``normal`` weights stand in for pre-trained ones, which nothing
+      trains, so they take the cheaper uniform draw with the same standard
+      deviation: U(-0.02*sqrt(3), 0.02*sqrt(3)).
+    - Trainable ``normal`` weights are Normal(0, 0.02) and batch-norm gains
+      Normal(1, 0.02), drawn straight into the store's arena views.
+    - Biases are zeros and layer-norm gains ones.
+    """
+    *encoder_seeds, trainable_seed = np.random.SeedSequence(cfg.seed).spawn(len(MODALITIES) + 1)
+    encoder_rngs = {name: np.random.default_rng(s) for name, s in zip(MODALITIES, encoder_seeds)}
+    limit = 0.02 * math.sqrt(3.0)  # a Python float, so the arithmetic stays in float32
+    shapes = _param_shapes(cfg)
+
+    def initial(name: str, shape: tuple, kind: str, trainable: bool) -> np.ndarray:
+        if kind == _INIT_ONES:
+            return np.ones(shape, dtype=np.float32)
+        a = np.zeros(shape, dtype=np.float32)
+        if kind == _INIT_NORMAL and not trainable:
+            encoder_rngs[name.split(".", 1)[0]].random(dtype=np.float32, out=a)
+            a -= 0.5
+            a *= 2 * limit
+        return a  # a trainable draw is made below, in the store's own buffer
+
+    store = ParamStore(
+        (name, initial(name, shape, kind, trainable), trainable) for name, shape, kind, trainable in shapes
+    )
+    rng = np.random.default_rng(trainable_seed)
+    for name, _, kind, trainable in shapes:
+        if trainable and kind in (_INIT_NORMAL, _INIT_BN_GAIN):
+            view = store[name].data
+            rng.standard_normal(dtype=np.float32, out=view)
+            view *= 0.02
+            if kind == _INIT_BN_GAIN:
+                view += 1.0
+    return store
 
 
 def param_breakdown(cfg: ModelConfig) -> dict[str, int]:

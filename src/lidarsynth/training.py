@@ -304,11 +304,14 @@ def train(
     The dataset is split internally (sequential per scenario) and the frozen
     encoders embed it once.  Batches are drawn in a seeded shuffled order each
     epoch; a trailing short batch is kept only if it has at least 2 samples.
-    Non-finite loss aborts.
+    A training split under 2 samples or an empty validation split raises
+    ValueError; non-finite loss aborts.
     """
     tr, va, _ = split(dataset, split_spec)
     if len(tr) < 2:
         raise ValueError(f"training split has {len(tr)} samples; batch norm needs at least 2")
+    if not va:
+        raise ValueError("validation split is empty; the best checkpoint is chosen by validation MMSE")
     grid = model_cfg.grid
     mask = weight_mask(grid, train_cfg.band, train_cfg.alpha)
     scale = 1.0 / grid.max_range if train_cfg.normalize_ranges else 1.0
@@ -345,7 +348,7 @@ def train(
             loss_sum += value * len(idx)
             seen += len(idx)
         train_mmse = loss_sum / max(seen, 1)
-        val_mmse = _eval_mmse(model, emb_va, targets_va, mask, train_cfg.batch_size) if va else train_mmse
+        val_mmse = _eval_mmse(model, emb_va, targets_va, mask, train_cfg.batch_size)
         history.append(EpochStats(epoch=epoch, lr=lr, train_mmse=train_mmse, val_mmse=val_mmse))
         log.debug("epoch %d lr %.2g train %.6f val %.6f", epoch, lr, train_mmse, val_mmse)
         if best is None or val_mmse < best.val_mmse:

@@ -321,6 +321,17 @@ def test_train_one_sample_training_split_is_bad_input(workspace, tmp_path):
     assert not out.exists()
 
 
+def test_train_empty_validation_split_is_bad_input(workspace, tmp_path):
+    # three samples per scenario split 1/0/2: no validation sample to choose the best epoch by
+    data = tmp_path / "twelve"
+    for i in range(12):
+        shutil.copytree(workspace["data"] / f"sample_{i:06d}", data / f"sample_{i:06d}")
+    out = tmp_path / "m.lsck"
+    assert cli.main(["train", "--data", str(data), "--config", str(workspace["cfg"]),
+                     "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert not out.exists() and not (tmp_path / "history.txt").exists()
+
+
 def test_train_ablation_bypasses_fusion(workspace, tmp_path):
     ckpt = tmp_path / "ablation.lsck"
     assert cli.main(["train", "--data", str(workspace["data"]), "--config",
@@ -397,7 +408,8 @@ def test_toy_experiment_script_leaves_only_its_three_artifacts(tmp_path):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     out = tmp_path / "toy"
-    assert script.main(["--samples", "12", "--epochs", "1", "--ablation", "--out", str(out)]) == 0
+    # five samples per scenario split 3/1/1: the smallest set with a validation split
+    assert script.main(["--samples", "20", "--epochs", "1", "--ablation", "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["history.txt", "model.lsck", "report.txt"]
     assert len((out / "history.txt").read_text().splitlines()) == 1
     report = TR.EvalReport.from_text((out / "report.txt").read_text())

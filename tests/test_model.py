@@ -126,6 +126,32 @@ def test_init_is_seeded_and_distributed(toy_cfg):
     assert (bn_gain != 1.0).any()
 
 
+def test_frozen_weights_are_read_only_float32_uniform_draws(toy_cfg):
+    # U(-0.02*sqrt(3), 0.02*sqrt(3)) has standard deviation 0.02
+    store = M.init_params(toy_cfg.model)
+    limit = np.float32(0.02 * np.sqrt(3.0))
+    shapes = M._param_shapes(toy_cfg.model)
+    frozen = [name for name, _, kind, trainable in shapes if kind == M._INIT_NORMAL and not trainable]
+    assert {name.split(".", 1)[0] for name in frozen} == set(M.MODALITIES)
+    for name in frozen:
+        a = store[name].data
+        assert a.dtype == np.float32 and a.flags.c_contiguous and not a.flags.writeable, name
+        assert np.abs(a).max() <= limit, name
+        assert abs(a.std() - 0.02) < 0.001, name
+
+
+def test_encoder_size_moves_no_other_draw(toy_cfg):
+    # every encoder and the trainable parameters draw from their own seeds
+    a = M.init_params(toy_cfg.model)
+    deeper = C.toy_config({"encoder.camera.depth": "2"}).model
+    assert deeper.camera.depth != toy_cfg.model.camera.depth
+    b = M.init_params(deeper)
+    kept = [name for name in a.params if not name.startswith("camera.")]
+    assert set(a.trainable_names()) < set(kept)
+    for name in kept:
+        np.testing.assert_array_equal(a[name].data, b[name].data, err_msg=name)
+
+
 def test_model_rejects_incomplete_store(toy_cfg):
     store = M.init_params(toy_cfg.model)
     del store.params["decoder.fc.bias"]

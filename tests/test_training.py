@@ -258,6 +258,15 @@ def test_train_rejects_one_sample_training_split(tiny_cfg, tiny_dataset):
         TR.train(pair, tiny_cfg.model, tiny_cfg.train, tiny_cfg.split)
 
 
+def test_train_rejects_empty_validation_split(tiny_cfg, tiny_dataset):
+    # three samples per scenario split 1/0/2; validation MMSE picks the best
+    # epoch, so there is nothing to pick it by
+    twelve = tiny_dataset[:12]
+    assert [len(part) for part in TR.split(twelve, tiny_cfg.split)] == [4, 0, 8]
+    with pytest.raises(ValueError, match="validation split is empty"):
+        TR.train(twelve, tiny_cfg.model, tiny_cfg.train, tiny_cfg.split)
+
+
 def test_cached_embeddings_match_per_sample_embed(tiny_cfg, tiny_dataset):
     model = Model(tiny_cfg.model)
     samples = tiny_dataset[:7]  # two full chunks of 3 and a trailing chunk of 1
@@ -305,24 +314,24 @@ def test_eval_mmse_from_raw_samples_matches_forward_batch_oracle(tiny_cfg, tiny_
 # before any Adam update; a rounding-level change stays well inside 1e-4
 # relative, while a wiring or scaling fault in one component moves its norm
 STEP_ONE_GOLDEN = {
-    "loss": 0.2608,
-    "fusion.type_embed": 0.001642448,
-    "fusion.layers.0.ln1": 0.0005556497,
-    "fusion.layers.0.attn": 0.01857492,
-    "fusion.layers.0.ln2": 0.0006613382,
-    "fusion.layers.0.ffn": 0.03288082,
-    "fusion.final_ln": 0.001294362,
-    "fusion.proj": 0.04480097,
-    "decoder.fc": 0.0469304,
-    "decoder.deconv.0": 0.04997042,
-    "decoder.bn.0": 0.00117981,
-    "decoder.deconv.1": 0.05992148,
-    "decoder.bn.1": 0.001935975,
-    "decoder.deconv.2": 0.06986004,
-    "decoder.bn.2": 0.0007701616,
-    "decoder.deconv.3": 0.0636775,
-    "decoder.bn.3": 0.005709837,
-    "decoder.deconv.4": 0.2811573,
+    "loss": 0.2500857,
+    "fusion.type_embed": 0.005880044,
+    "fusion.layers.0.ln1": 0.002044069,
+    "fusion.layers.0.attn": 0.06687096,
+    "fusion.layers.0.ln2": 0.002363845,
+    "fusion.layers.0.ffn": 0.1217718,
+    "fusion.final_ln": 0.004713315,
+    "fusion.proj": 0.1688522,
+    "decoder.fc": 0.1716117,
+    "decoder.deconv.0": 0.1184244,
+    "decoder.bn.0": 0.002915963,
+    "decoder.deconv.1": 0.09259381,
+    "decoder.bn.1": 0.004470778,
+    "decoder.deconv.2": 0.107409,
+    "decoder.bn.2": 0.002722179,
+    "decoder.deconv.3": 0.1330748,
+    "decoder.bn.3": 0.01616036,
+    "decoder.deconv.4": 0.5059265,
 }
 
 
