@@ -487,16 +487,22 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (c_out,):
         raise ValueError(f"conv_transpose2d: bias shape {bias.shape} vs {c_out} output channels")
 
-    # cols[n, co, a, b, i, j] = sum_ci x[n, ci, i, j] * k[ci, co, a, b]
-    cols = np.tensordot(xd, kernels.data, axes=([1], [0]))  # [N,H,W,Cout,k,k]
-    cols = cols.transpose(0, 3, 4, 5, 1, 2)
+    # cols[n, co, a, b, i, j] = sum_ci k[ci, co, a, b] * x[n, ci, i, j]: one
+    # stacked [16·Cout, Cin] @ [Cin, H·W] product per sample reads NCHW as it
+    # lies and keeps H·W innermost, so each tap below is a unit-stride plane
+    taps = kernels.data.reshape(c_in, c_out * k * k).T
+    cols = (taps @ xd.reshape(n, c_in, h * w)).reshape(n, c_out, k, k, h, w)
     # every tap lands in a [2H + 2, 2W + 2] map; the output is its interior
     full = np.zeros((n, c_out, 2 * h + 2, 2 * w + 2), dtype=xd.dtype)
     for a in range(k):
         for b in range(k):
             full[:, :, a : a + 2 * h : 2, b : b + 2 * w : 2] += cols[:, :, a, b]
     out_data = full[:, :, 1:-1, 1:-1] + bias.data.reshape(1, c_out, 1, 1)
+    del cols, full
 
+    # The backward keeps its channels-last products on purpose: a planar gx
+    # (taps.T @ gcols) rounds differently at C_in = 1 with N > 1, which
+    # changes the bytes a training run writes.
     def backward(g):
         gfull = np.pad(g, ((0, 0), (0, 0), (1, 1), (1, 1)))
         gcols = np.empty((n, c_out, k, k, h, w), dtype=g.dtype)

@@ -11,6 +11,7 @@ headline comparison table.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,6 @@ from lidarsynth import tensor as T
 from lidarsynth.geometry import GridSpec, PolarRaster
 from lidarsynth.model import EMBED_DIM, MODALITIES, Model, ModelConfig, _param_shapes
 from lidarsynth.optim import ParamStore, adam_step
-from lidarsynth.synthgen import RadarParams, build_sample, plan_scenes
 from lidarsynth.tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -48,7 +48,6 @@ __all__ = [
     "model_from_checkpoint",
     "save_checkpoint",
     "load_checkpoint",
-    "synthetic_dataset",
     "load_dataset",
 ]
 
@@ -293,6 +292,29 @@ def _step_loss(
     return value
 
 
+# glibc mallopt parameters and the values train() sets: blocks under 32 MiB
+# come from the heap, and a free heap top under 1 GiB is never given back
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 1 << 30
+
+
+def _keep_heap_mapped() -> None:
+    """Keep freed step temporaries mapped, so the next step does not page-fault them back.
+
+    Calls glibc's mallopt; does nothing where the C library has none.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def train(
     dataset: list[Sample],
     model_cfg: ModelConfig,
@@ -306,7 +328,11 @@ def train(
     epoch; a trailing short batch is kept only if it has at least 2 samples.
     A training split under 2 samples or an empty validation split raises
     ValueError; non-finite loss aborts.
+
+    On glibc it first sets the allocator to keep freed memory mapped (see
+    _keep_heap_mapped).  The setting is process-wide and outlives the call.
     """
+    _keep_heap_mapped()
     tr, va, _ = split(dataset, split_spec)
     if len(tr) < 2:
         raise ValueError(f"training split has {len(tr)} samples; batch norm needs at least 2")
@@ -508,22 +534,6 @@ def baseline_all_zeros(
 
 
 # -- dataset assembly ---------------------------------------------------------
-
-
-def synthetic_dataset(
-    n: int,
-    profile_name: str,
-    grid: GridSpec,
-    radar: RadarParams,
-    cam_width: int,
-    cam_height: int,
-    seed: int = 0,
-) -> list[Sample]:
-    """Generate n aligned samples; "mixed" cycles the four profiles round-robin."""
-    return [
-        Sample.from_arrays(build_sample(scene, grid, radar_i, cam_width, cam_height, seed_i), grid, prof.name)
-        for seed_i, prof, scene, radar_i in plan_scenes(n, profile_name, radar, seed)
-    ]
 
 
 def load_dataset(root, grid: GridSpec) -> list[Sample]:

@@ -13,6 +13,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, settings
 
+from helpers import synthetic_dataset
 from lidarsynth import config as C
 from lidarsynth import training as TR
 
@@ -41,7 +42,7 @@ def toy_cfg() -> C.AppConfig:
 @pytest.fixture(scope="session")
 def toy_dataset(toy_cfg):
     t0 = time.monotonic()
-    samples = TR.synthetic_dataset(
+    samples = synthetic_dataset(
         200, "mixed", toy_cfg.grid, toy_cfg.radar, toy_cfg.cam_width, toy_cfg.cam_height, seed=0
     )
     TIMINGS["toy_dataset"] = time.monotonic() - t0
@@ -64,7 +65,7 @@ def tiny_cfg() -> C.AppConfig:
 
 @pytest.fixture(scope="session")
 def tiny_dataset(tiny_cfg):
-    return TR.synthetic_dataset(
+    return synthetic_dataset(
         40, "mixed", tiny_cfg.grid, tiny_cfg.radar, tiny_cfg.cam_width, tiny_cfg.cam_height, seed=1
     )
 

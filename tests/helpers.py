@@ -1,4 +1,4 @@
-"""Shared test utilities: central-difference gradient checking and oracles.
+"""Shared test utilities: central-difference gradient checking, oracles and in-memory datasets.
 
 Every case in GRAD_SUITE is a (label, factory) pair.  The factory builds
 fresh float64 input arrays plus a `build` callable that maps the matching
@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from lidarsynth import geometry as G
 from lidarsynth import model as M
 from lidarsynth import synthgen as S
 from lidarsynth import tensor as T
@@ -89,6 +90,22 @@ def full_radar(scene: S.Scene, radar: S.RadarParams, seed: int) -> np.ndarray:
         scale = radar.noise_sigma / math.sqrt(2.0)
         cube += rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
     return cube.astype(np.complex64)
+
+
+def synthetic_dataset(
+    n: int,
+    profile_name: str,
+    grid: G.GridSpec,
+    radar: S.RadarParams,
+    cam_width: int,
+    cam_height: int,
+    seed: int = 0,
+) -> list[TR.Sample]:
+    """n aligned samples in memory, on the plan `lidarsynth synth` writes; "mixed" cycles the four profiles."""
+    return [
+        TR.Sample.from_arrays(S.build_sample(scene, grid, radar_i, cam_width, cam_height, seed_i), grid, prof.name)
+        for seed_i, prof, scene, radar_i in S.plan_scenes(n, profile_name, radar, seed)
+    ]
 
 
 def full_encode(model: M.Model, name: str, images: np.ndarray) -> T.Tensor:

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from helpers import GRAD_SUITE, check_case, naive_dft
+from helpers import GRAD_SUITE, check_case, naive_dft, synthetic_dataset
 from lidarsynth import config as C
 from lidarsynth import training as TR
 from lidarsynth.geometry import (
@@ -242,7 +242,7 @@ def test_criterion_7_toy_end_to_end(capsys, toy_cfg, toy_dataset, toy_run, timin
 
 
 def test_criterion_8_determinism(capsys, toy_cfg, toy_dataset, toy_run):
-    regenerated = TR.synthetic_dataset(
+    regenerated = synthetic_dataset(
         200, "mixed", toy_cfg.grid, toy_cfg.radar, toy_cfg.cam_width, toy_cfg.cam_height, seed=0
     )
     rerun = TR.train(regenerated, toy_cfg.model, toy_cfg.train, toy_cfg.split)

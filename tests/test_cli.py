@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import synthetic_dataset
 from lidarsynth import cli, config as C, formats, training as TR
 from lidarsynth.radar import RadarCube, range_angle_map, range_transform, range_velocity_map
 
@@ -93,7 +94,7 @@ def test_synth_then_load_matches_synthetic_dataset(tmp_path):
     assert cli.main(["synth", "--out", str(out), "--num", "6", "--profile", "mixed",
                      "--seed", "5", "--config", str(cfg_path)]) == cli.EXIT_OK
     loaded = TR.load_dataset(out, cfg.grid)
-    want = TR.synthetic_dataset(6, "mixed", cfg.grid, cfg.radar, cfg.cam_width, cfg.cam_height, seed=5)
+    want = synthetic_dataset(6, "mixed", cfg.grid, cfg.radar, cfg.cam_width, cfg.cam_height, seed=5)
     assert [s.scenario_id for s in loaded] == [s.scenario_id for s in want]
     for got, exp in zip(loaded, want):
         for name in ("camera", "depth", "range_angle", "range_velocity"):

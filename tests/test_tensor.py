@@ -348,13 +348,23 @@ def _naive_conv_transpose(x, k, b):
     return out + b.reshape(1, -1, 1, 1)
 
 
-def test_conv_transpose_matches_naive_scatter():
+# (batch, C_in, C_out): the toy decoder's five layers at batch 1 and 3, where
+# C_in = 1 or C_out = 1 turns the stacked tap product into a matrix-vector one
+_SCATTER_CASES = [(2, 3, 2)] + [
+    (n, c_in, c_out) for c_in, c_out in [(1, 8), (8, 8), (8, 4), (4, 4), (4, 1)] for n in (1, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "n, c_in, c_out", _SCATTER_CASES, ids=[f"{ci}to{co}/n{n}" for n, ci, co in _SCATTER_CASES]
+)
+def test_conv_transpose_matches_naive_scatter(n, c_in, c_out):
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((2, 3, 4, 5))
-    k = rng.standard_normal((3, 2, 4, 4))
-    b = rng.standard_normal(2)
+    x = rng.standard_normal((n, c_in, 4, 5))
+    k = rng.standard_normal((c_in, c_out, 4, 4))
+    b = rng.standard_normal(c_out)
     out = T.conv_transpose2d(T.Tensor(x), T.Tensor(k), T.Tensor(b)).data
-    assert out.shape == (2, 2, 8, 10)
+    assert out.shape == (n, c_out, 8, 10)
     np.testing.assert_allclose(out, _naive_conv_transpose(x, k, b), rtol=1e-10, atol=1e-10)
 
 

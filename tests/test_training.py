@@ -1,5 +1,6 @@
 """Loss, masking, splits, schedule, training loop, checkpoints, evaluation."""
 
+import ctypes
 import gc
 
 import numpy as np
@@ -17,7 +18,7 @@ from lidarsynth.optim import adam_step
 from lidarsynth.synthgen import PROFILE_ORDER, PROFILES, export_sample, generate_scene
 from lidarsynth.tensor import Tensor
 
-from helpers import grad_norms
+from helpers import grad_norms, synthetic_dataset
 
 
 # -- weight mask --------------------------------------------------------------------
@@ -233,6 +234,45 @@ def test_each_training_step_starts_with_no_graph_alive(monkeypatch, tiny_cfg, ti
     assert graph_nodes == [0] * len(graph_nodes)
 
 
+def _glibc_mallopt():
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+
+
+def test_steps_after_train_reuse_the_heap_without_page_faults(tiny_run, tiny_cfg):
+    # train() (run by the tiny_run fixture) keeps freed memory mapped, so a
+    # batch-32 toy step reuses the previous step's temporaries; without it
+    # glibc trims the heap top and every step faults about 15k pages back
+    resource = pytest.importorskip("resource")
+    if _glibc_mallopt() is None:
+        pytest.skip("the C library has no mallopt")
+    grid, cfg = tiny_cfg.grid, tiny_cfg.train
+    model = Model(tiny_cfg.model)
+    rng = np.random.default_rng(0)
+    emb = rng.standard_normal((32, len(MODALITIES), EMBED_DIM)).astype(np.float32)
+    targets = rng.random((32, grid.n_rows, grid.n_cols)).astype(np.float32)
+    mask = TR.weight_mask(grid, cfg.band, cfg.alpha)
+    dropout_rng = np.random.default_rng(1)
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        TR._step_loss(model, emb, targets, mask, dropout_rng)
+        adam_step(model.store, cfg.lr_early, cfg.beta1, cfg.beta2, cfg.eps)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("loader", [lambda name: object(), _no_c_library], ids=["no_symbol", "no_library"])
+def test_keep_heap_mapped_is_quiet_without_glibc_mallopt(monkeypatch, loader):
+    monkeypatch.setattr(ctypes, "CDLL", loader)
+    assert TR._keep_heap_mapped() is None
+
+
 def test_training_diverges_on_nan_input(tiny_cfg, tiny_dataset):
     corrupted = list(tiny_dataset)
     bad_cam = corrupted[0].camera.copy()
@@ -338,7 +378,7 @@ STEP_ONE_GOLDEN = {
 def test_step_one_loss_and_gradient_norms_match_golden(toy_cfg):
     # four toy samples (one per profile), the toy model at its config seed,
     # one batch of all four, dropout drawn from a generator seeded 5
-    samples = TR.synthetic_dataset(
+    samples = synthetic_dataset(
         4, "mixed", toy_cfg.grid, toy_cfg.radar, toy_cfg.cam_width, toy_cfg.cam_height, seed=11
     )
     model = Model(toy_cfg.model)
@@ -594,7 +634,7 @@ def test_load_dataset_round_trips_export(tmp_path, toy_cfg):
             tmp_path / f"sample_{i:05d}", seed=7 + i, scenario=prof.name,
         )
     loaded = TR.load_dataset(tmp_path, grid)
-    want = TR.synthetic_dataset(
+    want = synthetic_dataset(
         2, "plaza_day", grid, radar, toy_cfg.cam_width, toy_cfg.cam_height, seed=7
     )
     assert len(loaded) == 2
