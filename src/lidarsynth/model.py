@@ -267,12 +267,13 @@ def init_params(cfg: ModelConfig) -> ParamStore:
     def initial(name: str, shape: tuple, kind: str, trainable: bool) -> np.ndarray:
         if kind == _INIT_ONES:
             return np.ones(shape, dtype=np.float32)
-        a = np.zeros(shape, dtype=np.float32)
         if kind == _INIT_NORMAL and not trainable:
+            a = np.empty(shape, dtype=np.float32)  # the draw overwrites every element
             encoder_rngs[name.split(".", 1)[0]].random(dtype=np.float32, out=a)
             a -= 0.5
             a *= 2 * limit
-        return a  # a trainable draw is made below, in the store's own buffer
+            return a
+        return np.zeros(shape, dtype=np.float32)  # a trainable draw is made below, in the store's own buffer
 
     store = ParamStore(
         (name, initial(name, shape, kind, trainable), trainable) for name, shape, kind, trainable in shapes

@@ -467,6 +467,21 @@ def batch_norm2d(
 DECONV_KERNEL = 4  # the edge of every transposed-convolution kernel
 
 
+def _tap_shifts(n: int) -> tuple[tuple[int, slice, slice], ...]:
+    """Where each kernel tap along an axis of ``n`` input pixels lands.
+
+    Tap a of input pixel i lands on output pixel 2i + a - 1, which is pixel m
+    of output phase p (2m + p).  Entry a is (p, input slice, phase slice); the
+    slices leave out the pixels whose tap falls outside the output.
+    """
+    return (
+        (1, slice(1, n), slice(0, n - 1)),  # a = 0: m = i - 1
+        (0, slice(0, n), slice(0, n)),  # a = 1: m = i
+        (1, slice(0, n), slice(0, n)),  # a = 2: m = i
+        (0, slice(0, n - 1), slice(1, n)),  # a = 3: m = i + 1
+    )
+
+
 def conv_transpose2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """The decoder's doubling step: a transposed 2-D convolution that doubles H and W.
 
@@ -474,6 +489,10 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     [N, C_out, 2H, 2W].  Tap (a, b) of input pixel (i, j) lands on output
     pixel (2i + a - 1, 2j + b - 1); taps that fall outside the output are
     dropped.
+
+    Output pixel (2m + p, 2l + q) is pixel (m, l) of phase (p, q), and every
+    phase is a sum of four shifted tap planes, so both directions work on
+    [H, W] planes with unit-stride shifted slices.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     xd = x.data
@@ -486,38 +505,52 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     c_out = kernels.shape[1]
     if bias.shape != (c_out,):
         raise ValueError(f"conv_transpose2d: bias shape {bias.shape} vs {c_out} output channels")
+    row_taps, col_taps = _tap_shifts(h), _tap_shifts(w)
 
     # cols[n, co, a, b, i, j] = sum_ci k[ci, co, a, b] * x[n, ci, i, j]: one
     # stacked [16·Cout, Cin] @ [Cin, H·W] product per sample reads NCHW as it
     # lies and keeps H·W innermost, so each tap below is a unit-stride plane
     taps = kernels.data.reshape(c_in, c_out * k * k).T
     cols = (taps @ xd.reshape(n, c_in, h * w)).reshape(n, c_out, k, k, h, w)
-    # every tap lands in a [2H + 2, 2W + 2] map; the output is its interior
-    full = np.zeros((n, c_out, 2 * h + 2, 2 * w + 2), dtype=xd.dtype)
-    for a in range(k):
-        for b in range(k):
-            full[:, :, a : a + 2 * h : 2, b : b + 2 * w : 2] += cols[:, :, a, b]
-    out_data = full[:, :, 1:-1, 1:-1] + bias.data.reshape(1, c_out, 1, 1)
-    del cols, full
+    # each tap adds into its zeroed phase in (a, b) order, the order a
+    # [2H + 2, 2W + 2] scatter map takes, so every sum rounds as the map's does
+    phases = np.zeros((n, c_out, 2, 2, h, w), dtype=xd.dtype)
+    for a, (p, xi, mi) in enumerate(row_taps):
+        for b, (q, xj, mj) in enumerate(col_taps):
+            phases[:, :, p, q, mi, mj] += cols[:, :, a, b, xi, xj]
+    del cols
+    # interleave once, adding the bias: phase (p, q) fills out[n, co, m, p, l, q]
+    out = np.empty((n, c_out, h, 2, w, 2), dtype=np.result_type(xd, bias.data))
+    for p in range(2):
+        for q in range(2):
+            np.add(phases[:, :, p, q], bias.data.reshape(1, c_out, 1, 1), out=out[:, :, :, p, :, q])
+    del phases
 
-    # The backward keeps its channels-last products on purpose: a planar gx
-    # (taps.T @ gcols) rounds differently at C_in = 1 with N > 1, which
-    # changes the bytes a training run writes.
+    # The backward gathers each tap's shifted plane of g's phases into gcols,
+    # gcols[n, co, a, b, i, j] = g[n, co, 2i + a - 1, 2j + b - 1] (zero off
+    # the output), and takes both gradients as planar products over it:
+    # gx[n] = taps^T @ gcols[n] and gk = sum_n x[n] @ gcols[n]^T.
     def backward(g):
-        gfull = np.pad(g, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        g_phases = np.ascontiguousarray(g.reshape(n, c_out, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4))
         gcols = np.empty((n, c_out, k, k, h, w), dtype=g.dtype)
-        for a in range(k):
-            for b in range(k):
-                gcols[:, :, a, b] = gfull[:, :, a : a + 2 * h : 2, b : b + 2 * w : 2]
+        # the input rows and columns whose tap misses the output
+        gcols[:, :, 0, :, 0] = 0
+        gcols[:, :, k - 1, :, h - 1] = 0
+        gcols[:, :, :, 0, :, 0] = 0
+        gcols[:, :, :, k - 1, :, w - 1] = 0
+        for a, (p, xi, mi) in enumerate(row_taps):
+            for b, (q, xj, mj) in enumerate(col_taps):
+                gcols[:, :, a, b, xi, xj] = g_phases[:, :, p, q, mi, mj]
+        del g_phases
+        gcols = gcols.reshape(n, c_out * k * k, h * w)
         gx = gk = None
         if x.requires_grad:
-            gx = np.tensordot(gcols, kernels.data, axes=([1, 2, 3], [1, 2, 3]))  # [N,H,W,Cin]
-            gx = gx.transpose(0, 3, 1, 2)
+            gx = (taps.T @ gcols).reshape(n, c_in, h, w)
         if kernels.requires_grad:
-            gk = np.tensordot(xd, gcols, axes=([0, 2, 3], [0, 4, 5]))  # [Cin,Cout,k,k]
+            gk = (xd.reshape(n, c_in, h * w) @ gcols.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
         return (gx, gk, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
 
-    return _make(out_data, (x, kernels, bias), backward)
+    return _make(out.reshape(n, c_out, 2 * h, 2 * w), (x, kernels, bias), backward)
 
 
 # -- attention ---------------------------------------------------------------

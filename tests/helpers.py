@@ -380,6 +380,9 @@ GRAD_SUITE: list[tuple[str, Callable]] = [
     ("conv_transpose/1to2", _conv_transpose_case("ct/a", (2, 1, 3, 3), 2)),
     ("conv_transpose/2to3", _conv_transpose_case("ct/b", (1, 2, 4, 5), 3)),
     ("conv_transpose/3to1", _conv_transpose_case("ct/c", (2, 3, 2, 2), 1)),
+    ("conv_transpose/one-row", _conv_transpose_case("ct/d", (2, 2, 1, 4), 3)),
+    ("conv_transpose/one-column", _conv_transpose_case("ct/e", (2, 3, 4, 1), 2)),
+    ("conv_transpose/2to1-n3", _conv_transpose_case("ct/f", (3, 2, 3, 3), 1)),
     ("relu/vec", _relu_case("relu/a", (7,))),
     ("relu/mat", _relu_case("relu/b", (3, 4))),
     ("relu/3d", _relu_case("relu/c", (2, 3, 4))),
