@@ -21,14 +21,11 @@ if _threads and _threads.isdigit():
 from lidarsynth.geometry import (
     GridSpec,
     PolarRaster,
-    default_grid,
     derasterize_arrays,
-    legacy_grid,
     rasterize_with_stats,
 )
 from lidarsynth.radar import (
     RadarCube,
-    RadarMap,
     range_angle_map,
     range_transform,
     range_velocity_map,
@@ -41,11 +38,8 @@ __all__ = [
     "GridSpec",
     "PolarRaster",
     "RadarCube",
-    "RadarMap",
     "Tensor",
-    "default_grid",
     "derasterize_arrays",
-    "legacy_grid",
     "no_grad",
     "range_angle_map",
     "range_transform",

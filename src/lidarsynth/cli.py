@@ -79,8 +79,8 @@ def cmd_synth(args) -> int:
 def cmd_preprocess_radar(args) -> int:
     cube = RadarCube.from_interleaved(formats.read_lstf(args.cube))
     ranged = range_transform(cube)
-    formats.write_lstf(args.out_ra, range_angle_map(ranged).data)
-    formats.write_lstf(args.out_rv, range_velocity_map(ranged).data)
+    formats.write_lstf(args.out_ra, range_angle_map(ranged))
+    formats.write_lstf(args.out_rv, range_velocity_map(ranged))
     return EXIT_OK
 
 

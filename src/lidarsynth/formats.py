@@ -27,7 +27,6 @@ __all__ = [
     "MalformedFileError",
     "write_lstf",
     "read_lstf",
-    "lstf_bytes",
     "lstf_from_bytes",
     "write_lsck",
     "read_lsck",
@@ -71,9 +70,11 @@ def _lstf_header(arr: np.ndarray) -> bytes:
     return LSTF_MAGIC + struct.pack(f"<BB{arr.ndim}I", 1, arr.ndim, *arr.shape)
 
 
-def lstf_bytes(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype=np.float32)
-    return _lstf_header(arr) + arr.astype("<f4").tobytes()
+def _write_lstf_record(f, arr: np.ndarray) -> None:
+    """Write one LSTF record: the header, then the little-endian float32 payload in place."""
+    arr = np.ascontiguousarray(arr, dtype="<f4")
+    f.write(_lstf_header(arr))
+    f.write(memoryview(arr).cast("B"))
 
 
 def _remaining(f) -> int:
@@ -110,7 +111,8 @@ def lstf_from_bytes(f) -> np.ndarray:
 
 
 def write_lstf(path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(lstf_bytes(arr))
+    with open(path, "wb") as f:
+        _write_lstf_record(f, arr)
 
 
 def read_lstf(path) -> np.ndarray:
@@ -145,9 +147,8 @@ def write_lsck(path, config_text: str, tensors: dict[str, np.ndarray]) -> None:
             f.write(LSCK_MAGIC + struct.pack("<BI", 1, len(blob)) + blob)
             f.write(struct.pack("<I", len(encoded)))
             for nb, arr in zip(encoded, tensors.values()):
-                arr = np.ascontiguousarray(arr, dtype="<f4")
-                f.write(struct.pack("<H", len(nb)) + nb + _lstf_header(arr))
-                f.write(memoryview(arr).cast("B"))
+                f.write(struct.pack("<H", len(nb)) + nb)
+                _write_lstf_record(f, arr)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -16,8 +16,6 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "PolarRaster",
-    "default_grid",
-    "legacy_grid",
     "rasterize_with_stats",
     "derasterize_arrays",
 ]
@@ -52,6 +50,9 @@ class GridSpec:
     def __post_init__(self):
         if not self.theta_hi > self.theta_lo:
             raise ValueError("theta_hi must exceed theta_lo")
+        # rasterize_with_stats folds azimuth into [-180, 180): a column outside it never fills
+        if self.theta_lo < -180.0 or self.theta_hi > 180.0:
+            raise ValueError(f"theta span [{self.theta_lo}, {self.theta_hi}) reaches outside [-180, 180]")
         if self.theta_step <= 0:
             raise ValueError("theta_step must be positive")
         if self.max_range <= 0:
@@ -64,6 +65,8 @@ class GridSpec:
         for lo, hi, step in self.phi_regions:
             if hi <= lo or step <= 0:
                 raise ValueError(f"bad phi region ({lo}, {hi}, {step})")
+            if lo < -90.0 or hi > 90.0:
+                raise ValueError(f"phi region ({lo}, {hi}, {step}) reaches outside [-90, 90]")
             if prev_hi is not None and abs(prev_hi - lo) > _REL_TOL * max(1.0, abs(lo)):
                 raise ValueError(f"phi regions not contiguous at {prev_hi} vs {lo}")
             rows.append(_exact_count(hi - lo, step))
@@ -120,19 +123,6 @@ class GridSpec:
         np.clip(idx, 0, self.n_cols - 1, out=idx)
         col[sel] = idx
         return col
-
-
-def default_grid(max_range: float = 100.0) -> GridSpec:
-    """The 1088-row by 1440-column grid (0.25 deg, fine 0.015625 deg band)."""
-    return GridSpec(max_range=max_range)
-
-
-def legacy_grid(max_range: float = 100.0) -> GridSpec:
-    """A 960-row variant whose dims match a 45x30 decoder seed (top region ends at 30 deg)."""
-    return GridSpec(
-        phi_regions=((-60.0, -5.0, 0.25), (-5.0, 5.0, 0.015625), (5.0, 30.0, 0.25)),
-        max_range=max_range,
-    )
 
 
 @dataclass

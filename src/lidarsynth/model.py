@@ -357,7 +357,7 @@ class Model:
         b = x.shape[0]
         ones = Tensor(np.ones((b, 1, 1), dtype=np.float32))
         cls = T.mul(T.reshape(s[f"{name}.cls_token"], (1, 1, cfg.d_model)), ones)
-        x = T.concat([cls, x], axis=1)
+        x = T.concat([cls, x])
         x = T.add(x, s[f"{name}.pos_embed"])
         for i in range(cfg.depth):
             x, _ = self._block(x, f"{name}.layers.{i}", cfg.n_heads, n_queries=1 if i == cfg.depth - 1 else None)
@@ -454,7 +454,7 @@ class Model:
 
     def embed(self, batch: dict[str, np.ndarray]) -> Tensor:
         """Modality arrays (each [B, ...]) -> [B, 4, 768] embeddings, in MODALITIES order."""
-        return T.stack([self.encode_batch(name, batch[name]) for name in MODALITIES], axis=1)
+        return T.stack([self.encode_batch(name, batch[name]) for name in MODALITIES])
 
     def forward_batch(
         self,

@@ -71,13 +71,7 @@ class ParamStore:
         return {n: p.data.copy() if p.requires_grad else p.data for n, p in self.params.items()}
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(store: ParamStore, lr: float, beta1: float, beta2: float, eps: float) -> None:
     """One bias-corrected Adam update of the whole arena.
 
     Gradients are left in place (zero them explicitly via store.zero_grad()).

@@ -10,13 +10,11 @@ center-shift the new axis, compress with log1p, and min-max normalize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 __all__ = [
     "RadarCube",
-    "RadarMap",
     "range_transform",
     "range_angle_map",
     "range_velocity_map",
@@ -53,23 +51,6 @@ class RadarCube:
         return cls(arr[..., 0] + 1j * arr[..., 1])
 
 
-@dataclass
-class RadarMap:
-    """A normalized 2-D magnitude map, values in [0, 1]."""
-
-    kind: Literal["range_angle", "range_velocity"]
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("range_angle", "range_velocity"):
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        self.data = np.asarray(self.data, dtype=np.float32)
-        if self.data.ndim != 2:
-            raise ValueError("map must be 2-D")
-        if self.data.size and (self.data.min() < 0 or self.data.max() > 1):
-            raise ValueError("map values must lie in [0, 1]")
-
-
 def range_transform(cube: RadarCube) -> RadarCube:
     """FFT every (rx, chirp) fiber along the samples axis; shape unchanged."""
     return RadarCube(np.fft.fft(cube.data.astype(np.complex128), axis=1).astype(np.complex64))
@@ -87,23 +68,25 @@ def _normalize(mag: np.ndarray) -> np.ndarray:
     return ((compressed - lo) / span).astype(np.float32)
 
 
-def range_angle_map(range_cube: RadarCube) -> RadarMap:
+def range_angle_map(range_cube: RadarCube) -> np.ndarray:
     """FFT over rx, sum |.| over chirps, center-shift angle axis, log1p, min-max.
 
-    Input must already be range-transformed.  Output shape (n_rx, n_samples).
+    Input must already be range-transformed.  Returns float32 values in [0, 1],
+    shape (n_rx, n_samples).
     """
     spec = np.fft.fft(range_cube.data.astype(np.complex128), axis=0)
     mag = np.abs(spec).sum(axis=2)  # (n_rx, n_samples)
     mag = np.fft.fftshift(mag, axes=0)
-    return RadarMap("range_angle", _normalize(mag))
+    return _normalize(mag)
 
 
-def range_velocity_map(range_cube: RadarCube) -> RadarMap:
+def range_velocity_map(range_cube: RadarCube) -> np.ndarray:
     """FFT over chirps, sum |.| over rx, center-shift velocity axis, log1p, min-max.
 
-    Input must already be range-transformed.  Output shape (n_chirps, n_samples).
+    Input must already be range-transformed.  Returns float32 values in [0, 1],
+    shape (n_chirps, n_samples).
     """
     spec = np.fft.fft(range_cube.data.astype(np.complex128), axis=2)
     mag = np.abs(spec).sum(axis=0)  # (n_samples, n_chirps)
     mag = np.fft.fftshift(mag.T, axes=0)  # (n_chirps, n_samples)
-    return RadarMap("range_velocity", _normalize(mag))
+    return _normalize(mag)

@@ -203,7 +203,7 @@ def resolve_profiles(name: str) -> tuple[SceneProfile, ...]:
 
 
 def plan_scenes(
-    n: int, profile_name: str, radar: RadarParams, seed: int = 0
+    n: int, profile_name: str, radar: RadarParams, seed: int
 ) -> Iterator[tuple[int, SceneProfile, Scene, RadarParams]]:
     """Sample i of a dataset: (seed + i, its profile, its scene, radar at the profile's noise).
 
@@ -482,8 +482,8 @@ def build_sample(
         "camera": render_camera(scene, cam_width, cam_height),
         "depth": render_depth(scene, cam_width, cam_height),
         "radar_cube": cube.to_interleaved(),
-        "range_angle": range_angle_map(ranged).data,
-        "range_velocity": range_velocity_map(ranged).data,
+        "range_angle": range_angle_map(ranged),
+        "range_velocity": range_velocity_map(ranged),
         "target_raster": raycast_lidar(scene, grid).data,
     }
 
@@ -495,8 +495,8 @@ def export_sample(
     cam_width: int,
     cam_height: int,
     out_dir,
-    seed: int = 0,
-    scenario: str = "",
+    seed: int,
+    scenario: str,
 ) -> None:
     """Write one sample directory: five LSTF arrays plus meta.txt."""
     out = Path(out_dir)

@@ -2,10 +2,11 @@
 
 The graph is built eagerly: every op returns a new Tensor holding a closure
 that maps the output's gradient to one gradient (or None) per parent, in
-``parents`` order.  ``Tensor.backward()`` walks the graph once in reverse
-topological order and is the one place gradients are summed (shared
-subexpressions meet there).  An interior node's gradient is freed once its
-closure has consumed it; only leaves keep theirs, in ``Tensor.grad``.
+``parents`` order.  ``Tensor.backward()`` walks the graph once from a scalar
+root (the loss) in reverse topological order and is the one place gradients
+are summed (shared subexpressions meet there).  An interior node's gradient
+is freed once its closure has consumed it; only leaves keep theirs, in
+``Tensor.grad``.
 
 Parameters and activations are float32 by default; every op also works in
 float64 so finite-difference oracles can run at full precision.
@@ -110,18 +111,12 @@ class Tensor:
 
     # -- graph plumbing -----------------------------------------------------
 
-    def backward(self, gradient: np.ndarray | None = None) -> None:
-        """Reverse-mode sweep from this tensor; `gradient` has its shape and is copied."""
+    def backward(self) -> None:
+        """Reverse-mode sweep from this tensor, which must be a scalar (the loss)."""
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
-        if gradient is None:
-            if self.size != 1:
-                raise ValueError("backward() without gradient needs a scalar output")
-            seed = np.ones_like(self.data)
-        else:
-            seed = np.array(gradient, dtype=self.data.dtype, order="C")
-            if seed.shape != self.shape:
-                raise ValueError(f"backward(): gradient shape {seed.shape} vs tensor shape {self.shape}")
+        if self.size != 1:
+            raise ValueError("backward() needs a scalar output")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack = [(self, False)]
@@ -137,7 +132,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        pending = {id(self): seed}
+        pending = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             g = pending.pop(id(node), None)
             if g is None:
@@ -258,13 +253,10 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
     out_data = np.transpose(x.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
+    inv = tuple(np.argsort(axes))
 
     def backward(g):
         return (np.transpose(g, inv),)
@@ -283,55 +275,41 @@ def _getitem(x: Tensor, key) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Iterable[Tensor]) -> Tensor:
+    """Join [N, K_i, ...] tensors along axis 1 into [N, sum K_i, ...]."""
     ts = [_as_tensor(t) for t in tensors]
-    if not ts:
-        raise ValueError("concat of zero tensors")
-    out_data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    out_data = np.concatenate([t.data for t in ts], axis=1)
+    offsets = np.cumsum([0] + [t.shape[1] for t in ts])
 
     def backward(g):
-        lead = (slice(None),) * (axis % g.ndim)
-        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets[:-1], offsets[1:])]
+        return [g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     return _make(out_data, tuple(ts), backward)
 
 
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    expanded = []
-    for t in ts:
-        shape = list(t.shape)
-        shape.insert(axis if axis >= 0 else axis + t.ndim + 1, 1)
-        expanded.append(reshape(t, shape))
-    return concat(expanded, axis=axis)
+def stack(tensors: Iterable[Tensor]) -> Tensor:
+    """Stack [N, ...] tensors along a new axis 1 into [N, K, ...]."""
+    return concat([reshape(t, t.shape[:1] + (1,) + t.shape[1:]) for t in map(_as_tensor, tensors)])
 
 
 # -- reductions --------------------------------------------------------------
 
 
-def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(x: Tensor) -> Tensor:
+    """The sum of every element, as a 0-d tensor."""
     x = _as_tensor(x)
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
+    out_data = x.data.sum()
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).astype(x.dtype),)
 
     return _make(out_data, (x,), backward)
 
 
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(x: Tensor) -> Tensor:
+    """The mean of every element, as a 0-d tensor."""
     x = _as_tensor(x)
-    if axis is None:
-        count = x.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([x.shape[a] for a in axes]))
-    s = tensor_sum(x, axis=axis, keepdims=keepdims)
-    return mul(s, _as_tensor(1.0 / count, x.dtype))
+    return mul(tensor_sum(x), _as_tensor(1.0 / x.size, x.dtype))
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -347,15 +325,15 @@ def relu(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Rows along `axis` sum to one; max-subtraction keeps exp() in range."""
+def softmax(x: Tensor) -> Tensor:
+    """Rows along the last axis sum to one; max-subtraction keeps exp() in range."""
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _make(y, (x,), backward)
@@ -612,7 +590,7 @@ def multi_head_self_attention(
         k = split_heads(linear(x, params.wk, params.bk))
         v = split_heads(linear(x, params.wv, params.bv))
         scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), _as_tensor(scale, x.dtype))
-        attn = softmax(scores, axis=-1)
+        attn = softmax(scores)
         ctx = transpose(matmul(attn, v), (0, 2, 1, 3))  # [N, nq, heads, dh]
     else:
         # query rows grouped by head, [heads, N*nq, dh], so each weight product
@@ -625,7 +603,7 @@ def multi_head_self_attention(
         qk = reshape(transpose(reshape(qk, (n_heads, n, nq, d)), (1, 0, 2, 3)), (n, n_heads * nq, d))
         offset = transpose(reshape(matmul(q, bk), (n_heads, n, nq, 1)), (1, 0, 2, 3))
         scores = add(reshape(matmul(qk, transpose(x, (0, 2, 1))), (n, n_heads, nq, t)), offset)
-        attn = softmax(mul(scores, _as_tensor(scale, x.dtype)), axis=-1)
+        attn = softmax(mul(scores, _as_tensor(scale, x.dtype)))
         ax = matmul(reshape(attn, (n, n_heads * nq, t)), x)  # [N, heads*nq, D]
         ax = reshape(transpose(reshape(ax, (n, n_heads, nq, d)), (1, 0, 2, 3)), (n_heads, n * nq, d))
         wv = transpose(reshape(params.wv, (d, n_heads, dh)), (1, 0, 2))  # Wv_h, [heads, D, dh]

@@ -392,6 +392,10 @@ def write_history(path, history: list[EpochStats]) -> None:
 # -- evaluation ---------------------------------------------------------------
 
 
+# the keys of EvalReport's own lines, which no scenario may take
+_REPORT_KEYS = ("overall", "baseline_zeros", "ablation_no_fusion")
+
+
 @dataclass
 class EvalReport:
     """Per-scenario and overall MMSE, with the all-zeros baseline attached."""
@@ -518,12 +522,7 @@ def evaluate(
     )
 
 
-def baseline_all_zeros(
-    samples: list[Sample],
-    grid: GridSpec,
-    band: tuple[float, float] = TrainConfig.band,
-    alpha: float = TrainConfig.alpha,
-) -> float:
+def baseline_all_zeros(samples: list[Sample], grid: GridSpec, band: tuple[float, float], alpha: float) -> float:
     """MMSE of predicting zero everywhere, averaged over the split."""
     if not samples:
         raise ValueError("empty split")
@@ -557,5 +556,7 @@ def load_dataset(root, grid: GridSpec) -> list[Sample]:
                 key, _, value = line.partition("=")
                 if key.strip() == "scenario":
                     scenario = value.strip()
+        if scenario in _REPORT_KEYS or "\t" in scenario:
+            raise formats.MalformedFileError(f"{d}: scenario {scenario!r} is a report key or holds a tab")
         samples.append(Sample.from_arrays(arrays, grid, scenario))
     return samples

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from lidarsynth import formats as F
 from lidarsynth import geometry as G
 from lidarsynth import model as M
 from lidarsynth import synthgen as S
@@ -40,6 +41,20 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
     n = x.size
     idx = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) @ x
+
+
+def lstf_bytes(arr: np.ndarray) -> bytes:
+    """One LSTF record assembled in memory, the layout reference for the streaming writers."""
+    arr = np.ascontiguousarray(arr, dtype=np.float32)
+    return F._lstf_header(arr) + arr.astype("<f4").tobytes()
+
+
+def legacy_grid(max_range: float = 100.0) -> G.GridSpec:
+    """A 960-row variant whose dims match a 45x30 decoder seed (top region ends at 30 deg)."""
+    return G.GridSpec(
+        phi_regions=((-60.0, -5.0, 0.25), (-5.0, 5.0, 0.015625), (5.0, 30.0, 0.25)),
+        max_range=max_range,
+    )
 
 
 def full_cast(scene: S.Scene, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +130,7 @@ def full_encode(model: M.Model, name: str, images: np.ndarray) -> T.Tensor:
     x = T.linear(T.Tensor(M._patchify(images, cfg)), s[f"{name}.patch_embed.weight"], s[f"{name}.patch_embed.bias"])
     ones = T.Tensor(np.ones((x.shape[0], 1, 1), dtype=np.float32))
     cls = T.mul(T.reshape(s[f"{name}.cls_token"], (1, 1, cfg.d_model)), ones)
-    x = T.add(T.concat([cls, x], axis=1), s[f"{name}.pos_embed"])
+    x = T.add(T.concat([cls, x]), s[f"{name}.pos_embed"])
     for i in range(cfg.depth):
         x, _ = model._block(x, f"{name}.layers.{i}", cfg.n_heads)
     x = T.layer_norm(x, s[f"{name}.final_ln.gain"], s[f"{name}.final_ln.bias"])
@@ -211,10 +226,10 @@ def _linear_case(label, xs, ws):
     return factory
 
 
-def _softmax_case(label, shape, axis):
+def _softmax_case(label, shape):
     def factory():
         (x,) = _normals(label, shape)
-        return [x], lambda ts: T.softmax(ts[0], axis=axis)
+        return [x], lambda ts: T.softmax(ts[0])
 
     return factory
 
@@ -323,26 +338,26 @@ def _getitem_case(label, shape, key):
     return factory
 
 
-def _concat_case(label, sa, sb, axis):
+def _concat_case(label, sa, sb):
     def factory():
         a, b = _normals(label, sa, sb)
-        return [a, b], lambda ts: T.concat([ts[0], ts[1]], axis=axis)
+        return [a, b], lambda ts: T.concat([ts[0], ts[1]])
 
     return factory
 
 
-def _stack_case(label, shape, axis):
+def _stack_case(label, shape):
     def factory():
         a, b, c = _normals(label, shape, shape, shape)
-        return [a, b, c], lambda ts: T.stack(ts, axis=axis)
+        return [a, b, c], lambda ts: T.stack(ts)
 
     return factory
 
 
-def _reduce_case(label, op, shape, axis, keepdims):
+def _reduce_case(label, op, shape):
     def factory():
         (x,) = _normals(label, shape)
-        return [x], lambda ts: op(ts[0], axis=axis, keepdims=keepdims)
+        return [x], lambda ts: op(ts[0])
 
     return factory
 
@@ -363,9 +378,9 @@ GRAD_SUITE: list[tuple[str, Callable]] = [
     ("linear/5x4.4x3", _linear_case("linear/a", (5, 4), (4, 3))),
     ("linear/batched", _linear_case("linear/b", (2, 3, 6), (6, 2))),
     ("linear/square", _linear_case("linear/c", (1, 7), (7, 7))),
-    ("softmax/vec", _softmax_case("softmax/a", (6,), -1)),
-    ("softmax/rows", _softmax_case("softmax/b", (3, 5), -1)),
-    ("softmax/axis0", _softmax_case("softmax/c", (4, 3, 2), 0)),
+    ("softmax/vec", _softmax_case("softmax/a", (6,))),
+    ("softmax/rows", _softmax_case("softmax/b", (3, 5))),
+    ("softmax/heads", _softmax_case("softmax/d", (2, 2, 3, 4))),
     ("attention/t3d4h2", _attention_case("attn/a", (1, 3, 4), 2)),
     ("attention/t5d6h3", _attention_case("attn/b", (1, 5, 6), 3)),
     ("attention/batched", _attention_case("attn/c", (2, 3, 4), 2)),
@@ -408,23 +423,23 @@ GRAD_SUITE: list[tuple[str, Callable]] = [
     ("reshape/swap", _reshape_case("rs/c", (2, 3, 2), (3, 4))),
     ("transpose/2d", _transpose_case("tp/a", (2, 3), (1, 0))),
     ("transpose/roll", _transpose_case("tp/b", (2, 3, 4), (2, 0, 1))),
-    ("transpose/default", _transpose_case("tp/c", (3, 2), None)),
+    ("transpose/heads", _transpose_case("tp/d", (2, 3, 2, 4), (0, 2, 1, 3))),
     ("getitem/row", _getitem_case("gi/a", (4, 3), np.s_[1])),
     ("getitem/slice", _getitem_case("gi/b", (5, 4), np.s_[1:4, ::2])),
     ("getitem/tail", _getitem_case("gi/c", (2, 3, 4), np.s_[:, 1:, :2])),
     ("getitem/repeat", _getitem_case("gi/d", (4, 3), np.array([0, 2, 0]))),
-    ("concat/axis0", _concat_case("cc/a", (2, 3), (4, 3), 0)),
-    ("concat/axis1", _concat_case("cc/b", (2, 2), (2, 5), 1)),
-    ("concat/last", _concat_case("cc/c", (2, 2, 1), (2, 2, 3), -1)),
-    ("stack/axis0", _stack_case("st/a", (2, 3), 0)),
-    ("stack/axis1", _stack_case("st/b", (2, 2), 1)),
-    ("stack/last", _stack_case("st/c", (3,), -1)),
-    ("sum/all", _reduce_case("sum/a", T.tensor_sum, (3, 4), None, False)),
-    ("sum/axis", _reduce_case("sum/b", T.tensor_sum, (2, 3, 4), 1, False)),
-    ("sum/keepdims", _reduce_case("sum/c", T.tensor_sum, (2, 5), 0, True)),
-    ("mean/all", _reduce_case("mean/a", T.mean, (4, 2), None, False)),
-    ("mean/axis", _reduce_case("mean/b", T.mean, (2, 3, 2), 2, False)),
-    ("mean/keepdims", _reduce_case("mean/c", T.mean, (3, 3), 1, True)),
+    ("concat/axis1", _concat_case("cc/b", (2, 2), (2, 5))),
+    ("concat/tokens", _concat_case("cc/d", (2, 1, 4), (2, 3, 4))),
+    ("concat/4d", _concat_case("cc/e", (2, 2, 1, 3), (2, 1, 1, 3))),
+    ("stack/axis1", _stack_case("st/b", (2, 2))),
+    ("stack/last", _stack_case("st/c", (3,))),  # a new axis 1 is the last axis of [3, K]
+    ("stack/3d", _stack_case("st/e", (2, 3, 2))),
+    ("sum/all", _reduce_case("sum/a", T.tensor_sum, (3, 4))),
+    ("sum/vec", _reduce_case("sum/d", T.tensor_sum, (5,))),
+    ("sum/4d", _reduce_case("sum/e", T.tensor_sum, (2, 1, 3, 2))),
+    ("mean/all", _reduce_case("mean/a", T.mean, (4, 2))),
+    ("mean/vec", _reduce_case("mean/d", T.mean, (7,))),
+    ("mean/4d", _reduce_case("mean/e", T.mean, (2, 3, 2, 1))),
     ("dropout/mat", _dropout_case("do/a", (4, 5), 0.3)),
     ("dropout/3d", _dropout_case("do/b", (2, 3, 4), 0.5)),
     ("dropout/light", _dropout_case("do/c", (6,), 0.1)),

@@ -9,16 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from helpers import GRAD_SUITE, check_case, naive_dft, synthetic_dataset
+from helpers import GRAD_SUITE, check_case, legacy_grid, naive_dft, synthetic_dataset
 from lidarsynth import config as C
 from lidarsynth import training as TR
-from lidarsynth.geometry import (
-    PolarRaster,
-    default_grid,
-    derasterize_arrays,
-    legacy_grid,
-    rasterize_with_stats,
-)
+from lidarsynth.geometry import GridSpec, PolarRaster, derasterize_arrays, rasterize_with_stats
 from lidarsynth.model import EncoderConfig, Model, _param_shapes
 from lidarsynth.radar import RadarCube, range_transform
 from lidarsynth.tensor import Tensor
@@ -52,7 +46,7 @@ def test_criterion_1_fft_oracle(capsys):
 
 
 def test_criterion_2_raster_round_trip(capsys):
-    grid = default_grid()
+    grid = GridSpec()
     region_rows = tuple(
         int(round((hi - lo) / step)) for lo, hi, step in grid.phi_regions
     )
@@ -142,7 +136,7 @@ def test_criterion_4_decoder_shapes(capsys):
 
 
 def test_criterion_5_loss_band(capsys):
-    grid = default_grid()
+    grid = GridSpec()
     mask = TR.weight_mask(grid, (-1.71875, 2.1875), 10.0)
     rows = np.flatnonzero(mask == 10.0)
     band_ok = (

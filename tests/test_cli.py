@@ -143,8 +143,8 @@ def test_preprocess_radar_matches_library(tmp_path, workspace):
     assert cli.main(["preprocess-radar", "--cube", str(cube_path),
                      "--out-ra", str(ra), "--out-rv", str(rv)]) == cli.EXIT_OK
     ranged = range_transform(RadarCube.from_interleaved(interleaved))
-    np.testing.assert_array_equal(formats.read_lstf(ra), range_angle_map(ranged).data)
-    np.testing.assert_array_equal(formats.read_lstf(rv), range_velocity_map(ranged).data)
+    np.testing.assert_array_equal(formats.read_lstf(ra), range_angle_map(ranged))
+    np.testing.assert_array_equal(formats.read_lstf(rv), range_velocity_map(ranged))
 
 
 def test_preprocess_radar_rejects_garbage(tmp_path):
@@ -300,6 +300,21 @@ def test_eval_with_an_empty_test_split_is_bad_input(workspace, tmp_path):
     assert cli.main(["eval", "--data", str(data), "--ckpt", str(ckpt),
                      "--report", str(report)]) == cli.EXIT_BAD_INPUT
     assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_scenario_named_like_a_report_line_is_bad_input(workspace, tmp_path, command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    meta = data / "sample_000005" / "meta.txt"
+    meta.write_text(re.sub(r"(?m)^scenario=.*$", "scenario=overall", meta.read_text()))
+    out = tmp_path / "out"
+    args = {
+        "train": ["train", "--data", str(data), "--config", str(workspace["cfg"]), "--out", str(out)],
+        "eval": ["eval", "--data", str(data), "--ckpt", str(workspace["ckpt"]), "--report", str(out)],
+    }[command]
+    assert cli.main(args) == cli.EXIT_BAD_INPUT
+    assert not out.exists()
 
 
 def test_train_rejects_a_removed_key_with_another_value(workspace, tmp_path):

@@ -78,6 +78,8 @@ def test_bad_value_names_its_line_even_when_the_key_repeats():
         ("fusion.n_heads = 7", "fusion"),
         ("encoder.camera.patch_size = 10", "encoder.camera"),
         ("grid.theta = -180:180:0.7", "grid"),
+        ("grid.theta = 0:360:2.25", "grid"),
+        ("grid.phi_regions = -95:-5:2.5;-5:5:0.125;5:61:2", "grid"),
     ],
 )
 def test_failed_dataclass_check_names_its_section_and_lines(line, section):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import lstf_bytes
 from lidarsynth import formats as F
 
 
@@ -21,7 +22,7 @@ from lidarsynth import formats as F
 )
 def test_lstf_round_trip_any_rank(dims, seed):
     arr = np.random.default_rng(seed).standard_normal(dims).astype(np.float32)
-    blob = F.lstf_bytes(arr)
+    blob = lstf_bytes(arr)
     back = F.lstf_from_bytes(blob)
     assert back.dtype == np.float32
     np.testing.assert_array_equal(back, arr)
@@ -35,7 +36,7 @@ def test_lstf_file_round_trip(tmp_path):
 
 
 def test_lstf_header_layout():
-    blob = F.lstf_bytes(np.zeros((2, 3), dtype=np.float32))
+    blob = lstf_bytes(np.zeros((2, 3), dtype=np.float32))
     assert blob[:4] == b"LSTF"
     assert blob[4] == 1  # version
     assert blob[5] == 2  # rank
@@ -45,7 +46,7 @@ def test_lstf_header_layout():
 
 
 def test_lstf_rejects_bad_magic_version_and_truncation():
-    blob = bytearray(F.lstf_bytes(np.ones(4, dtype=np.float32)))
+    blob = bytearray(lstf_bytes(np.ones(4, dtype=np.float32)))
     with pytest.raises(F.MalformedFileError):
         F.lstf_from_bytes(bytes(b"XXXX") + bytes(blob[4:]))
     bad_version = bytes(blob[:4]) + b"\x09" + bytes(blob[5:])
@@ -57,14 +58,14 @@ def test_lstf_rejects_bad_magic_version_and_truncation():
 
 def test_lstf_rejects_trailing_bytes_at_top_level(tmp_path):
     path = tmp_path / "t.lstf"
-    path.write_bytes(F.lstf_bytes(np.ones(2, dtype=np.float32)) + b"extra")
+    path.write_bytes(lstf_bytes(np.ones(2, dtype=np.float32)) + b"extra")
     with pytest.raises(F.MalformedFileError):
         F.read_lstf(path)
 
 
-def test_lstf_rejects_zero_dims():
+def test_lstf_rejects_zero_dims(tmp_path):
     with pytest.raises(ValueError):
-        F.lstf_bytes(np.zeros((2, 0), dtype=np.float32))
+        F.write_lstf(tmp_path / "z.lstf", np.zeros((2, 0), dtype=np.float32))
 
 
 def test_lstf_rejects_huge_dims_before_allocating(tmp_path):
@@ -87,7 +88,7 @@ def _lsck_reference_bytes(config_text: str, tensors: dict) -> bytes:
     out = b"LSCK" + struct.pack("<BI", 1, len(blob)) + blob + struct.pack("<I", len(tensors))
     for name, arr in tensors.items():
         nb = name.encode("utf-8")
-        out += struct.pack("<H", len(nb)) + nb + F.lstf_bytes(arr)
+        out += struct.pack("<H", len(nb)) + nb + lstf_bytes(arr)
     return out
 
 
@@ -103,7 +104,7 @@ def _golden_tensors() -> dict:
 
 
 _LSCK_GOOD = _lsck_reference_bytes("comment = café\n", _golden_tensors())
-_LSTF_GOOD = F.lstf_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+_LSTF_GOOD = lstf_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
 
 
 def test_write_lsck_bytes_match_record_by_record_encoding(tmp_path):

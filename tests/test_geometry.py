@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import legacy_grid
 from lidarsynth import geometry as G
 
 
@@ -20,21 +21,21 @@ def _region_rows(grid):
 
 
 def test_default_grid_dimensions():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     assert grid.n_cols == 1440
     assert grid.n_rows == 1088
     assert _region_rows(grid) == (220, 640, 228)
 
 
 def test_legacy_grid_dimensions():
-    grid = G.legacy_grid()
+    grid = legacy_grid()
     assert grid.n_rows == 960
     assert grid.n_cols == 1440
     assert _region_rows(grid) == (220, 640, 100)
 
 
 def test_row_centers_are_region_midpoints():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     centers = grid.row_centers()
     assert centers.shape == (1088,)
     assert centers[0] == pytest.approx(-59.875)
@@ -44,7 +45,7 @@ def test_row_centers_are_region_midpoints():
 
 
 def test_col_centers_span_azimuth():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     centers = grid.col_centers()
     assert centers[0] == pytest.approx(-179.875)
     assert centers[-1] == pytest.approx(179.875)
@@ -69,29 +70,51 @@ def test_grid_rejects_empty_and_reversed_regions():
         G.GridSpec(phi_regions=((5.0, -5.0, 0.25),))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"theta_lo": 0.0, "theta_hi": 360.0},
+        {"theta_lo": -180.25},
+        {"theta_hi": 180.25},
+        {"phi_regions": ((-90.25, 0.0, 0.25),)},
+        {"phi_regions": ((-5.0, 5.0, 0.25), (5.0, 90.25, 0.25))},
+    ],
+    ids=["theta-0-360", "theta-lo", "theta-hi", "phi-lo", "phi-hi"],
+)
+def test_grid_rejects_angles_off_the_sphere(fields):
+    # rasterization folds azimuth into [-180, 180) and elevation into [-90, 90]
+    with pytest.raises(ValueError, match=r"outside \[-(180, 180|90, 90)\]"):
+        G.GridSpec(**fields)
+
+
+def test_grid_accepts_the_whole_sphere():
+    grid = G.GridSpec(theta_step=2.25, phi_regions=((-90.0, 90.0, 2.25),))
+    assert (grid.n_rows, grid.n_cols) == (80, 160)
+
+
 # -- binning ---------------------------------------------------------------------
 
 
 def test_phi_rows_are_half_open():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     rows = grid.phi_to_row(np.array([-60.0, -5.0 - 1e-9, -5.0, 5.0 - 1e-9, 5.0, 62.0 - 1e-9]))
     np.testing.assert_array_equal(rows, [0, 219, 220, 859, 860, 1087])
 
 
 def test_phi_outside_grid_is_negative_one():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     rows = grid.phi_to_row(np.array([-60.0 - 1e-6, 62.0, 90.0]))
     np.testing.assert_array_equal(rows, [-1, -1, -1])
 
 
 def test_theta_cols_are_half_open():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     cols = grid.theta_to_col(np.array([-180.0, 0.0, 179.75, 180.0, -180.1]))
     np.testing.assert_array_equal(cols, [0, 720, 1439, -1, -1])
 
 
 def test_bin_index_center_of_fine_band():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     np.testing.assert_array_equal(grid.phi_to_row(np.array([-1.71875, 90.0])), [430, -1])
     np.testing.assert_array_equal(grid.theta_to_col(np.array([0.0])), [720])
 
@@ -107,7 +130,7 @@ def _point_at(grid, row, col, r):
 
 
 def test_rasterize_places_point_in_its_bin():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     raster, dropped = G.rasterize_with_stats(np.array([_point_at(grid, 500, 100, 42.0)]), grid)
     assert dropped == 0
     assert raster.data[500, 100] == pytest.approx(42.0, rel=1e-6)
@@ -115,7 +138,7 @@ def test_rasterize_places_point_in_its_bin():
 
 
 def test_rasterize_keeps_nearest_return_per_cell():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     pts = np.array([_point_at(grid, 300, 700, 80.0), _point_at(grid, 300, 700, 12.5)])
     raster, dropped = G.rasterize_with_stats(pts, grid)
     assert dropped == 0
@@ -123,7 +146,7 @@ def test_rasterize_keeps_nearest_return_per_cell():
 
 
 def test_rasterize_drops_out_of_range_and_origin():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     inf = float("inf")
     pts = np.array([
         [150.0, 0.0, 0.0],   # beyond max_range
@@ -142,7 +165,7 @@ def test_rasterize_drops_out_of_range_and_origin():
 
 
 def test_rasterize_accepts_point3_lists_and_empty_clouds():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     raster, dropped = G.rasterize_with_stats([_point_at(grid, 400, 720, 10.0)], grid)
     assert dropped == 0
     assert raster.data[400, 720] == pytest.approx(10.0, rel=1e-6)
@@ -155,11 +178,11 @@ def test_rasterize_accepts_point3_lists_and_empty_clouds():
                          ids=["empty-list", "shape-3", "shape-4x2", "shape-1x2x3"])
 def test_rasterize_rejects_non_n_by_3_input(cloud):
     with pytest.raises(ValueError):
-        G.rasterize_with_stats(cloud, G.default_grid())
+        G.rasterize_with_stats(cloud, G.GridSpec())
 
 
 def test_polar_raster_validates_shape_and_range():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     with pytest.raises(ValueError):
         G.PolarRaster(grid, np.zeros((3, 3), dtype=np.float32))
     bad = np.zeros((grid.n_rows, grid.n_cols), dtype=np.float32)
@@ -181,7 +204,7 @@ def _sparse_raster(grid, rng, n_points):
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 60))
 def test_rasterize_derasterize_round_trip_is_bit_exact(seed, n_points):
-    grid = G.default_grid()
+    grid = G.GridSpec()
     raster = _sparse_raster(grid, np.random.default_rng(seed), n_points)
     again, dropped = G.rasterize_with_stats(G.derasterize_arrays(raster), grid)
     assert dropped == 0
@@ -189,13 +212,13 @@ def test_rasterize_derasterize_round_trip_is_bit_exact(seed, n_points):
 
 
 def test_derasterize_empty_raster():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     raster = G.PolarRaster(grid, np.zeros((grid.n_rows, grid.n_cols)))
     assert G.derasterize_arrays(raster).shape == (0, 3)
 
 
 def test_derasterize_returns_points_at_bin_centers():
-    grid = G.default_grid()
+    grid = G.GridSpec()
     data = np.zeros((grid.n_rows, grid.n_cols), dtype=np.float32)
     data[430, 720] = 50.0
     pts = G.derasterize_arrays(G.PolarRaster(grid, data))

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from helpers import full_encode
+from helpers import full_encode, legacy_grid
 from lidarsynth import config as C
 from lidarsynth import model as M
 from lidarsynth import tensor as T
-from lidarsynth.geometry import default_grid, legacy_grid
 
 
 @pytest.fixture(scope="module")

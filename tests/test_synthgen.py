@@ -11,7 +11,7 @@ from helpers import full_cast, full_radar
 from lidarsynth import config as C
 from lidarsynth import radar as R
 from lidarsynth import synthgen as S
-from lidarsynth.geometry import default_grid
+from lidarsynth.geometry import GridSpec
 
 
 def _box_scene(dist=10.0, size=1.0, refl=0.8, brightness=1.0, velocity=0.0, ground=None):
@@ -161,7 +161,7 @@ def test_raycast_ground_only_matches_formula():
 
 
 def test_raycast_box_fills_bins_near_boresight():
-    grid = default_grid()
+    grid = GridSpec()
     raster = S.raycast_lidar(_box_scene(dist=20.0, size=4.0), grid)
     row, col = 544, 720  # phi ~ +0.0078 deg, theta ~ +0.125 deg
     assert raster.data[row, col] == pytest.approx(18.0, rel=1e-3)
@@ -170,7 +170,7 @@ def test_raycast_box_fills_bins_near_boresight():
 
 
 def test_raycast_respects_max_range():
-    grid = default_grid(max_range=10.0)
+    grid = GridSpec(max_range=10.0)
     raster = S.raycast_lidar(_box_scene(dist=20.0, size=4.0), grid)
     assert not raster.data.any()
 
@@ -281,8 +281,8 @@ def test_radar_peaks_at_closed_form_bins():
     scene = _box_scene(dist=25.0, size=2.0, velocity=7.5)
     cube = S.simulate_radar(scene, S.RadarParams(n_rx=4, n_samples=64, n_chirps=64, noise_sigma=0.0), seed=0)
     ranged = R.range_transform(cube)
-    ra = R.range_angle_map(ranged).data
-    rv = R.range_velocity_map(ranged).data
+    ra = R.range_angle_map(ranged)
+    rv = R.range_velocity_map(ranged)
     assert np.unravel_index(ra.argmax(), ra.shape) == (2, 16)
     assert np.unravel_index(rv.argmax(), rv.shape) == (48, 16)
 
@@ -293,7 +293,7 @@ def test_radar_angle_bin_tracks_azimuth():
     prim = S.Primitive(kind="cylinder", center=(x, y, 0.0), size=2.0, reflectivity=0.9)
     scene = S.Scene(ground_height=None, primitives=(prim,), ambient_brightness=0.5)
     cube = S.simulate_radar(scene, S.RadarParams(n_rx=4, n_samples=64, n_chirps=16, noise_sigma=0.0), seed=0)
-    ra = R.range_angle_map(R.range_transform(cube)).data
+    ra = R.range_angle_map(R.range_transform(cube))
     row, col = np.unravel_index(ra.argmax(), ra.shape)
     assert row == 3
     assert col == round(20.0 / 100.0 * 64)

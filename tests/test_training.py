@@ -12,7 +12,7 @@ from lidarsynth import formats
 from lidarsynth import model as M
 from lidarsynth import tensor as T
 from lidarsynth import training as TR
-from lidarsynth.geometry import PolarRaster, default_grid
+from lidarsynth.geometry import GridSpec, PolarRaster
 from lidarsynth.model import EMBED_DIM, Model, MODALITIES
 from lidarsynth.optim import adam_step
 from lidarsynth.synthgen import PROFILE_ORDER, PROFILES, export_sample, generate_scene
@@ -36,7 +36,7 @@ def test_weight_mask_matches_row_center_oracle(toy_cfg):
 
 
 def test_weight_mask_default_grid_rows():
-    grid = default_grid()
+    grid = GridSpec()
     mask = TR.weight_mask(grid, (-1.71875, 2.1875), 10.0)
     rows = np.flatnonzero(mask == 10.0)
     assert rows[0] == 430
@@ -396,6 +396,55 @@ def test_step_one_loss_and_gradient_norms_match_golden(toy_cfg):
         assert got[key] == pytest.approx(want, rel=1e-4), key
 
 
+def test_whole_model_gradient_matches_central_differences_along_random_directions():
+    # a mini model (narrow fusion feedforward and latent, thin decoder) on one
+    # fixed batch of four toy samples; every loss evaluation redraws dropout
+    # from a generator seeded 5, so all of them see the same mask
+    cfg = C.toy_config(overrides={
+        "fusion.n_heads": "4", "fusion.ffn_dim": "32", "fusion.latent_dim": "32", "decoder.filters": "4,4,2,2",
+    })
+    samples = synthetic_dataset(4, "mixed", cfg.grid, cfg.radar, cfg.cam_width, cfg.cam_height, seed=11)
+    model = Model(cfg.model)
+    store = model.store
+    targets = np.array([s.target.data for s in samples], dtype=np.float32) / cfg.grid.max_range
+    mask = TR.weight_mask(cfg.grid, cfg.train.band, cfg.train.alpha)
+    emb = Tensor(TR._cached_embeddings(model, samples, len(samples)))
+
+    def loss():
+        out = model.forward_batch(embeddings=emb, train_rng=np.random.default_rng(5))
+        return TR.mmse_loss(out, targets, mask)
+
+    store.zero_grad()
+    loss().backward()
+    grads = store.grads.astype(np.float64)
+    # the differences run in float64: every trainable tensor views `theta`, the arena's float64 twin
+    theta = store.values.astype(np.float64)
+    lo = 0
+    for name in store.trainable_names():
+        p = store[name]
+        p.data = theta[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
+    base = theta.copy()
+
+    def loss_at(point):
+        theta[:] = point
+        with T.no_grad():
+            return float(loss().data)
+
+    # step and bound from a sweep over 32 directions: for h from 1e-6 to 1e-4
+    # the worst relative error was 8.0e-5 (the float32 rounding of the
+    # gradient); it was 3.3e-4 at h = 3e-4 and passed 1e-3 for h >= 1e-3,
+    # where the curvature shows
+    h = 1e-4
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        v = rng.standard_normal(base.size)
+        v /= np.linalg.norm(v)
+        numeric = (loss_at(base + h * v) - loss_at(base - h * v)) / (2.0 * h)
+        analytic = float(grads @ v)
+        assert abs(numeric - analytic) <= 1e-3 * abs(analytic), (numeric, analytic)
+
+
 # -- checkpoints --------------------------------------------------------------------
 
 
@@ -472,7 +521,7 @@ def test_adam_step_on_loaded_model_leaves_checkpoint_unchanged(tiny_run, tiny_cf
     before = {name: tiny_run.best.params[name].copy() for name in trainable}
     for name in trainable:
         model.store[name].grad[...] = 1.0
-    adam_step(model.store, 1e-2)
+    adam_step(model.store, 1e-2, tiny_cfg.train.beta1, tiny_cfg.train.beta2, tiny_cfg.train.eps)
     assert not np.array_equal(model.store["fusion.proj.weight"].data, before["fusion.proj.weight"])
     for name in trainable:
         np.testing.assert_array_equal(tiny_run.best.params[name], before[name])
@@ -489,7 +538,7 @@ def test_zero_grad_leaves_no_trace_of_the_previous_step(tiny_cfg, tiny_dataset):
 
     model = Model(tiny_cfg.model)
     backward(model)
-    adam_step(model.store, 1e-3)
+    adam_step(model.store, 1e-3, tiny_cfg.train.beta1, tiny_cfg.train.beta2, tiny_cfg.train.eps)
     step1 = TR.Checkpoint(
         params=model.store.copy_values(), bn_state=model.bn_state_arrays(), epoch=1, val_mmse=0.0
     )
@@ -532,7 +581,7 @@ def test_snapshots_share_frozen_params_and_copy_trainable_ones(tiny_cfg, tiny_da
     before = {name: (result.best.params[name].copy(), final.params[name].copy()) for name in trainable}
     for name in trainable:
         store[name].grad[...] = 1.0
-    adam_step(store, 1e-2)
+    adam_step(store, 1e-2, tiny_cfg.train.beta1, tiny_cfg.train.beta2, tiny_cfg.train.eps)
     for name in trainable:
         np.testing.assert_array_equal(result.best.params[name], before[name][0])
         np.testing.assert_array_equal(final.params[name], before[name][1])
@@ -583,7 +632,7 @@ def test_evaluate_denormalizes_when_configured(toy_cfg, tiny_dataset):
 
 def test_baseline_requires_samples(toy_cfg):
     with pytest.raises(ValueError):
-        TR.baseline_all_zeros([], toy_cfg.grid)
+        TR.baseline_all_zeros([], toy_cfg.grid, toy_cfg.train.band, toy_cfg.train.alpha)
 
 
 def test_eval_report_text_round_trip():
@@ -643,6 +692,18 @@ def test_load_dataset_round_trips_export(tmp_path, toy_cfg):
         for name in MODALITIES:
             np.testing.assert_array_equal(got.modality(name), exp.modality(name))
         np.testing.assert_array_equal(got.target.data, exp.target.data)
+
+
+@pytest.mark.parametrize("scenario", ["overall", "baseline_zeros", "ablation_no_fusion", "a\tb"])
+def test_load_dataset_rejects_a_scenario_the_report_cannot_hold(tmp_path, toy_cfg, scenario):
+    # a report line per scenario: "overall" would overwrite the overall line, a tab split its key
+    prof = PROFILES["plaza_day"]
+    radar = replace(toy_cfg.radar, noise_sigma=prof.noise_sigma)
+    for i, name in enumerate((prof.name, scenario)):
+        export_sample(generate_scene(7 + i, prof), toy_cfg.grid, radar, toy_cfg.cam_width, toy_cfg.cam_height,
+                      tmp_path / f"sample_{i:06d}", seed=7 + i, scenario=name)
+    with pytest.raises(formats.MalformedFileError, match="sample_000001"):
+        TR.load_dataset(tmp_path, toy_cfg.grid)
 
 
 def test_load_dataset_rejects_empty_dir(tmp_path, toy_cfg):
