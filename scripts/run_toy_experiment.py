@@ -3,10 +3,11 @@
 Runs the CLI's `synth`, `train` and `eval` stages on the toy config (with
 the given epochs and seed), keeping the samples in a temporary directory,
 and leaves the checkpoint, loss history, and evaluation report under --out.
-With --ablation it also trains and evaluates the no-fusion variant in the
-temporary directory and adds its overall MMSE to the report.  With default
-arguments this is the same configuration the acceptance suite exercises,
-finishing in a couple of minutes on one core.
+With --ablation it also trains and evaluates the no-fusion variant, the
+same config with `model.fusion_bypass = true`, in the temporary directory
+and adds its overall MMSE to the report.  With default arguments this is
+the same configuration the acceptance suite exercises, finishing in a
+couple of minutes on one core.
 """
 
 import argparse
@@ -34,16 +35,13 @@ def main(argv=None) -> int:
                     help="also train the no-fusion variant and compare")
     args = ap.parse_args(argv)
 
-    cfg = configmod.toy_config(overrides={
-        "train.epochs": str(args.epochs),
-        "train.seed": str(args.seed),
-    })
+    overrides = {"train.epochs": str(args.epochs), "train.seed": str(args.seed)}
     out = Path(args.out)
     ckpt, report_path = out / "model.lsck", out / "report.txt"
 
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, data, nofusion = Path(tmp) / "toy.cfg", Path(tmp) / "data", Path(tmp) / "nofusion"
-        cfg_path.write_text(configmod.config_text(cfg), encoding="utf-8")
+        cfg_path.write_text(configmod.config_text(configmod.toy_config(overrides)), encoding="utf-8")
         stages = [
             ("dataset", ["synth", "--out", data, "--num", args.samples, "--profile", args.profile,
                          "--seed", args.seed, "--config", cfg_path]),
@@ -51,9 +49,14 @@ def main(argv=None) -> int:
             ("evaluation", ["eval", "--data", data, "--ckpt", ckpt, "--report", report_path]),
         ]
         if args.ablation:
+            nofusion_cfg = Path(tmp) / "nofusion.cfg"
+            nofusion_cfg.write_text(
+                configmod.config_text(configmod.toy_config({**overrides, "model.fusion_bypass": "true"})),
+                encoding="utf-8",
+            )
             stages += [
-                ("no-fusion training", ["train", "--data", data, "--config", cfg_path,
-                                        "--out", nofusion / "model.lsck", "--ablation", "no-fusion"]),
+                ("no-fusion training", ["train", "--data", data, "--config", nofusion_cfg,
+                                        "--out", nofusion / "model.lsck"]),
                 ("no-fusion evaluation", ["eval", "--data", data, "--ckpt", nofusion / "model.lsck",
                                           "--report", nofusion / "report.txt"]),
             ]

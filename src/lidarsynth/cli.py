@@ -55,6 +55,8 @@ def _load_config(path: str | None) -> configmod.AppConfig:
 def cmd_synth(args) -> int:
     if args.num < 1:
         raise UsageError(f"--num must be at least 1, got {args.num}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     cfg = _load_config(args.config)
     plan = plan_scenes(args.num, args.profile, cfg.radar, args.seed)  # rejects an unknown profile
     out = Path(args.out)
@@ -102,10 +104,7 @@ def cmd_derasterize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
-    if args.ablation == "no-fusion":
-        text += "\nmodel.fusion_bypass = true\n"
-    cfg = configmod.parse_config(text)
+    cfg = _load_config(args.config)
     dataset = training.load_dataset(args.data, cfg.grid)
     result = training.train(dataset, cfg.model, cfg.train, cfg.split)
     out = Path(args.out)
@@ -191,7 +190,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ablation", choices=["no-fusion"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")

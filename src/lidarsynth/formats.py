@@ -27,7 +27,6 @@ __all__ = [
     "MalformedFileError",
     "write_lstf",
     "read_lstf",
-    "lstf_from_bytes",
     "write_lsck",
     "read_lsck",
     "write_lspc",
@@ -84,9 +83,8 @@ def _remaining(f) -> int:
     return end - pos
 
 
-def lstf_from_bytes(f) -> np.ndarray:
-    if isinstance(f, (bytes, bytearray)):
-        f = io.BytesIO(f)
+def _read_lstf_record(f) -> np.ndarray:
+    """Read one LSTF record from an open binary file, leaving it just past the payload."""
     magic = _read_exact(f, 4, "magic")
     if magic != LSTF_MAGIC:
         raise MalformedFileError(f"bad magic {magic!r}, expected LSTF")
@@ -117,7 +115,7 @@ def write_lstf(path, arr: np.ndarray) -> None:
 
 def read_lstf(path) -> np.ndarray:
     with open(path, "rb") as f:
-        arr = lstf_from_bytes(f)
+        arr = _read_lstf_record(f)
         if f.read(1):
             raise MalformedFileError("trailing bytes after LSTF payload")
     return arr
@@ -174,7 +172,7 @@ def read_lsck(path) -> tuple[str, dict[str, np.ndarray]]:
             name = _decode(_read_exact(f, name_len, "name"), "tensor name")
             if name in tensors:
                 raise MalformedFileError(f"duplicate tensor name {name!r}")
-            tensors[name] = lstf_from_bytes(f)
+            tensors[name] = _read_lstf_record(f)
         if f.read(1):
             raise MalformedFileError("trailing bytes after LSCK payload")
     return config_text, tensors

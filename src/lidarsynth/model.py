@@ -67,6 +67,8 @@ class EncoderConfig:
         h, w = self.image_size
         if h < 1 or w < 1:
             raise ValueError("image dims must be positive")
+        if self.patch_size < 1 or self.n_heads < 1:
+            raise ValueError(f"patch_size {self.patch_size} and n_heads {self.n_heads} must be at least 1")
         if h % self.patch_size or w % self.patch_size:
             raise ValueError(
                 f"image size {self.image_size} not divisible by patch {self.patch_size}"
@@ -98,6 +100,8 @@ class FusionConfig:
     latent_dim: int = 1024
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads {self.n_heads} must be at least 1")
         if EMBED_DIM % self.n_heads:
             raise ValueError(f"width {EMBED_DIM} not divisible by {self.n_heads} heads")
         if not 0.0 <= self.dropout < 1.0:
@@ -135,6 +139,8 @@ class ModelConfig:
     fusion_bypass: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
         if self.grid.n_cols % UPSCALE or self.grid.n_rows % UPSCALE:
             raise ValueError(
                 f"grid {self.grid.n_cols} cols x {self.grid.n_rows} rows is not a multiple of "

@@ -8,8 +8,10 @@ are summed (shared subexpressions meet there).  An interior node's gradient
 is freed once its closure has consumed it; only leaves keep theirs, in
 ``Tensor.grad``.
 
-Parameters and activations are float32 by default; every op also works in
-float64 so finite-difference oracles can run at full precision.
+Every op takes Tensor operands and coerces nothing; a constant enters the
+graph as ``Tensor(...)``.  Parameters and activations are float32 by
+default; every op also works in float64 so finite-difference oracles can
+run at full precision.
 """
 
 from __future__ import annotations
@@ -159,12 +161,6 @@ class Tensor:
         return _getitem(self, key)
 
 
-def _as_tensor(x, dtype=np.float32) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -178,7 +174,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data + b.data
 
     def backward(g):
@@ -189,7 +184,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data - b.data
 
     def backward(g):
@@ -200,7 +194,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data * b.data
 
     def backward(g):
@@ -218,7 +211,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     small GEMM per leading index; its weight gradient is one [D, M] @ [M, O]
     product, with no [..., D, O] stack to sum down.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim >= 2 and b.ndim == 2:
         a2 = a.data.reshape(-1, a.shape[-1])
         out_data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
@@ -243,7 +235,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
     shape = tuple(shape)
     out_data = x.data.reshape(shape)
 
@@ -254,7 +245,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
     out_data = np.transpose(x.data, axes)
     inv = tuple(np.argsort(axes))
 
@@ -277,19 +267,19 @@ def _getitem(x: Tensor, key) -> Tensor:
 
 def concat(tensors: Iterable[Tensor]) -> Tensor:
     """Join [N, K_i, ...] tensors along axis 1 into [N, sum K_i, ...]."""
-    ts = [_as_tensor(t) for t in tensors]
+    ts = tuple(tensors)
     out_data = np.concatenate([t.data for t in ts], axis=1)
     offsets = np.cumsum([0] + [t.shape[1] for t in ts])
 
     def backward(g):
         return [g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
-    return _make(out_data, tuple(ts), backward)
+    return _make(out_data, ts, backward)
 
 
 def stack(tensors: Iterable[Tensor]) -> Tensor:
     """Stack [N, ...] tensors along a new axis 1 into [N, K, ...]."""
-    return concat([reshape(t, t.shape[:1] + (1,) + t.shape[1:]) for t in map(_as_tensor, tensors)])
+    return concat([reshape(t, t.shape[:1] + (1,) + t.shape[1:]) for t in tensors])
 
 
 # -- reductions --------------------------------------------------------------
@@ -297,7 +287,6 @@ def stack(tensors: Iterable[Tensor]) -> Tensor:
 
 def tensor_sum(x: Tensor) -> Tensor:
     """The sum of every element, as a 0-d tensor."""
-    x = _as_tensor(x)
     out_data = x.data.sum()
 
     def backward(g):
@@ -308,15 +297,13 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 def mean(x: Tensor) -> Tensor:
     """The mean of every element, as a 0-d tensor."""
-    x = _as_tensor(x)
-    return mul(tensor_sum(x), _as_tensor(1.0 / x.size, x.dtype))
+    return mul(tensor_sum(x), Tensor(np.asarray(1.0 / x.size, dtype=x.dtype)))
 
 
 # -- nonlinearities ----------------------------------------------------------
 
 
 def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     out_data = np.maximum(x.data, 0)
 
     def backward(g):
@@ -327,7 +314,6 @@ def relu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Rows along the last axis sum to one; max-subtraction keeps exp() in range."""
-    x = _as_tensor(x)
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -346,7 +332,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    x = _as_tensor(x)
     if rng is None or p == 0.0:
         return x
     keep = (rng.random(x.shape) >= p).astype(x.dtype)
@@ -364,7 +349,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """y = x @ weight + bias, for x of shape [..., I], weight [I, O] and bias [O]."""
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.shape[-1] != weight.shape[0]:
         raise ValueError(f"linear: input dim {x.shape[-1]} vs weight rows {weight.shape[0]}")
     if bias.shape != (weight.shape[1],):
@@ -406,7 +390,6 @@ def _normalize(x: Tensor, gain: Tensor, bias: Tensor, axes: tuple[int, ...], par
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     return _normalize(x, gain, bias, (-1,), gain.shape)[0]
 
 
@@ -420,7 +403,6 @@ def batch_norm2d(
     pass normalizes with those arrays instead and returns a constant: no
     gradient flows back through it.
     """
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.ndim != 4:
         raise ValueError(f"batch_norm2d expects [N, C, H, W], got shape {x.shape}")
     n, c, h, w = x.shape
@@ -472,7 +454,6 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     phase is a sum of four shifted tap planes, so both directions work on
     [H, W] planes with unit-stride shifted slices.
     """
-    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"conv_transpose2d expects [N, C, H, W], got shape {x.shape}")
@@ -570,7 +551,6 @@ def multi_head_self_attention(
     2 T D^2 per sample.  Softmax cancels the ``q_h . bk_h`` offset; it is
     kept so ``bk`` still gets its (zero) gradient.
     """
-    x = _as_tensor(x)
     if x.ndim != 3:
         raise ValueError(f"multi_head_self_attention expects [N, T, D], got shape {x.shape}")
     n, t, d = x.shape
@@ -580,7 +560,7 @@ def multi_head_self_attention(
     if not 1 <= nq <= t:
         raise ValueError(f"n_queries {n_queries} outside [1, {t}]")
     dh = d // n_heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = Tensor(np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype))
 
     if nq == t:
         def split_heads(y: Tensor) -> Tensor:
@@ -589,7 +569,7 @@ def multi_head_self_attention(
         q = split_heads(linear(x, params.wq, params.bq))
         k = split_heads(linear(x, params.wk, params.bk))
         v = split_heads(linear(x, params.wv, params.bv))
-        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), _as_tensor(scale, x.dtype))
+        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
         attn = softmax(scores)
         ctx = transpose(matmul(attn, v), (0, 2, 1, 3))  # [N, nq, heads, dh]
     else:
@@ -603,7 +583,7 @@ def multi_head_self_attention(
         qk = reshape(transpose(reshape(qk, (n_heads, n, nq, d)), (1, 0, 2, 3)), (n, n_heads * nq, d))
         offset = transpose(reshape(matmul(q, bk), (n_heads, n, nq, 1)), (1, 0, 2, 3))
         scores = add(reshape(matmul(qk, transpose(x, (0, 2, 1))), (n, n_heads, nq, t)), offset)
-        attn = softmax(mul(scores, _as_tensor(scale, x.dtype)))
+        attn = softmax(mul(scores, scale))
         ax = matmul(reshape(attn, (n, n_heads * nq, t)), x)  # [N, heads*nq, D]
         ax = reshape(transpose(reshape(ax, (n, n_heads, nq, d)), (1, 0, 2, 3)), (n_heads, n * nq, d))
         wv = transpose(reshape(params.wv, (d, n_heads, dh)), (1, 0, 2))  # Wv_h, [heads, D, dh]

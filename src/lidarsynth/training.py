@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +109,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 2 (batch norm)")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
         if self.band[0] >= self.band[1]:
             raise ValueError(f"empty weight band {self.band}")
         if self.alpha <= 0.0:
@@ -319,7 +321,7 @@ def train(
     dataset: list[Sample],
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    split_spec: SplitSpec = SplitSpec(),
+    split_spec: SplitSpec,
 ) -> TrainResult:
     """Mini-batch Adam on the band-weighted loss; returns the best state and the final model.
 
@@ -392,13 +394,13 @@ def write_history(path, history: list[EpochStats]) -> None:
 # -- evaluation ---------------------------------------------------------------
 
 
-# the keys of EvalReport's own lines, which no scenario may take
-_REPORT_KEYS = ("overall", "baseline_zeros", "ablation_no_fusion")
-
-
 @dataclass
 class EvalReport:
-    """Per-scenario and overall MMSE, with the all-zeros baseline attached."""
+    """Per-scenario and overall MMSE, with the all-zeros baseline attached.
+
+    Every field past ``per_scenario`` is one named report line (see
+    _REPORT_KEYS); an optional line is left out while its field is None.
+    """
 
     per_scenario: dict[str, float]
     overall: float
@@ -407,34 +409,32 @@ class EvalReport:
 
     def to_text(self) -> str:
         lines = [f"{sid}\t{v:.6f}" for sid, v in self.per_scenario.items()]
-        lines.append(f"overall\t{self.overall:.6f}")
-        lines.append(f"baseline_zeros\t{self.baseline_zeros:.6f}")
-        if self.ablation_no_fusion is not None:
-            lines.append(f"ablation_no_fusion\t{self.ablation_no_fusion:.6f}")
+        for key in _REPORT_KEYS:
+            value = getattr(self, key)
+            if value is not None:
+                lines.append(f"{key}\t{value:.6f}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "EvalReport":
-        per: dict[str, float] = {}
-        overall = baseline = ablation = None
+        table: dict[str, float] = {}
         for line in text.splitlines():
             if not line.strip():
                 continue
             key, _, value = line.partition("\t")
             if not value:
                 raise ValueError(f"malformed report line {line!r}")
-            v = float(value)
-            if key == "overall":
-                overall = v
-            elif key == "baseline_zeros":
-                baseline = v
-            elif key == "ablation_no_fusion":
-                ablation = v
-            else:
-                per[key] = v
-        if overall is None or baseline is None:
+            if key in table:
+                raise ValueError(f"repeated report line {key!r}")
+            table[key] = float(value)
+        named = {key: table.pop(key) for key in _REPORT_KEYS if key in table}
+        if "overall" not in named or "baseline_zeros" not in named:
             raise ValueError("report missing overall or baseline_zeros line")
-        return cls(per, overall, baseline, ablation)
+        return cls(table, **named)
+
+
+# the keys of EvalReport's own lines, in report order, which no scenario may take
+_REPORT_KEYS = tuple(f.name for f in fields(EvalReport) if f.name != "per_scenario")
 
 
 def model_from_checkpoint(model_cfg: ModelConfig, ckpt: Checkpoint) -> Model:

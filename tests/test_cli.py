@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import shlex
 import shutil
 from pathlib import Path
 
@@ -49,6 +50,22 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 def test_bad_flag_value_is_usage_error(tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path), "--num", "lots"]) == cli.EXIT_USAGE
+
+
+def _readme_cli_lines() -> list[str]:
+    """Every line of README.md's fenced blocks that starts with `lidarsynth `."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    return [line for block in blocks for line in block.splitlines() if line.startswith("lidarsynth ")]
+
+
+def test_readme_shows_cli_lines():
+    assert len(_readme_cli_lines()) >= 8
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    cli.build_parser().parse_args(shlex.split(line)[1:])  # a UsageError fails the test
 
 
 # -- synth --------------------------------------------------------------------------
@@ -129,6 +146,23 @@ def test_synth_into_a_directory_with_samples_is_bad_input(tmp_path, workspace):
 def test_synth_count_below_one_is_usage_error(tmp_path, num):
     out = tmp_path / "x"
     assert cli.main(["synth", "--out", str(out), "--num", num]) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_synth_negative_seed_is_usage_error_and_creates_no_directory(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert cli.main(["synth", "--out", str(out), "--num", "2", "--seed", "-1"]) == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["fusion.n_heads = 0", "encoder.depth.patch_size = 0"])
+def test_synth_config_with_a_zero_head_count_or_patch_size_is_bad_input(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert cli.main(["synth", "--out", str(out), "--num", "1", "--config", str(cfg)]) == cli.EXIT_BAD_INPUT
+    assert "line 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -349,10 +383,15 @@ def test_train_empty_validation_split_is_bad_input(workspace, tmp_path):
 
 
 def test_train_ablation_bypasses_fusion(workspace, tmp_path):
+    # the no-fusion variant is chosen by its config key alone
     ckpt = tmp_path / "ablation.lsck"
+    assert cli.main(["train", "--data", str(workspace["data"]), "--config", str(workspace["cfg"]),
+                     "--out", str(ckpt), "--ablation", "no-fusion"]) == cli.EXIT_USAGE
+    nofusion = tmp_path / "nofusion.cfg"
+    nofusion.write_text(workspace["cfg"].read_text(encoding="utf-8") + "model.fusion_bypass = true\n",
+                        encoding="utf-8")
     assert cli.main(["train", "--data", str(workspace["data"]), "--config",
-                     str(workspace["cfg"]), "--out", str(ckpt),
-                     "--ablation", "no-fusion"]) == cli.EXIT_OK
+                     str(nofusion), "--out", str(ckpt)]) == cli.EXIT_OK
     cfg_text, loaded, _ = TR.load_checkpoint(ckpt)
     assert C.parse_config(cfg_text).model.fusion_bypass is True
     fusion_keys = [k for k in loaded.params if k.startswith("fusion.")]

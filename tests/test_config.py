@@ -80,6 +80,13 @@ def test_bad_value_names_its_line_even_when_the_key_repeats():
         ("grid.theta = -180:180:0.7", "grid"),
         ("grid.theta = 0:360:2.25", "grid"),
         ("grid.phi_regions = -95:-5:2.5;-5:5:0.125;5:61:2", "grid"),
+        ("fusion.n_heads = 0", "fusion"),
+        ("encoder.camera.n_heads = 0", "encoder.camera"),
+        ("encoder.camera.n_heads = -12", "encoder.camera"),
+        ("encoder.depth.patch_size = 0", "encoder.depth"),
+        ("encoder.camera.patch_size = -16", "encoder.camera"),
+        ("model.seed = -1", "model"),
+        ("train.seed = -1", "train"),
     ],
 )
 def test_failed_dataclass_check_names_its_section_and_lines(line, section):
@@ -305,7 +312,7 @@ def test_every_dataclass_field_has_a_registry_key(prefix, cls):
 
 
 def test_registry_defaults_match_dataclass_defaults():
-    # split(), train() and the baselines fall back on dataclass defaults, so the
+    # split() falls back on SplitSpec's defaults and the dataclasses state the documented ones, so the
     # registry must not keep a second, different copy of them
     cfg = C.default_config()
     assert cfg.train == TrainConfig()

@@ -1,5 +1,6 @@
 """On-disk containers: lossless round trips and strict malformed-input rejection."""
 
+import io
 import os
 import struct
 import tempfile
@@ -23,7 +24,7 @@ from lidarsynth import formats as F
 def test_lstf_round_trip_any_rank(dims, seed):
     arr = np.random.default_rng(seed).standard_normal(dims).astype(np.float32)
     blob = lstf_bytes(arr)
-    back = F.lstf_from_bytes(blob)
+    back = F._read_lstf_record(io.BytesIO(blob))
     assert back.dtype == np.float32
     np.testing.assert_array_equal(back, arr)
 
@@ -48,12 +49,12 @@ def test_lstf_header_layout():
 def test_lstf_rejects_bad_magic_version_and_truncation():
     blob = bytearray(lstf_bytes(np.ones(4, dtype=np.float32)))
     with pytest.raises(F.MalformedFileError):
-        F.lstf_from_bytes(bytes(b"XXXX") + bytes(blob[4:]))
+        F._read_lstf_record(io.BytesIO(bytes(b"XXXX") + bytes(blob[4:])))
     bad_version = bytes(blob[:4]) + b"\x09" + bytes(blob[5:])
     with pytest.raises(F.MalformedFileError):
-        F.lstf_from_bytes(bad_version)
+        F._read_lstf_record(io.BytesIO(bad_version))
     with pytest.raises(F.MalformedFileError):
-        F.lstf_from_bytes(bytes(blob[:-3]))
+        F._read_lstf_record(io.BytesIO(bytes(blob[:-3])))
 
 
 def test_lstf_rejects_trailing_bytes_at_top_level(tmp_path):
@@ -72,7 +73,7 @@ def test_lstf_rejects_huge_dims_before_allocating(tmp_path):
     # 2**31 x 2**31 float32 would be 16 EiB; the size check must fire first
     blob = b"LSTF" + struct.pack("<BB2I", 1, 2, 2**31, 2**31) + bytes(16)
     with pytest.raises(F.MalformedFileError):
-        F.lstf_from_bytes(blob)
+        F._read_lstf_record(io.BytesIO(blob))
     path = tmp_path / "huge.lstf"
     path.write_bytes(blob)
     with pytest.raises(F.MalformedFileError):

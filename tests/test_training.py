@@ -654,6 +654,13 @@ def test_eval_report_rejects_malformed_text():
         TR.EvalReport.from_text("overall without tab\n")
 
 
+@pytest.mark.parametrize("key", ["overall", "a"])
+def test_eval_report_rejects_a_repeated_line(key):
+    text = "a\t1\noverall\t2\nbaseline_zeros\t3\n" + f"{key}\t9\n"
+    with pytest.raises(ValueError, match=f"repeated report line '{key}'"):
+        TR.EvalReport.from_text(text)
+
+
 # -- dataset assembly ---------------------------------------------------------------
 
 
