@@ -22,7 +22,7 @@ from lidarsynth.model import (
     ModelConfig,
 )
 from lidarsynth.synthgen import RadarParams
-from lidarsynth.training import SplitSpec, TrainConfig
+from lidarsynth.training import SplitSpec, TrainConfig, weight_mask
 
 __all__ = [
     "AppConfig",
@@ -241,7 +241,7 @@ def _build(values: dict[str, str], lines: dict[str, int] | None = None) -> AppCo
     theta_lo, theta_hi, theta_step = typed.pop("grid.theta")
 
     def checked(cls, section: str, *feeds: str, **fields):
-        """`cls` built from `section`'s keys; a failed check names the section and the
+        """`cls` called with `section`'s keys; a failed check names the section and the
         text lines that set its keys or the `feeds` keys."""
         try:
             return cls(**_section(typed, section), **fields)
@@ -266,15 +266,18 @@ def _build(values: dict[str, str], lines: dict[str, int] | None = None) -> AppCo
     }
     model = checked(
         ModelConfig, "model", "grid",
-        **encoders, fusion=checked(FusionConfig, "fusion"), decoder=checked(DecoderConfig, "decoder"), grid=grid,
+        encoders=encoders, fusion=checked(FusionConfig, "fusion"), decoder=checked(DecoderConfig, "decoder"), grid=grid,
     )
+    train = checked(TrainConfig, "train")
+    # the loss band must weight some grid row; training's own weight_mask checks it here, at parse time
+    checked(weight_mask, "train.band", "grid", grid=grid, band=train.band, alpha=train.alpha)
     return AppConfig(
         grid=grid,
         radar=radar,
         cam_width=cam_w,
         cam_height=cam_h,
         model=model,
-        train=checked(TrainConfig, "train"),
+        train=train,
         split=checked(SplitSpec, "split"),
         raw=dict(values),
     )

@@ -75,8 +75,8 @@ class EncoderConfig:
             )
         if self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
-        if self.depth < 0:
-            raise ValueError("depth must be non-negative")
+        if self.depth < 1:
+            raise ValueError(f"depth {self.depth} must be at least 1, or the class token never sees the image")
         if self.ffn_dim < 1:
             raise ValueError("ffn_dim must be positive")
 
@@ -128,10 +128,7 @@ class DecoderConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    camera: EncoderConfig
-    depth: EncoderConfig
-    range_angle: EncoderConfig
-    range_velocity: EncoderConfig
+    encoders: dict[str, EncoderConfig]  # one per MODALITIES name
     fusion: FusionConfig = field(default_factory=FusionConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     grid: GridSpec = field(default_factory=GridSpec)
@@ -139,6 +136,8 @@ class ModelConfig:
     fusion_bypass: bool = False
 
     def __post_init__(self):
+        if set(self.encoders) != set(MODALITIES):
+            raise ValueError(f"encoders {sorted(self.encoders)} are not one per modality {MODALITIES}")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be non-negative")
         if self.grid.n_cols % UPSCALE or self.grid.n_rows % UPSCALE:
@@ -151,11 +150,6 @@ class ModelConfig:
     def seed_shape(self) -> tuple[int, int]:
         """Decoder seed map dims: height along azimuth (columns), width along elevation (rows)."""
         return (self.grid.n_cols // UPSCALE, self.grid.n_rows // UPSCALE)
-
-    def encoder(self, name: str) -> EncoderConfig:
-        if name not in MODALITIES:
-            raise KeyError(f"unknown modality {name!r}")
-        return getattr(self, name)
 
 
 # -- parameter enumeration ----------------------------------------------------
@@ -213,7 +207,7 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
     """Every parameter's (name, shape, init kind, trainable), in creation order."""
     shapes: list[tuple[str, tuple, str, bool]] = []
     for name in MODALITIES:
-        shapes.extend(_encoder_shapes(name, cfg.encoder(name)))
+        shapes.extend(_encoder_shapes(name, cfg.encoders[name]))
 
     f = cfg.fusion
     d = EMBED_DIM
@@ -357,7 +351,7 @@ class Model:
         to every token without forming their keys and values (see
         ``tensor.multi_head_self_attention``).
         """
-        cfg = self.cfg.encoder(name)
+        cfg = self.cfg.encoders[name]
         s = self.store
         x = T.linear(Tensor(_patchify(images, cfg)), s[f"{name}.patch_embed.weight"], s[f"{name}.patch_embed.bias"])
         b = x.shape[0]

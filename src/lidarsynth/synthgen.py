@@ -50,6 +50,7 @@ __all__ = [
     "simulate_radar",
     "build_sample",
     "export_sample",
+    "read_sample",
     "SAMPLE_FILES",
 ]
 
@@ -60,15 +61,10 @@ FALLOFF_SCALE = 25.0
 BACKGROUND_SHADE = 0.15
 _EPS = 1e-9
 
-SAMPLE_FILES = (
-    "camera.lstf",
-    "depth.lstf",
-    "radar_cube.lstf",
-    "range_angle.lstf",
-    "range_velocity.lstf",
-    "target_raster.lstf",
-    "meta.txt",
-)
+# the arrays of a sample, in build_sample's order; a sample directory holds
+# each as <name>.lstf, plus meta.txt
+_SAMPLE_ARRAYS = ("camera", "depth", "radar_cube", "range_angle", "range_velocity", "target_raster")
+SAMPLE_FILES = tuple(f"{name}.lstf" for name in _SAMPLE_ARRAYS) + ("meta.txt",)
 
 
 @dataclass(frozen=True)
@@ -438,24 +434,21 @@ def simulate_radar(scene: Scene, radar: RadarParams, seed: int) -> RadarCube:
     The phase is a sum of three 1-D terms, so each tone is the separable
     product A * e(f_a*k) * e(f_r*n) * e(f_v*m) with e(x) = exp(2*pi*i*x):
     only n_rx + n_samples + n_chirps exponentials per primitive, and one
-    [n_rx*n_samples, P] @ [P, n_chirps] product sums the P tones.  A scene
-    without primitives is an exact zero cube before noise.
+    [n_rx*n_samples, P] @ [P, n_chirps] product sums the P tones.  For a scene
+    without primitives (P = 0) that product is an exact zero cube before noise.
     """
     n_rx, n_samples, n_chirps = radar.n_rx, radar.n_samples, radar.n_chirps
     prims = scene.primitives
-    if prims:
-        x, y, z = np.array([p.center for p in prims], dtype=np.float64).T
-        amp = np.array([p.reflectivity for p in prims], dtype=np.float64)
-        f_r = np.sqrt(x * x + y * y + z * z) / radar.r_max
-        f_a = 0.5 * np.sin(np.arctan2(y, x))
-        f_v = np.array([p.radial_velocity for p in prims], dtype=np.float64) / radar.v_max
-        tone_k = np.exp(2j * np.pi * np.outer(f_a, np.arange(n_rx)))  # [P, n_rx]
-        tone_n = np.exp(2j * np.pi * np.outer(f_r, np.arange(n_samples)))  # [P, n_samples]
-        tone_m = np.exp(2j * np.pi * np.outer(f_v, np.arange(n_chirps)))  # [P, n_chirps]
-        rx_range = (amp[:, None, None] * tone_k[:, :, None] * tone_n[:, None, :]).reshape(len(prims), -1)
-        cube = (rx_range.T @ tone_m).reshape(n_rx, n_samples, n_chirps)
-    else:
-        cube = np.zeros((n_rx, n_samples, n_chirps), dtype=np.complex128)
+    x, y, z = np.array([p.center for p in prims], dtype=np.float64).reshape(len(prims), 3).T
+    amp = np.array([p.reflectivity for p in prims], dtype=np.float64)
+    f_r = np.sqrt(x * x + y * y + z * z) / radar.r_max
+    f_a = 0.5 * np.sin(np.arctan2(y, x))
+    f_v = np.array([p.radial_velocity for p in prims], dtype=np.float64) / radar.v_max
+    tone_k = np.exp(2j * np.pi * np.outer(f_a, np.arange(n_rx)))  # [P, n_rx]
+    tone_n = np.exp(2j * np.pi * np.outer(f_r, np.arange(n_samples)))  # [P, n_samples]
+    tone_m = np.exp(2j * np.pi * np.outer(f_v, np.arange(n_chirps)))  # [P, n_chirps]
+    rx_range = (amp[:, None, None] * tone_k[:, :, None] * tone_n[:, None, :]).reshape(len(prims), n_rx * n_samples)
+    cube = (rx_range.T @ tone_m).reshape(n_rx, n_samples, n_chirps)
     if radar.noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         scale = radar.noise_sigma / math.sqrt(2.0)
@@ -498,7 +491,7 @@ def export_sample(
     seed: int,
     scenario: str,
 ) -> None:
-    """Write one sample directory: five LSTF arrays plus meta.txt."""
+    """Write one sample directory: its SAMPLE_FILES, six LSTF arrays plus meta.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     arrays = build_sample(scene, grid, radar, cam_width, cam_height, seed)
@@ -513,3 +506,21 @@ def export_sample(
         f"noise_sigma={radar.noise_sigma!r}",
     ]
     (out / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
+
+
+def read_sample(sample_dir, names) -> tuple[dict[str, np.ndarray], str]:
+    """The named arrays of a directory ``export_sample`` wrote, and the scenario its meta.txt names once.
+
+    A non-finite array value raises MalformedFileError naming its file.
+    """
+    d = Path(sample_dir)
+    arrays = {name: formats.read_lstf(d / f"{name}.lstf") for name in names}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise formats.MalformedFileError(f"{d / name}.lstf holds a non-finite value")
+    meta = d / "meta.txt"
+    lines = (line.partition("=") for line in meta.read_text(encoding="utf-8").splitlines())
+    scenarios = [value.strip() for key, _, value in lines if key.strip() == "scenario"]
+    if len(scenarios) != 1:
+        raise formats.MalformedFileError(f"{meta}: {len(scenarios)} scenario lines, want 1")
+    return arrays, scenarios[0]

@@ -23,6 +23,7 @@ from lidarsynth import tensor as T
 from lidarsynth.geometry import GridSpec, PolarRaster
 from lidarsynth.model import EMBED_DIM, MODALITIES, Model, ModelConfig, _param_shapes
 from lidarsynth.optim import ParamStore, adam_step
+from lidarsynth.synthgen import read_sample
 from lidarsynth.tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -56,23 +57,12 @@ __all__ = [
 class Sample:
     """One aligned multimodal observation with its LiDAR target."""
 
-    camera: np.ndarray
-    depth: np.ndarray
-    range_angle: np.ndarray
-    range_velocity: np.ndarray
+    inputs: dict[str, np.ndarray]  # the model inputs, one per MODALITIES name
     target: PolarRaster
     scenario_id: str
 
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], grid: GridSpec, scenario_id: str) -> "Sample":
-        """A sample from arrays keyed as ``synthgen.build_sample`` keys them."""
-        target = PolarRaster(grid=grid, data=arrays["target_raster"])
-        return cls(**{name: arrays[name] for name in MODALITIES}, target=target, scenario_id=scenario_id)
-
     def modality(self, name: str) -> np.ndarray:
-        if name not in MODALITIES:
-            raise KeyError(f"unknown modality {name!r}")
-        return getattr(self, name)
+        return self.inputs[name]
 
 
 @dataclass(frozen=True)
@@ -132,14 +122,20 @@ def lr_for_epoch(cfg: TrainConfig, epoch: int) -> float:
 
 
 def weight_mask(grid: GridSpec, band: tuple[float, float], alpha: float) -> np.ndarray:
-    """Per-row weights: alpha where the row's elevation center falls in [lo, hi)."""
+    """Per-row weights: alpha where the row's elevation center falls in [lo, hi).
+
+    A band outside the grid's span, or one that holds no row center, raises ValueError.
+    """
     lo, hi = band
     if lo >= hi:
         raise ValueError(f"empty band {band}")
     if lo < grid.phi_lo or hi > grid.phi_hi:
         raise ValueError(f"band {band} outside grid span [{grid.phi_lo}, {grid.phi_hi})")
     centers = grid.row_centers()
-    return np.where((centers >= lo) & (centers < hi), alpha, 1.0).astype(np.float32)
+    inside = (centers >= lo) & (centers < hi)
+    if not inside.any():
+        raise ValueError(f"band {band} holds no row center of the grid")
+    return np.where(inside, alpha, 1.0).astype(np.float32)
 
 
 def mmse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -480,9 +476,10 @@ def load_checkpoint(path) -> tuple[str, Checkpoint, dict[str, np.ndarray]]:
     config_text, tensors = formats.read_lsck(path)
     adam = {k[len(formats.ADAM_PREFIX):]: v for k, v in tensors.items() if k.startswith(formats.ADAM_PREFIX)}
     meta = tensors.get(_META_NAME)
-    if meta is not None and meta.shape != (2,):
-        raise formats.MalformedFileError(f"{_META_NAME} must hold (epoch, val_mmse), got shape {meta.shape}")
-    epoch, val = (int(meta[0]), float(meta[1])) if meta is not None else (0, float("nan"))
+    if meta is None or meta.shape != (2,):
+        got = "none" if meta is None else f"shape {meta.shape}"
+        raise formats.MalformedFileError(f"{_META_NAME} must hold (epoch, val_mmse), got {got}")
+    epoch, val = int(meta[0]), float(meta[1])
     params: dict[str, np.ndarray] = {}
     bn: dict[str, np.ndarray] = {}
     for name, arr in tensors.items():
@@ -536,27 +533,16 @@ def baseline_all_zeros(samples: list[Sample], grid: GridSpec, band: tuple[float,
 
 
 def load_dataset(root, grid: GridSpec) -> list[Sample]:
-    """Read sample_* directories (LSTF arrays plus meta.txt) under root."""
+    """The sample_* directories under root, each read by ``synthgen.read_sample``."""
     root = Path(root)
     dirs = sorted(p for p in root.iterdir() if p.is_dir() and p.name.startswith("sample_"))
     if not dirs:
         raise ValueError(f"no sample_* directories under {root}")
     samples = []
     for d in dirs:
-        arrays = {}
-        for name in MODALITIES + ("target_raster",):
-            path = d / f"{name}.lstf"
-            if not path.exists():
-                raise formats.MalformedFileError(f"missing {path}")
-            arrays[name] = formats.read_lstf(path)
-        scenario = ""
-        meta_path = d / "meta.txt"
-        if meta_path.exists():
-            for line in meta_path.read_text(encoding="utf-8").splitlines():
-                key, _, value = line.partition("=")
-                if key.strip() == "scenario":
-                    scenario = value.strip()
+        arrays, scenario = read_sample(d, MODALITIES + ("target_raster",))
         if scenario in _REPORT_KEYS or "\t" in scenario:
             raise formats.MalformedFileError(f"{d}: scenario {scenario!r} is a report key or holds a tab")
-        samples.append(Sample.from_arrays(arrays, grid, scenario))
+        target = PolarRaster(grid=grid, data=arrays.pop("target_raster"))
+        samples.append(Sample(arrays, target, scenario))
     return samples

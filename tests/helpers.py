@@ -117,15 +117,17 @@ def synthetic_dataset(
     seed: int = 0,
 ) -> list[TR.Sample]:
     """n aligned samples in memory, on the plan `lidarsynth synth` writes; "mixed" cycles the four profiles."""
-    return [
-        TR.Sample.from_arrays(S.build_sample(scene, grid, radar_i, cam_width, cam_height, seed_i), grid, prof.name)
-        for seed_i, prof, scene, radar_i in S.plan_scenes(n, profile_name, radar, seed)
-    ]
+    samples = []
+    for seed_i, prof, scene, radar_i in S.plan_scenes(n, profile_name, radar, seed):
+        arrays = S.build_sample(scene, grid, radar_i, cam_width, cam_height, seed_i)
+        inputs = {name: arrays[name] for name in M.MODALITIES}
+        samples.append(TR.Sample(inputs, G.PolarRaster(grid, arrays["target_raster"]), prof.name))
+    return samples
 
 
 def full_encode(model: M.Model, name: str, images: np.ndarray) -> T.Tensor:
     """Every encoder block over every token, then the class token: the oracle for the pruned last block."""
-    cfg = model.cfg.encoder(name)
+    cfg = model.cfg.encoders[name]
     s = model.store
     x = T.linear(T.Tensor(M._patchify(images, cfg)), s[f"{name}.patch_embed.weight"], s[f"{name}.patch_embed.bias"])
     ones = T.Tensor(np.ones((x.shape[0], 1, 1), dtype=np.float32))

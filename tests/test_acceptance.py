@@ -13,7 +13,7 @@ from helpers import GRAD_SUITE, check_case, legacy_grid, naive_dft, synthetic_da
 from lidarsynth import config as C
 from lidarsynth import training as TR
 from lidarsynth.geometry import GridSpec, PolarRaster, derasterize_arrays, rasterize_with_stats
-from lidarsynth.model import EncoderConfig, Model, _param_shapes
+from lidarsynth.model import MODALITIES, EncoderConfig, Model, _param_shapes
 from lidarsynth.radar import RadarCube, range_transform
 from lidarsynth.tensor import Tensor
 
@@ -119,7 +119,7 @@ def test_criterion_4_decoder_shapes(capsys):
     # real decodes at full output size; stub encoders keep construction cheap
     stub = EncoderConfig(image_size=(16, 16), patch_size=16, depth=1, n_heads=2,
                          d_model=16, ffn_dim=32)
-    cfg = replace(base, camera=stub, depth=stub, range_angle=stub, range_velocity=stub)
+    cfg = replace(base, encoders=dict.fromkeys(MODALITIES, stub))
     rng = np.random.default_rng(1004)
     out = Model(cfg).decode(Tensor(rng.standard_normal((2, 1024)).astype(np.float32)))
     default_ok = out.shape == (2, 1, 1440, 1088)

@@ -399,14 +399,43 @@ def test_train_ablation_bypasses_fusion(workspace, tmp_path):
 
 
 def test_train_divergence_exits_numeric(workspace, tmp_path):
-    poisoned = tmp_path / "poisoned"
-    shutil.copytree(workspace["data"], poisoned)
-    cam_path = poisoned / "sample_000000" / "camera.lstf"
-    cam = formats.read_lstf(cam_path)
-    cam[0, 0] = np.nan
-    formats.write_lstf(cam_path, cam)
-    assert cli.main(["train", "--data", str(poisoned), "--config", str(workspace["cfg"]),
-                     "--out", str(tmp_path / "m.lsck")]) == cli.EXIT_NUMERIC
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + "train.lr_early = 1e30\n", encoding="utf-8")
+    out = tmp_path / "run" / "m.lsck"
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the divergence under test
+        status = cli.main(["train", "--data", str(workspace["data"]), "--config", str(cfg), "--out", str(out)])
+    assert status == cli.EXIT_NUMERIC
+    assert not out.parent.exists()
+
+
+def _poisoned_copy(data: Path, root: Path, sample: str, name: str, value: float) -> Path:
+    """A copy of the dataset with one value of one sample array replaced."""
+    copy = root / "poisoned"
+    shutil.copytree(data, copy)
+    path = copy / sample / f"{name}.lstf"
+    arr = formats.read_lstf(path)
+    arr.flat[0] = value
+    formats.write_lstf(path, arr)
+    return copy
+
+
+def test_train_on_a_non_finite_sample_is_bad_input(workspace, tmp_path, capsys):
+    data = _poisoned_copy(workspace["data"], tmp_path, "sample_000000", "depth", np.inf)
+    out = tmp_path / "run" / "m.lsck"
+    assert cli.main(["train", "--data", str(data), "--config", str(workspace["cfg"]),
+                     "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert str(Path("sample_000000", "depth.lstf")) in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_eval_on_a_non_finite_sample_is_bad_input(workspace, tmp_path, capsys):
+    # 24 mixed samples: sample 23 is the last campus_day sample, in the test split
+    data = _poisoned_copy(workspace["data"], tmp_path, "sample_000023", "camera", np.nan)
+    report = tmp_path / "report.txt"
+    assert cli.main(["eval", "--data", str(data), "--ckpt", str(workspace["ckpt"]),
+                     "--report", str(report)]) == cli.EXIT_BAD_INPUT
+    assert str(Path("sample_000023", "camera.lstf")) in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_train_missing_dataset_is_bad_input(workspace, tmp_path):

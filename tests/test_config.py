@@ -29,7 +29,7 @@ def test_toy_config_dimensions(toy_cfg):
     assert toy_cfg.model.seed_shape == (5, 4)
     assert toy_cfg.model.decoder.filters == (8, 8, 4, 4)
     assert toy_cfg.train.normalize_ranges is True
-    assert toy_cfg.model.camera.depth == 1
+    assert toy_cfg.model.encoders["camera"].depth == 1
 
 
 def test_text_round_trip():
@@ -87,12 +87,26 @@ def test_bad_value_names_its_line_even_when_the_key_repeats():
         ("encoder.camera.patch_size = -16", "encoder.camera"),
         ("model.seed = -1", "model"),
         ("train.seed = -1", "train"),
+        ("encoder.camera.depth = 0", "encoder.camera"),
     ],
 )
 def test_failed_dataclass_check_names_its_section_and_lines(line, section):
     key = line.partition(" = ")[0]
     text = "# a comment\ntrain.epochs = 5\n" + line + "\n"
     with pytest.raises(ValueError, match=rf"^{re.escape(section)}: .*; set at .*line 3: {re.escape(key)}"):
+        C.parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "band, why",
+    [("-70:2", "outside grid span"), ("0.001:0.002", "holds no row center")],
+)
+def test_loss_band_is_checked_against_the_grid_as_the_text_is_parsed(band, why):
+    # the toy elevation regions: -70 lies below the grid, and no row center lies in 0.001:0.002
+    text = f"grid.phi_regions = -60:-5:2.75;-5:5:0.125;5:61:2\ntrain.band = {band}\n"
+    with pytest.raises(
+        ValueError, match=rf"^train\.band: .*{why}.*; set at line 1: grid\.phi_regions, line 2: train\.band$"
+    ):
         C.parse_config(text)
 
 
@@ -286,7 +300,7 @@ UNKEYED_FIELDS = {
     GridSpec: {"theta_lo", "theta_hi", "theta_step"},  # all three from grid.theta
     EncoderConfig: {"image_size", "d_model"},
     RadarParams: {"noise_sigma"},  # set per sample from the scenario profile
-    ModelConfig: {*MODALITIES, "fusion", "decoder", "grid"},  # sections of their own
+    ModelConfig: {"encoders", "fusion", "decoder", "grid"},  # sections of their own
 }
 
 
@@ -321,8 +335,8 @@ def test_registry_defaults_match_dataclass_defaults():
     assert cfg.grid == GridSpec()
     assert cfg.model.fusion == FusionConfig()
     assert cfg.model.decoder == DecoderConfig()
-    assert cfg.model == ModelConfig(**{name: cfg.model.encoder(name) for name in MODALITIES})
+    assert cfg.model == ModelConfig(encoders=cfg.model.encoders)
     # the range-angle map is 4 antennas tall, so its encoder's patch edge is 4
     for name in MODALITIES:
-        enc = cfg.model.encoder(name)
+        enc = cfg.model.encoders[name]
         assert enc == EncoderConfig(image_size=enc.image_size, patch_size=4 if name == "range_angle" else 16)

@@ -143,7 +143,7 @@ def test_encoder_size_moves_no_other_draw(toy_cfg):
     # every encoder and the trainable parameters draw from their own seeds
     a = M.init_params(toy_cfg.model)
     deeper = C.toy_config({"encoder.camera.depth": "2"}).model
-    assert deeper.camera.depth != toy_cfg.model.camera.depth
+    assert deeper.encoders["camera"].depth != toy_cfg.model.encoders["camera"].depth
     b = M.init_params(deeper)
     kept = [name for name in a.params if not name.startswith("camera.")]
     assert set(a.trainable_names()) < set(kept)
@@ -223,10 +223,17 @@ def test_embed_stacks_modalities(toy_cfg, toy_model):
         np.testing.assert_array_equal(emb.data[:, j], toy_model.encode_batch(name, batch[name]).data)
 
 
+def test_model_config_needs_one_encoder_per_modality(toy_cfg):
+    encoders = toy_cfg.model.encoders
+    for wrong in ({k: v for k, v in encoders.items() if k != "depth"}, {**encoders, "lidar": encoders["camera"]}):
+        with pytest.raises(ValueError, match="one per modality"):
+            replace(toy_cfg.model, encoders=wrong)
+
+
 def _mini_model(toy_cfg, depth):
     # 6 patches + the class token, 8 wide, 2 heads
     enc = M.EncoderConfig(image_size=(8, 12), patch_size=4, depth=depth, n_heads=2, d_model=8, ffn_dim=16)
-    return M.Model(replace(toy_cfg.model, **{name: enc for name in M.MODALITIES}))
+    return M.Model(replace(toy_cfg.model, encoders=dict.fromkeys(M.MODALITIES, enc)))
 
 
 @pytest.mark.parametrize("depth", [1, 2])

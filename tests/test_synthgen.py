@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import full_cast, full_radar
 from lidarsynth import config as C
+from lidarsynth import formats as F
 from lidarsynth import radar as R
 from lidarsynth import synthgen as S
 from lidarsynth.geometry import GridSpec
@@ -416,3 +417,16 @@ def test_export_sample_writes_expected_files(tmp_path):
     for name, arr in arrays.items():
         np.testing.assert_array_equal(F.read_lstf(out / f"{name}.lstf"),
                                       arr.astype(np.float32))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_read_sample_refuses_a_non_finite_value(tmp_path, value):
+    cfg = C.toy_config()
+    S.export_sample(S.generate_scene(5, S.PROFILES["plaza_day"]), cfg.grid, cfg.radar, cfg.cam_width,
+                    cfg.cam_height, tmp_path, seed=5, scenario="plaza_day")
+    arr = F.read_lstf(tmp_path / "range_velocity.lstf")
+    arr[3, 4] = value
+    F.write_lstf(tmp_path / "range_velocity.lstf", arr)
+    assert S.read_sample(tmp_path, ("camera",))[1] == "plaza_day"
+    with pytest.raises(F.MalformedFileError, match="range_velocity.lstf"):
+        S.read_sample(tmp_path, ("camera", "range_velocity"))

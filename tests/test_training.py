@@ -107,10 +107,12 @@ def _fake_samples(counts: dict[str, int]) -> list[TR.Sample]:
         for i in range(n):
             out.append(
                 TR.Sample(
-                    camera=np.full((2, 2), i, dtype=np.float32),
-                    depth=np.zeros((2, 2), dtype=np.float32),
-                    range_angle=np.zeros((2, 2), dtype=np.float32),
-                    range_velocity=np.zeros((2, 2), dtype=np.float32),
+                    inputs={
+                        "camera": np.full((2, 2), i, dtype=np.float32),
+                        "depth": np.zeros((2, 2), dtype=np.float32),
+                        "range_angle": np.zeros((2, 2), dtype=np.float32),
+                        "range_velocity": np.zeros((2, 2), dtype=np.float32),
+                    },
                     target=raster,
                     scenario_id=sid,
                 )
@@ -140,7 +142,7 @@ def test_split_default_counts_are_the_exact_floors():
 def test_split_is_sequential_and_partitions():
     samples = _fake_samples({"a": 10, "b": 7})
     tr, va, te = TR.split(samples)
-    ids = lambda part, sid: [s.camera[0, 0] for s in part if s.scenario_id == sid]
+    ids = lambda part, sid: [s.inputs["camera"][0, 0] for s in part if s.scenario_id == sid]
     assert ids(tr, "a") == list(range(6))
     assert ids(va, "a") == [6.0, 7.0]
     assert ids(te, "a") == [8.0, 9.0]
@@ -275,9 +277,9 @@ def test_keep_heap_mapped_is_quiet_without_glibc_mallopt(monkeypatch, loader):
 
 def test_training_diverges_on_nan_input(tiny_cfg, tiny_dataset):
     corrupted = list(tiny_dataset)
-    bad_cam = corrupted[0].camera.copy()
+    bad_cam = corrupted[0].inputs["camera"].copy()
     bad_cam[0, 0] = np.nan
-    corrupted[0] = replace(corrupted[0], camera=bad_cam)
+    corrupted[0] = replace(corrupted[0], inputs={**corrupted[0].inputs, "camera": bad_cam})
     cfg = replace(tiny_cfg.train, epochs=1)
     with pytest.raises(TR.TrainingDiverged):
         TR.train(corrupted, tiny_cfg.model, cfg, tiny_cfg.split)
@@ -473,6 +475,13 @@ def test_checkpoint_without_adam_loads_empty_dict(tmp_path, tiny_run, tiny_cfg):
     TR.save_checkpoint(path, C.config_text(tiny_cfg), tiny_run.best)
     _, _, adam = TR.load_checkpoint(path)
     assert adam == {}
+
+
+def test_load_checkpoint_requires_meta_state(tmp_path):
+    path = tmp_path / "no-meta.lsck"
+    formats.write_lsck(path, "", {"decoder.fc.bias": np.ones(4, dtype=np.float32)})
+    with pytest.raises(formats.MalformedFileError, match="meta.state"):
+        TR.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
@@ -673,9 +682,9 @@ def test_synthetic_dataset_cycles_profiles(tiny_dataset):
 
 def test_synthetic_dataset_shapes(tiny_dataset, toy_cfg):
     s = tiny_dataset[0]
-    assert s.camera.shape == (toy_cfg.cam_height, toy_cfg.cam_width)
-    assert s.range_angle.shape == (toy_cfg.radar.n_rx, toy_cfg.radar.n_samples)
-    assert s.range_velocity.shape == (toy_cfg.radar.n_chirps, toy_cfg.radar.n_samples)
+    assert s.inputs["camera"].shape == (toy_cfg.cam_height, toy_cfg.cam_width)
+    assert s.inputs["range_angle"].shape == (toy_cfg.radar.n_rx, toy_cfg.radar.n_samples)
+    assert s.inputs["range_velocity"].shape == (toy_cfg.radar.n_chirps, toy_cfg.radar.n_samples)
     assert s.target.data.shape == (toy_cfg.grid.n_rows, toy_cfg.grid.n_cols)
 
 
@@ -710,6 +719,41 @@ def test_load_dataset_rejects_a_scenario_the_report_cannot_hold(tmp_path, toy_cf
         export_sample(generate_scene(7 + i, prof), toy_cfg.grid, radar, toy_cfg.cam_width, toy_cfg.cam_height,
                       tmp_path / f"sample_{i:06d}", seed=7 + i, scenario=name)
     with pytest.raises(formats.MalformedFileError, match="sample_000001"):
+        TR.load_dataset(tmp_path, toy_cfg.grid)
+
+
+def _export_one(root, toy_cfg):
+    """One plaza_day sample directory under root; returns its path."""
+    prof = PROFILES["plaza_day"]
+    radar = replace(toy_cfg.radar, noise_sigma=prof.noise_sigma)
+    out = root / "sample_000000"
+    export_sample(generate_scene(7, prof), toy_cfg.grid, radar, toy_cfg.cam_width, toy_cfg.cam_height,
+                  out, seed=7, scenario=prof.name)
+    return out
+
+
+def test_load_dataset_reads_no_radar_cube(tmp_path, toy_cfg):
+    (_export_one(tmp_path, toy_cfg) / "radar_cube.lstf").unlink()
+    [sample] = TR.load_dataset(tmp_path, toy_cfg.grid)
+    assert list(sample.inputs) == list(MODALITIES) and sample.scenario_id == "plaza_day"
+
+
+@pytest.mark.parametrize(
+    "meta, error",
+    [
+        (None, FileNotFoundError),
+        ("seed=7\n", formats.MalformedFileError),
+        ("scenario=plaza_day\nscenario=campus_day\n", formats.MalformedFileError),
+    ],
+    ids=["missing", "no_scenario", "two_scenarios"],
+)
+def test_load_dataset_needs_one_scenario_line_in_meta(tmp_path, toy_cfg, meta, error):
+    meta_path = _export_one(tmp_path, toy_cfg) / "meta.txt"
+    if meta is None:
+        meta_path.unlink()
+    else:
+        meta_path.write_text(meta, encoding="utf-8")
+    with pytest.raises(error, match="meta.txt"):
         TR.load_dataset(tmp_path, toy_cfg.grid)
 
 
