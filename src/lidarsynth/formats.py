@@ -16,6 +16,7 @@ LSPC is "LSPC" | u32 count | count x 3 float32 (x, y, z).
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import struct
@@ -42,6 +43,26 @@ ADAM_PREFIX = "adam."
 
 class MalformedFileError(ValueError):
     """Raised when an input file fails structural validation."""
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a new temporary file beside ``path``; rename it over ``path`` once the block succeeds.
+
+    A failed write removes the temporary file, so ``path`` always holds
+    either its old content or the whole new file.  The rename makes the
+    write atomic for readers and against a crash of this process; no fsync
+    is made, so it is not durable across a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -109,7 +130,7 @@ def _read_lstf_record(f) -> np.ndarray:
 
 
 def write_lstf(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         _write_lstf_record(f, arr)
 
 
@@ -125,32 +146,21 @@ def read_lstf(path) -> np.ndarray:
 
 
 def write_lsck(path, config_text: str, tensors: dict[str, np.ndarray]) -> None:
-    """Stream a checkpoint to a temporary file beside ``path``, then rename it over ``path``.
+    """Stream a checkpoint to ``path`` through a temporary file (see _replacing).
 
-    Names are validated before any file is opened, and a failed write removes
-    the temporary file, so ``path`` always holds either its old content or
-    the whole new checkpoint.  The rename makes the write atomic for readers
-    and against a crash of this process; no fsync is made, so it is not
-    durable across a power loss.
+    Names are validated before any file is opened.
     """
     encoded = [name.encode("utf-8") for name in tensors]
     for name, nb in zip(tensors, encoded):
         if len(nb) > 0xFFFF:
             raise ValueError(f"tensor name too long: {name!r}")
     blob = config_text.encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as f:
-            f.write(LSCK_MAGIC + struct.pack("<BI", 1, len(blob)) + blob)
-            f.write(struct.pack("<I", len(encoded)))
-            for nb, arr in zip(encoded, tensors.values()):
-                f.write(struct.pack("<H", len(nb)) + nb)
-                _write_lstf_record(f, arr)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(path) as f:
+        f.write(LSCK_MAGIC + struct.pack("<BI", 1, len(blob)) + blob)
+        f.write(struct.pack("<I", len(encoded)))
+        for nb, arr in zip(encoded, tensors.values()):
+            f.write(struct.pack("<H", len(nb)) + nb)
+            _write_lstf_record(f, arr)
 
 
 def read_lsck(path) -> tuple[str, dict[str, np.ndarray]]:
@@ -185,7 +195,7 @@ def write_lspc(path, points: np.ndarray) -> None:
     pts = np.ascontiguousarray(points, dtype=np.float32)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be [N, 3], got {pts.shape}")
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(LSPC_MAGIC)
         f.write(struct.pack("<I", pts.shape[0]))
         f.write(pts.astype("<f4").tobytes())
@@ -225,4 +235,5 @@ def write_pgm(path, image: np.ndarray) -> None:
         scaled = np.full_like(img, 128.0)
     data = scaled.astype(np.uint8)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + data.tobytes())
+    with _replacing(path) as f:
+        f.write(header + data.tobytes())

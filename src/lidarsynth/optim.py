@@ -26,7 +26,7 @@ class ParamStore:
     copied into the arena.  A frozen C-contiguous float32 array is taken as
     given, other frozen ones are converted to one, and either is marked
     read-only, so copy_values may share them and any write raises ValueError.
-    Backward accumulates into the ``grads`` views; ``t`` counts Adam steps.
+    Backward writes into the ``grads`` views; ``t`` counts Adam steps.
     """
 
     def __init__(self, entries: Iterable[tuple[str, np.ndarray, bool]]):
@@ -63,9 +63,6 @@ class ParamStore:
     def trainable_names(self) -> list[str]:
         return list(self._slots)
 
-    def zero_grad(self) -> None:
-        self.grads.fill(0)
-
     def copy_values(self) -> dict[str, np.ndarray]:
         """Every parameter's values: trainable ones copied, read-only frozen ones shared."""
         return {n: p.data.copy() if p.requires_grad else p.data for n, p in self.params.items()}
@@ -74,7 +71,7 @@ class ParamStore:
 def adam_step(store: ParamStore, lr: float, beta1: float, beta2: float, eps: float) -> None:
     """One bias-corrected Adam update of the whole arena.
 
-    Gradients are left in place (zero them explicitly via store.zero_grad()).
+    It reads the gradients the last backward wrote and leaves them in place.
     A tensor whose ``data`` or ``grad`` was rebound off its arena view raises
     ValueError: the update would not reach it.
     """

@@ -3,10 +3,10 @@
 The graph is built eagerly: every op returns a new Tensor holding a closure
 that maps the output's gradient to one gradient (or None) per parent, in
 ``parents`` order.  ``Tensor.backward()`` walks the graph once from a scalar
-root (the loss) in reverse topological order and is the one place gradients
-are summed (shared subexpressions meet there).  An interior node's gradient
-is freed once its closure has consumed it; only leaves keep theirs, in
-``Tensor.grad``.
+root (the loss) in reverse topological order, summing the paths that meet at
+a node, and consumes it: each node drops its parents and closure as it is
+passed, so a second backward from the same root raises.  A leaf's summed
+gradient is written, never added, into ``Tensor.grad``.
 
 Every op takes Tensor operands and coerces nothing; a constant enters the
 graph as ``Tensor(...)``.  Parameters and activations are float32 by
@@ -75,7 +75,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A dense n-D float array; ``grad`` accumulates the gradient of a leaf only."""
+    """A dense n-D float array; ``grad`` holds a leaf's gradient from its last backward."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
@@ -115,8 +115,8 @@ class Tensor:
 
     def backward(self) -> None:
         """Reverse-mode sweep from this tensor, which must be a scalar (the loss)."""
-        if not self.requires_grad:
-            raise ValueError("backward() on a tensor that does not require grad")
+        if self._backward is None:
+            raise ValueError("backward() needs a graph: a leaf, a no_grad result or a consumed root has none")
         if self.size != 1:
             raise ValueError("backward() needs a scalar output")
         topo: list[Tensor] = []
@@ -135,16 +135,20 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         pending = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
+            parents, backward = node._parents, node._backward
+            node._parents, node._backward = (), None
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is None:  # a leaf
+            if backward is None:  # a leaf: every path into it is summed by now
                 if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                    node.grad = np.array(g, dtype=node.dtype)
+                else:
+                    np.copyto(node.grad, g)
                 continue
-            for p, gp in zip(node._parents, node._backward(g), strict=True):
+            for p, gp in zip(parents, backward(g), strict=True):
                 if gp is None or not p.requires_grad:
                     continue
                 prev = pending.get(id(p))

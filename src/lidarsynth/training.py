@@ -276,12 +276,11 @@ def _eval_mmse(model: Model, embeddings: np.ndarray, targets: np.ndarray, mask: 
 def _step_loss(
     model: Model, embeddings: np.ndarray, targets: np.ndarray, mask: np.ndarray, rng: np.random.Generator
 ) -> float:
-    """One training step's loss; when it is finite, its gradient fills the store's cleared buffer.
+    """One training step's loss; when it is finite, backward writes its gradient into the store.
 
     The step's autodiff graph lives only inside this call, so none of it is
     held through the optimizer update or the next step.
     """
-    model.store.zero_grad()
     out = model.forward_batch(embeddings=Tensor(embeddings), train_rng=rng)
     loss = mmse_loss(out, targets, mask)
     value = float(loss.data)

@@ -114,21 +114,38 @@ def test_write_lsck_bytes_match_record_by_record_encoding(tmp_path):
     assert path.read_bytes() == _LSCK_GOOD
 
 
-def test_write_lsck_failure_keeps_old_file_and_leaves_no_temp(tmp_path):
-    path = tmp_path / "c.lsck"
-    good = {"w": np.arange(4, dtype=np.float32)}
-    F.write_lsck(path, "a = 1\n", good)
+_GOOD = np.arange(4, dtype=np.float32)
+# per format: write a good file, the writes it must reject, and how to read the good array back
+_FAILED_WRITES = {
+    "lsck": (
+        lambda p: F.write_lsck(p, "a = 1\n", {"w": _GOOD}),
+        (
+            lambda p: F.write_lsck(p, "a = 2\n", {"x" * 0x10000: np.ones(1, dtype=np.float32)}),
+            # a tensor rejected after the temporary file is open
+            lambda p: F.write_lsck(p, "a = 3\n", {"w": np.ones(2), "empty": np.zeros((2, 0))}),
+        ),
+        lambda p: F.read_lsck(p)[1]["w"],
+    ),
+    "lstf": (
+        lambda p: F.write_lstf(p, _GOOD),
+        (lambda p: F.write_lstf(p, np.zeros((0,))),),
+        F.read_lstf,
+    ),
+}
+
+
+@pytest.mark.parametrize("ext", sorted(_FAILED_WRITES))
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, ext):
+    write_good, bad_writes, read_back = _FAILED_WRITES[ext]
+    path = tmp_path / f"c.{ext}"
+    write_good(path)
     before = path.read_bytes()
-    with pytest.raises(ValueError):
-        F.write_lsck(path, "a = 2\n", {"x" * 0x10000: np.ones(1, dtype=np.float32)})
-    # a tensor rejected after the temporary file is open
-    with pytest.raises(ValueError):
-        F.write_lsck(path, "a = 3\n", {"w": np.ones(2), "empty": np.zeros((2, 0))})
+    for write_bad in bad_writes:
+        with pytest.raises(ValueError):
+            write_bad(path)
     assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["c.lsck"]
-    text, back = F.read_lsck(path)
-    assert text == "a = 1\n"
-    np.testing.assert_array_equal(back["w"], good["w"])
+    assert os.listdir(tmp_path) == [path.name]
+    np.testing.assert_array_equal(read_back(path), _GOOD)
 
 
 def _mutants(good: bytes):

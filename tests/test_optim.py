@@ -41,7 +41,6 @@ def test_adam_step_is_bit_identical_to_out_of_place_formula():
             name: (rng.standard_normal(shape) * 10.0 ** -step).astype(np.float32)
             for name, shape in shapes.items()
         }
-        store.zero_grad()
         for name, g in grads.items():
             store[name].grad[...] = g
         adam_step(store, lr, 0.9, 0.999, 1e-8)

@@ -79,6 +79,50 @@ def test_interior_tensors_keep_no_gradient():
     np.testing.assert_array_equal(x.grad, 2.0 * x.data)
 
 
+def test_a_consumed_root_refuses_a_second_backward():
+    x = T.Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)
+    y = T.tensor_sum(T.mul(x, x))
+    y.backward()
+    first = x.grad.copy()
+    with pytest.raises(ValueError, match="graph"):
+        y.backward()
+    np.testing.assert_array_equal(x.grad.view(np.uint64), first.view(np.uint64))
+
+
+def test_backward_refuses_a_leaf_and_a_no_grad_result():
+    x = T.Tensor(np.array(2.0), requires_grad=True)
+    with T.no_grad():
+        y = T.tensor_sum(T.mul(x, x))
+    for t in (x, y):
+        with pytest.raises(ValueError, match="graph"):
+            t.backward()
+    assert x.grad is None
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_backward_writes_the_leaf_gradient_rather_than_adding_to_it(buffered):
+    x = T.Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)
+    if buffered:
+        buf = np.full(3, np.nan)
+        x.grad = buf
+    T.tensor_sum(T.mul(x, x)).backward()  # 2x
+    T.tensor_sum(T.mul(x, T.Tensor(np.array([3.0, 5.0, 7.0])))).backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 5.0, 7.0])
+    if buffered:
+        assert x.grad is buf
+
+
+def test_backward_consumes_the_graph_it_sweeps():
+    x = T.Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)
+    h = T.mul(x, x)
+    r = T.relu(h)
+    y = T.tensor_sum(T.add(r, h))
+    y.backward()
+    for t in (y, r, h):
+        assert t._parents == () and t._backward is None
+    np.testing.assert_array_equal(x.grad, 4.0 * x.data)
+
+
 def test_grad_not_tracked_without_requires_grad():
     x = T.Tensor(np.ones(3))
     out = T.mul(x, x)

@@ -388,7 +388,6 @@ def test_step_one_loss_and_gradient_norms_match_golden(toy_cfg):
     targets = np.array([s.target.data for s in samples], dtype=np.float32) / toy_cfg.grid.max_range
     mask = TR.weight_mask(toy_cfg.grid, toy_cfg.train.band, toy_cfg.train.alpha)
     emb = TR._cached_embeddings(model, samples, len(samples))
-    model.store.zero_grad()
     out = model.forward_batch(embeddings=Tensor(emb), train_rng=np.random.default_rng(5))
     loss = TR.mmse_loss(out, targets, mask)
     loss.backward()
@@ -416,7 +415,6 @@ def test_whole_model_gradient_matches_central_differences_along_random_direction
         out = model.forward_batch(embeddings=emb, train_rng=np.random.default_rng(5))
         return TR.mmse_loss(out, targets, mask)
 
-    store.zero_grad()
     loss().backward()
     grads = store.grads.astype(np.float64)
     # the differences run in float64: every trainable tensor views `theta`, the arena's float64 twin
@@ -536,7 +534,7 @@ def test_adam_step_on_loaded_model_leaves_checkpoint_unchanged(tiny_run, tiny_cf
         np.testing.assert_array_equal(tiny_run.best.params[name], before[name])
 
 
-def test_zero_grad_leaves_no_trace_of_the_previous_step(tiny_cfg, tiny_dataset):
+def test_backward_leaves_no_trace_of_the_previous_step(tiny_cfg, tiny_dataset):
     batch = TR._batch_arrays(tiny_dataset, np.arange(4))
     targets = np.stack([s.target.data for s in tiny_dataset[:4]])
     mask = TR.weight_mask(tiny_cfg.grid, tiny_cfg.train.band, tiny_cfg.train.alpha)
@@ -551,7 +549,6 @@ def test_zero_grad_leaves_no_trace_of_the_previous_step(tiny_cfg, tiny_dataset):
     step1 = TR.Checkpoint(
         params=model.store.copy_values(), bn_state=model.bn_state_arrays(), epoch=1, val_mmse=0.0
     )
-    model.store.zero_grad()
     backward(model)
     fresh = TR.model_from_checkpoint(tiny_cfg.model, step1)
     backward(fresh)
