@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lidarsynth import cli
 from lidarsynth import config as configmod
+from lidarsynth import formats
 from lidarsynth.training import EvalReport
 
 
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
         if args.ablation:
             ablation = EvalReport.from_text((nofusion / "report.txt").read_text(encoding="utf-8"))
             report = replace(report, ablation_no_fusion=ablation.overall)
-            report_path.write_text(report.to_text(), encoding="utf-8")
+            formats.write_text(report_path, report.to_text())
 
     # history.txt: epoch, train MMSE, val MMSE, lr per line
     for line in (out / "history.txt").read_text(encoding="utf-8").splitlines():

@@ -130,7 +130,7 @@ def cmd_eval(args) -> int:
     _, _, test = training.split(dataset, cfg.split)
     model = training.model_from_checkpoint(cfg.model, ckpt)
     report = training.evaluate(model, test, cfg.train, cfg.train.batch_size)
-    Path(args.report).write_text(report.to_text(), encoding="utf-8")
+    formats.write_text(args.report, report.to_text())
     print(f"overall MMSE {report.overall:.6f} (all-zeros baseline {report.baseline_zeros:.6f})")
     return EXIT_OK
 
@@ -147,7 +147,7 @@ def cmd_dump_config(args) -> int:
     cfg = configmod.toy_config() if args.toy else configmod.default_config()
     text = configmod.config_text(cfg, docs=True)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        formats.write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

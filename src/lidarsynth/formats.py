@@ -33,6 +33,7 @@ __all__ = [
     "write_lspc",
     "read_lspc",
     "write_pgm",
+    "write_text",
 ]
 
 LSTF_MAGIC = b"LSTF"
@@ -63,6 +64,12 @@ def _replacing(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a temporary file (see _replacing)."""
+    with _replacing(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

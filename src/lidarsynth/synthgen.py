@@ -21,7 +21,7 @@ measured counterclockwise from +x (positive toward +y).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
 from itertools import cycle
 from pathlib import Path
@@ -508,19 +508,44 @@ def export_sample(
     (out / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
 
 
-def read_sample(sample_dir, names) -> tuple[dict[str, np.ndarray], str]:
+class _SampleFiles(Mapping):
+    """Named arrays of one sample directory, each read from its file on every lookup and kept by nothing."""
+
+    def __init__(self, sample_dir: Path, names: tuple[str, ...]):
+        self._dir = sample_dir
+        self._names = names
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._names:
+            raise KeyError(name)
+        path = self._dir / f"{name}.lstf"
+        arr = formats.read_lstf(path)
+        if not np.isfinite(arr).all():
+            raise formats.MalformedFileError(f"{path} holds a non-finite value")
+        return arr
+
+    def __contains__(self, name) -> bool:
+        return name in self._names  # Mapping's default would read the file
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+def read_sample(sample_dir, names) -> tuple[Mapping[str, np.ndarray], str]:
     """The named arrays of a directory ``export_sample`` wrote, and the scenario its meta.txt names once.
 
-    A non-finite array value raises MalformedFileError naming its file.
+    Only meta.txt is read here.  The arrays come back as a mapping that reads
+    a file on each lookup and holds no array, so a caller holds only the
+    arrays it is using; a missing file or a non-finite value (a
+    MalformedFileError naming its file) is raised by the lookup.
     """
     d = Path(sample_dir)
-    arrays = {name: formats.read_lstf(d / f"{name}.lstf") for name in names}
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise formats.MalformedFileError(f"{d / name}.lstf holds a non-finite value")
     meta = d / "meta.txt"
     lines = (line.partition("=") for line in meta.read_text(encoding="utf-8").splitlines())
     scenarios = [value.strip() for key, _, value in lines if key.strip() == "scenario"]
     if len(scenarios) != 1:
         raise formats.MalformedFileError(f"{meta}: {len(scenarios)} scenario lines, want 1")
-    return arrays, scenarios[0]
+    return _SampleFiles(d, tuple(names)), scenarios[0]

@@ -114,9 +114,15 @@ class Tensor:
     # -- graph plumbing -----------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this tensor, which must be a scalar (the loss)."""
+        """Reverse-mode sweep from this tensor, which must be a scalar (the loss).
+
+        The sweep consumes the graph: each interior node it passes drops its
+        parents, and its closure becomes ``_consumed``.  A later graph that
+        holds such a node raises before its sweep starts, instead of taking
+        the node for a leaf.
+        """
         if self._backward is None:
-            raise ValueError("backward() needs a graph: a leaf, a no_grad result or a consumed root has none")
+            raise ValueError("backward() needs a graph: a leaf or a no_grad result has none")
         if self.size != 1:
             raise ValueError("backward() needs a scalar output")
         topo: list[Tensor] = []
@@ -129,6 +135,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)  # before the sweep has written any leaf gradient
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -138,7 +146,9 @@ class Tensor:
         while topo:
             node = topo.pop()
             parents, backward = node._parents, node._backward
-            node._parents, node._backward = (), None
+            node._parents = ()
+            if backward is not None:
+                node._backward = _consumed
             g = pending.pop(id(node), None)
             if g is None:
                 continue
@@ -163,6 +173,11 @@ class Tensor:
 
     def __getitem__(self, key):
         return _getitem(self, key)
+
+
+def _consumed(g):
+    """The closure of an interior tensor whose graph a backward sweep has consumed."""
+    raise ValueError("this tensor's graph was consumed by an earlier backward(); build a new graph")
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:

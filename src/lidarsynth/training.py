@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -55,14 +56,24 @@ __all__ = [
 
 @dataclass
 class Sample:
-    """One aligned multimodal observation with its LiDAR target."""
+    """One aligned multimodal observation with its LiDAR target.
 
-    inputs: dict[str, np.ndarray]  # the model inputs, one per MODALITIES name
-    target: PolarRaster
+    ``arrays`` maps each MODALITIES name and "target_raster" to its array.
+    ``load_dataset`` passes a mapping that reads the file on each lookup and
+    holds nothing, so a sample costs no memory until a stage reads it, and
+    each read checks the file again; the tests pass a dict.
+    """
+
+    arrays: Mapping[str, np.ndarray]
+    grid: GridSpec
     scenario_id: str
 
     def modality(self, name: str) -> np.ndarray:
-        return self.inputs[name]
+        return self.arrays[name]
+
+    @property
+    def target(self) -> PolarRaster:
+        return PolarRaster(self.grid, self.arrays["target_raster"])
 
 
 @dataclass(frozen=True)
@@ -237,6 +248,14 @@ def _snapshot(model: Model, epoch: int, val_mmse: float) -> Checkpoint:
     )
 
 
+def _stacked_targets(samples: list[Sample], grid: GridSpec) -> np.ndarray:
+    """[N, rows, cols] float32 targets of a split, each read once straight into its row."""
+    out = np.empty((len(samples), grid.n_rows, grid.n_cols), dtype=np.float32)
+    for row, s in zip(out, samples):
+        row[...] = s.target.data
+    return out
+
+
 def _cached_embeddings(model: Model, samples: list[Sample], batch_size: int) -> np.ndarray:
     """[N, 4, EMBED_DIM] embeddings of the frozen encoders, which record no graph.
 
@@ -320,9 +339,11 @@ def train(
 ) -> TrainResult:
     """Mini-batch Adam on the band-weighted loss; returns the best state and the final model.
 
-    The dataset is split internally (sequential per scenario) and the frozen
-    encoders embed it once.  Batches are drawn in a seeded shuffled order each
-    epoch; a trailing short batch is kept only if it has at least 2 samples.
+    The dataset is split internally (sequential per scenario), and only the
+    training and validation splits are read: each model input once, when the
+    frozen encoders embed it, and each target once, into the stacked targets.
+    Batches are drawn in a seeded shuffled order each epoch; a trailing short
+    batch is kept only if it has at least 2 samples.
     A training split under 2 samples or an empty validation split raises
     ValueError; non-finite loss aborts.
 
@@ -345,7 +366,9 @@ def train(
 
     model = Model(model_cfg)
 
-    targets_tr, targets_va = (np.array([s.target.data for s in part], dtype=np.float32) * scale for part in (tr, va))
+    targets_tr, targets_va = _stacked_targets(tr, grid), _stacked_targets(va, grid)
+    targets_tr *= scale
+    targets_va *= scale
 
     emb_tr = _cached_embeddings(model, tr, train_cfg.batch_size)
     emb_va = _cached_embeddings(model, va, train_cfg.batch_size)
@@ -383,7 +406,7 @@ def train(
 def write_history(path, history: list[EpochStats]) -> None:
     """One tab-separated line per epoch: epoch, train MMSE, val MMSE, lr."""
     lines = [f"{h.epoch}\t{h.train_mmse:.8f}\t{h.val_mmse:.8f}\t{h.lr:g}\n" for h in history]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    formats.write_text(path, "".join(lines))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -497,14 +520,19 @@ def evaluate(
     train_cfg: TrainConfig,
     batch_size: int,
 ) -> EvalReport:
-    """Evaluation passes of ``batch_size`` samples; per-sample MMSE in meters, grouped by scenario."""
+    """Evaluation passes of ``batch_size`` samples; per-sample MMSE in meters, grouped by scenario.
+
+    Only these samples are read, each array once: the targets are stacked
+    once, for the model's MMSE and the all-zeros baseline alike.
+    """
     if not samples:
         raise ValueError("evaluation split is empty")
     grid = model.cfg.grid
     mask = weight_mask(grid, train_cfg.band, train_cfg.alpha)
     scale = grid.max_range if train_cfg.normalize_ranges else 1.0
     preds = _predict(model, _cached_embeddings(model, samples, batch_size), batch_size)
-    per_sample = _per_sample_mmse(np.clip(preds * scale, 0.0, grid.max_range), [s.target.data for s in samples], mask)
+    targets = _stacked_targets(samples, grid)  # read after the passes, so not held through them
+    per_sample = _per_sample_mmse(np.clip(preds * scale, 0.0, grid.max_range), targets, mask)
     per_scenario: dict[str, float] = {}
     counts: dict[str, int] = {}
     for value, s in zip(per_sample, samples):
@@ -514,17 +542,16 @@ def evaluate(
     return EvalReport(
         per_scenario=per_scenario,
         overall=float(per_sample.mean()),
-        baseline_zeros=baseline_all_zeros(samples, grid, train_cfg.band, train_cfg.alpha),
+        baseline_zeros=baseline_all_zeros(targets, grid, train_cfg.band, train_cfg.alpha),
     )
 
 
-def baseline_all_zeros(samples: list[Sample], grid: GridSpec, band: tuple[float, float], alpha: float) -> float:
-    """MMSE of predicting zero everywhere, averaged over the split."""
-    if not samples:
+def baseline_all_zeros(targets: np.ndarray, grid: GridSpec, band: tuple[float, float], alpha: float) -> float:
+    """MMSE of predicting zero everywhere, averaged over a split's [N, rows, cols] targets."""
+    if not len(targets):
         raise ValueError("empty split")
     mask = weight_mask(grid, band, alpha)
     zeros = np.zeros((grid.n_rows, grid.n_cols), dtype=np.float32)
-    targets = [s.target.data for s in samples]
     return float(np.mean(_per_sample_mmse([zeros] * len(targets), targets, mask)))
 
 
@@ -532,7 +559,12 @@ def baseline_all_zeros(samples: list[Sample], grid: GridSpec, band: tuple[float,
 
 
 def load_dataset(root, grid: GridSpec) -> list[Sample]:
-    """The sample_* directories under root, each read by ``synthgen.read_sample``."""
+    """The sample_* directories under root, as samples that read their arrays on access.
+
+    Only each meta.txt is read here (see ``synthgen.read_sample``), so a
+    malformed scenario is refused for every sample now, while a missing
+    array file or a non-finite value is refused by the stage that reads it.
+    """
     root = Path(root)
     dirs = sorted(p for p in root.iterdir() if p.is_dir() and p.name.startswith("sample_"))
     if not dirs:
@@ -542,6 +574,5 @@ def load_dataset(root, grid: GridSpec) -> list[Sample]:
         arrays, scenario = read_sample(d, MODALITIES + ("target_raster",))
         if scenario in _REPORT_KEYS or "\t" in scenario:
             raise formats.MalformedFileError(f"{d}: scenario {scenario!r} is a report key or holds a tab")
-        target = PolarRaster(grid=grid, data=arrays.pop("target_raster"))
-        samples.append(Sample(arrays, target, scenario))
+        samples.append(Sample(arrays, grid, scenario))
     return samples

@@ -120,8 +120,8 @@ def synthetic_dataset(
     samples = []
     for seed_i, prof, scene, radar_i in S.plan_scenes(n, profile_name, radar, seed):
         arrays = S.build_sample(scene, grid, radar_i, cam_width, cam_height, seed_i)
-        inputs = {name: arrays[name] for name in M.MODALITIES}
-        samples.append(TR.Sample(inputs, G.PolarRaster(grid, arrays["target_raster"]), prof.name))
+        kept = {name: arrays[name] for name in (*M.MODALITIES, "target_raster")}
+        samples.append(TR.Sample(kept, grid, prof.name))
     return samples
 
 

@@ -438,6 +438,32 @@ def test_eval_on_a_non_finite_sample_is_bad_input(workspace, tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "command, sample, name",
+    [("train", "sample_000000", "target_raster"), ("eval", "sample_000023", "range_angle")],
+)
+def test_a_missing_array_of_a_sample_the_stage_reads_is_bad_input(workspace, tmp_path, capsys, command, sample, name):
+    # sample 0 is in the training split, sample 23 in the test split
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    (data / sample / f"{name}.lstf").unlink()
+    out = tmp_path / "out" / "file"
+    argv = {"train": ["--config", str(workspace["cfg"]), "--out", str(out)],
+            "eval": ["--ckpt", str(workspace["ckpt"]), "--report", str(out)]}[command]
+    assert cli.main([command, "--data", str(data), *argv]) == cli.EXIT_BAD_INPUT
+    assert str(Path(sample, f"{name}.lstf")) in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_train_does_not_read_the_test_split(workspace, tmp_path):
+    # sample 23 is in the test split: train never reads it, so a NaN there changes nothing
+    data = _poisoned_copy(workspace["data"], tmp_path, "sample_000023", "camera", np.nan)
+    out = tmp_path / "run" / "model.lsck"
+    assert cli.main(["train", "--data", str(data), "--config", str(workspace["cfg"]),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == workspace["ckpt"].read_bytes()
+
+
 def test_train_missing_dataset_is_bad_input(workspace, tmp_path):
     assert cli.main(["train", "--data", str(tmp_path / "empty"), "--config",
                      str(workspace["cfg"]), "--out", str(tmp_path / "m.lsck")]) == cli.EXIT_BAD_INPUT

@@ -131,6 +131,12 @@ _FAILED_WRITES = {
         (lambda p: F.write_lstf(p, np.zeros((0,))),),
         F.read_lstf,
     ),
+    "txt": (
+        lambda p: F.write_text(p, " ".join(f"{v:g}" for v in _GOOD)),
+        # a lone surrogate has no UTF-8 encoding
+        (lambda p: F.write_text(p, "4 5\ud800"),),
+        lambda p: np.array(p.read_text(encoding="utf-8").split(), dtype=np.float32),
+    ),
 }
 
 

@@ -429,4 +429,4 @@ def test_read_sample_refuses_a_non_finite_value(tmp_path, value):
     F.write_lstf(tmp_path / "range_velocity.lstf", arr)
     assert S.read_sample(tmp_path, ("camera",))[1] == "plaza_day"
     with pytest.raises(F.MalformedFileError, match="range_velocity.lstf"):
-        S.read_sample(tmp_path, ("camera", "range_velocity"))
+        S.read_sample(tmp_path, ("camera", "range_velocity"))[0]["range_velocity"]

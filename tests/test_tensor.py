@@ -119,8 +119,27 @@ def test_backward_consumes_the_graph_it_sweeps():
     y = T.tensor_sum(T.add(r, h))
     y.backward()
     for t in (y, r, h):
-        assert t._parents == () and t._backward is None
+        assert t._parents == () and t._backward is T._consumed
+    assert x._backward is None
     np.testing.assert_array_equal(x.grad, 4.0 * x.data)
+
+
+def test_a_consumed_interior_tensor_refuses_a_new_graph():
+    # a consumed tensor keeps requires_grad; reused in a new graph, the sweep
+    # must not take it for a leaf and stop there with x.grad left stale
+    x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = T.mul(x, x)
+    T.tensor_sum(h).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    with pytest.raises(ValueError, match="graph was consumed"):
+        T.tensor_sum(T.mul(h, h)).backward()
+    assert h.grad is None
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    # nor is any leaf of the refused graph written, even one the sweep would reach first
+    w = T.Tensor(np.array([3.0, 5.0]), requires_grad=True)
+    with pytest.raises(ValueError, match="graph was consumed"):
+        T.add(T.tensor_sum(T.mul(w, w)), T.tensor_sum(T.mul(h, h))).backward()
+    assert w.grad is None
 
 
 def test_grad_not_tracked_without_requires_grad():

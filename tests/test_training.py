@@ -2,6 +2,7 @@
 
 import ctypes
 import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from lidarsynth import formats
 from lidarsynth import model as M
 from lidarsynth import tensor as T
 from lidarsynth import training as TR
-from lidarsynth.geometry import GridSpec, PolarRaster
+from lidarsynth.geometry import GridSpec
 from lidarsynth.model import EMBED_DIM, Model, MODALITIES
 from lidarsynth.optim import adam_step
-from lidarsynth.synthgen import PROFILE_ORDER, PROFILES, export_sample, generate_scene
+from lidarsynth.synthgen import PROFILE_ORDER, PROFILES, export_sample, generate_scene, plan_scenes
 from lidarsynth.tensor import Tensor
 
 from helpers import grad_norms, synthetic_dataset
@@ -101,19 +102,20 @@ def test_mmse_rejects_mask_length_mismatch():
 
 def _fake_samples(counts: dict[str, int]) -> list[TR.Sample]:
     grid = C.toy_config().grid
-    raster = PolarRaster(grid, np.zeros((grid.n_rows, grid.n_cols)))
+    target = np.zeros((grid.n_rows, grid.n_cols))
     out = []
     for sid, n in counts.items():
         for i in range(n):
             out.append(
                 TR.Sample(
-                    inputs={
+                    arrays={
                         "camera": np.full((2, 2), i, dtype=np.float32),
                         "depth": np.zeros((2, 2), dtype=np.float32),
                         "range_angle": np.zeros((2, 2), dtype=np.float32),
                         "range_velocity": np.zeros((2, 2), dtype=np.float32),
+                        "target_raster": target,
                     },
-                    target=raster,
+                    grid=grid,
                     scenario_id=sid,
                 )
             )
@@ -142,7 +144,7 @@ def test_split_default_counts_are_the_exact_floors():
 def test_split_is_sequential_and_partitions():
     samples = _fake_samples({"a": 10, "b": 7})
     tr, va, te = TR.split(samples)
-    ids = lambda part, sid: [s.inputs["camera"][0, 0] for s in part if s.scenario_id == sid]
+    ids = lambda part, sid: [s.modality("camera")[0, 0] for s in part if s.scenario_id == sid]
     assert ids(tr, "a") == list(range(6))
     assert ids(va, "a") == [6.0, 7.0]
     assert ids(te, "a") == [8.0, 9.0]
@@ -277,9 +279,9 @@ def test_keep_heap_mapped_is_quiet_without_glibc_mallopt(monkeypatch, loader):
 
 def test_training_diverges_on_nan_input(tiny_cfg, tiny_dataset):
     corrupted = list(tiny_dataset)
-    bad_cam = corrupted[0].inputs["camera"].copy()
+    bad_cam = corrupted[0].modality("camera").copy()
     bad_cam[0, 0] = np.nan
-    corrupted[0] = replace(corrupted[0], inputs={**corrupted[0].inputs, "camera": bad_cam})
+    corrupted[0] = replace(corrupted[0], arrays={**corrupted[0].arrays, "camera": bad_cam})
     cfg = replace(tiny_cfg.train, epochs=1)
     with pytest.raises(TR.TrainingDiverged):
         TR.train(corrupted, tiny_cfg.model, cfg, tiny_cfg.split)
@@ -679,9 +681,9 @@ def test_synthetic_dataset_cycles_profiles(tiny_dataset):
 
 def test_synthetic_dataset_shapes(tiny_dataset, toy_cfg):
     s = tiny_dataset[0]
-    assert s.inputs["camera"].shape == (toy_cfg.cam_height, toy_cfg.cam_width)
-    assert s.inputs["range_angle"].shape == (toy_cfg.radar.n_rx, toy_cfg.radar.n_samples)
-    assert s.inputs["range_velocity"].shape == (toy_cfg.radar.n_chirps, toy_cfg.radar.n_samples)
+    assert s.modality("camera").shape == (toy_cfg.cam_height, toy_cfg.cam_width)
+    assert s.modality("range_angle").shape == (toy_cfg.radar.n_rx, toy_cfg.radar.n_samples)
+    assert s.modality("range_velocity").shape == (toy_cfg.radar.n_chirps, toy_cfg.radar.n_samples)
     assert s.target.data.shape == (toy_cfg.grid.n_rows, toy_cfg.grid.n_cols)
 
 
@@ -732,7 +734,10 @@ def _export_one(root, toy_cfg):
 def test_load_dataset_reads_no_radar_cube(tmp_path, toy_cfg):
     (_export_one(tmp_path, toy_cfg) / "radar_cube.lstf").unlink()
     [sample] = TR.load_dataset(tmp_path, toy_cfg.grid)
-    assert list(sample.inputs) == list(MODALITIES) and sample.scenario_id == "plaza_day"
+    assert list(sample.arrays) == [*MODALITIES, "target_raster"] and sample.scenario_id == "plaza_day"
+    for name in MODALITIES:
+        assert sample.modality(name).ndim == 2
+    assert sample.target.data.shape == (toy_cfg.grid.n_rows, toy_cfg.grid.n_cols)
 
 
 @pytest.mark.parametrize(
@@ -757,3 +762,64 @@ def test_load_dataset_needs_one_scenario_line_in_meta(tmp_path, toy_cfg, meta, e
 def test_load_dataset_rejects_empty_dir(tmp_path, toy_cfg):
     with pytest.raises(ValueError):
         TR.load_dataset(tmp_path, toy_cfg.grid)
+
+
+# -- which arrays each stage reads ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def disk_dataset(tmp_path_factory):
+    """20 mixed toy samples on disk, 5 per scenario: 3 training, 1 validation and 1 test sample each."""
+    cfg = C.toy_config()
+    root = tmp_path_factory.mktemp("disk_dataset")
+    for i, (seed, prof, scene, radar) in enumerate(plan_scenes(20, "mixed", cfg.radar, 3)):
+        export_sample(scene, cfg.grid, radar, cfg.cam_width, cfg.cam_height, root / f"sample_{i:06d}",
+                      seed=seed, scenario=prof.name)
+    return root
+
+
+def _loaded_and_split(root, cfg):
+    """The loaded samples, their split, and each sample's directory name."""
+    samples = TR.load_dataset(root, cfg.grid)
+    names = {id(s): f"sample_{i:06d}" for i, s in enumerate(samples)}
+    return samples, TR.split(samples, cfg.split), names
+
+
+def _count_reads(monkeypatch) -> list[tuple[str, str]]:
+    """Wrap formats.read_lstf; the returned list gets (sample directory, array) of every read."""
+    reads = []
+    read = formats.read_lstf
+
+    def counting(path):
+        reads.append((Path(path).parent.name, Path(path).stem))
+        return read(path)
+
+    monkeypatch.setattr(formats, "read_lstf", counting)
+    return reads
+
+
+def _each_array_once(samples, names) -> list[tuple[str, str]]:
+    return sorted((names[id(s)], a) for s in samples for a in (*MODALITIES, "target_raster"))
+
+
+def test_load_dataset_and_split_read_no_array(disk_dataset, toy_cfg, monkeypatch):
+    reads = _count_reads(monkeypatch)
+    _, parts, _ = _loaded_and_split(disk_dataset, toy_cfg)
+    assert [len(part) for part in parts] == [12, 4, 4]
+    assert reads == []
+
+
+def test_evaluate_reads_each_test_array_once_and_no_other_sample(disk_dataset, toy_cfg, monkeypatch):
+    _, (_, _, test), names = _loaded_and_split(disk_dataset, toy_cfg)
+    model = Model(toy_cfg.model)
+    reads = _count_reads(monkeypatch)
+    TR.evaluate(model, test, toy_cfg.train, toy_cfg.train.batch_size)
+    assert len(reads) == 5 * len(test)
+    assert sorted(reads) == _each_array_once(test, names)
+
+
+def test_train_reads_each_training_and_validation_array_once_and_no_test_sample(disk_dataset, toy_cfg, monkeypatch):
+    samples, (tr, va, _), names = _loaded_and_split(disk_dataset, toy_cfg)
+    reads = _count_reads(monkeypatch)
+    TR.train(samples, toy_cfg.model, replace(toy_cfg.train, epochs=1), toy_cfg.split)
+    assert sorted(reads) == _each_array_once(tr + va, names)
