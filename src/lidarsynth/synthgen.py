@@ -14,12 +14,18 @@ bounding sphere, for the LiDAR, camera and depth rays alike; the ground plane
 meets every ray.  A tested ray goes through the same arithmetic either way,
 so the result is bit-identical to testing every ray against every primitive.
 
+The ray tables depend only on the grid or the image size, so each is built
+once per process and kept read-only.  The camera and the depth image see
+the same rays, so a scene's camera rays are cast once: the last cast is
+kept, read-only, for the next call with the same scene and image size.
+
 The sensor sits at the origin; +x is the boresight, +z is up, azimuth is
 measured counterclockwise from +x (positive toward +y).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
@@ -91,6 +97,11 @@ class Primitive:
             raise ValueError(f"size must be positive, got {self.size}")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
+        # a tuple of floats, so every scene hashes; a zero reflectivity is
+        # stored as +0.0, since -0.0 == 0.0 and scenes that compare equal must
+        # render equal bytes (the camera cast is kept per scene)
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "reflectivity", self.reflectivity + 0.0)
 
 
 @dataclass(frozen=True)
@@ -348,8 +359,9 @@ def _sphere_rays(dirs: np.ndarray, d2: np.ndarray, prim: Primitive) -> np.ndarra
     return np.flatnonzero(d2 * float(c @ c) - dc * dc <= r * r * d2)
 
 
+@functools.lru_cache(maxsize=4)
 def _lidar_rays(grid: GridSpec) -> np.ndarray:
-    """Unit rays through every bin center of the grid, [n_rows, n_cols, 3]."""
+    """Unit rays through every bin center of the grid, [n_rows, n_cols, 3], read-only."""
     phi = np.deg2rad(grid.row_centers())
     theta = np.deg2rad(grid.col_centers())
     cos_phi = np.cos(phi)[:, None]
@@ -357,6 +369,7 @@ def _lidar_rays(grid: GridSpec) -> np.ndarray:
     dirs[:, :, 0] = cos_phi * np.cos(theta)[None, :]
     dirs[:, :, 1] = cos_phi * np.sin(theta)[None, :]
     dirs[:, :, 2] = np.sin(phi)[:, None]
+    dirs.flags.writeable = False
     return dirs
 
 
@@ -368,8 +381,9 @@ def raycast_lidar(scene: Scene, grid: GridSpec) -> PolarRaster:
     return PolarRaster(grid=grid, data=ranges.astype(np.float32))
 
 
+@functools.lru_cache(maxsize=4)
 def _camera_rays(width: int, height: int) -> np.ndarray:
-    """Pinhole rays looking down +x with a 90 degree horizontal field of view."""
+    """Pinhole rays looking down +x with a 90 degree horizontal field of view, read-only."""
     if width < 1 or height < 1:
         raise ValueError("image dimensions must be positive")
     f = width / 2.0
@@ -380,13 +394,22 @@ def _camera_rays(width: int, height: int) -> np.ndarray:
     dirs[:, :, 1] = -u[None, :] / f  # columns increase to the right (-y)
     dirs[:, :, 2] = v[:, None] / f
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    dirs.flags.writeable = False
     return dirs
+
+
+@functools.lru_cache(maxsize=1)
+def _camera_cast(scene: Scene, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The camera rays' hit distances and reflectivities, read-only; the last scene's are kept for the next call."""
+    t, refl = _cast(scene, _camera_rays(width, height).reshape(-1, 3))
+    t.flags.writeable = False
+    refl.flags.writeable = False
+    return t, refl
 
 
 def render_camera(scene: Scene, width: int, height: int) -> np.ndarray:
     """Flat-shaded grayscale frame: reflectivity x brightness x distance falloff."""
-    dirs = _camera_rays(width, height)
-    t, refl = _cast(scene, dirs.reshape(-1, 3))
+    t, refl = _camera_cast(scene, width, height)
     shade = refl * scene.ambient_brightness / (1.0 + t / FALLOFF_SCALE)
     shade = np.where(np.isfinite(t), shade, BACKGROUND_SHADE * scene.ambient_brightness)
     return shade.reshape(height, width).astype(np.float32)
@@ -394,8 +417,7 @@ def render_camera(scene: Scene, width: int, height: int) -> np.ndarray:
 
 def render_depth(scene: Scene, width: int, height: int) -> np.ndarray:
     """Ground-truth inverse depth in [0, 1]; 0 where no surface is seen."""
-    dirs = _camera_rays(width, height)
-    t, _ = _cast(scene, dirs.reshape(-1, 3))
+    t, _ = _camera_cast(scene, width, height)
     depth = np.where(np.isfinite(t), 1.0 / (1.0 + t), 0.0)
     return depth.reshape(height, width).astype(np.float32)
 
@@ -505,7 +527,7 @@ def export_sample(
         f"ground_height={scene.ground_height!r}",
         f"noise_sigma={radar.noise_sigma!r}",
     ]
-    (out / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
+    formats.write_text(out / "meta.txt", "\n".join(meta) + "\n")
 
 
 class _SampleFiles(Mapping):

@@ -11,7 +11,6 @@ headline comparison table.
 
 from __future__ import annotations
 
-import ctypes
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
@@ -308,29 +307,6 @@ def _step_loss(
     return value
 
 
-# glibc mallopt parameters and the values train() sets: blocks under 32 MiB
-# come from the heap, and a free heap top under 1 GiB is never given back
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20
-_TRIM_THRESHOLD_BYTES = 1 << 30
-
-
-def _keep_heap_mapped() -> None:
-    """Keep freed step temporaries mapped, so the next step does not page-fault them back.
-
-    Calls glibc's mallopt; does nothing where the C library has none.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
 def train(
     dataset: list[Sample],
     model_cfg: ModelConfig,
@@ -346,11 +322,7 @@ def train(
     batch is kept only if it has at least 2 samples.
     A training split under 2 samples or an empty validation split raises
     ValueError; non-finite loss aborts.
-
-    On glibc it first sets the allocator to keep freed memory mapped (see
-    _keep_heap_mapped).  The setting is process-wide and outlives the call.
     """
-    _keep_heap_mapped()
     tr, va, _ = split(dataset, split_spec)
     if len(tr) < 2:
         raise ValueError(f"training split has {len(tr)} samples; batch norm needs at least 2")

@@ -10,6 +10,7 @@ non-degenerate scalar objective.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import zlib
 from typing import Callable
@@ -55,6 +56,14 @@ def legacy_grid(max_range: float = 100.0) -> G.GridSpec:
         phi_regions=((-60.0, -5.0, 0.25), (-5.0, 5.0, 0.015625), (5.0, 30.0, 0.25)),
         max_range=max_range,
     )
+
+
+def glibc_mallopt():
+    """glibc's mallopt, or None where the C library has none: the allocator setting is made only with it."""
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
 
 
 def full_cast(scene: S.Scene, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

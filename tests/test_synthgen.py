@@ -21,6 +21,11 @@ def _box_scene(dist=10.0, size=1.0, refl=0.8, brightness=1.0, velocity=0.0, grou
     return S.Scene(ground_height=ground, primitives=(prim,), ambient_brightness=brightness)
 
 
+def _clear_caches():
+    for cached in (S._lidar_rays, S._camera_rays, S._camera_cast):
+        cached.cache_clear()
+
+
 # -- validation -----------------------------------------------------------------
 
 
@@ -31,6 +36,32 @@ def test_primitive_validation():
         S.Primitive(kind="box", center=(1, 0, 0), size=0.0, reflectivity=0.5)
     with pytest.raises(ValueError):
         S.Primitive(kind="box", center=(1, 0, 0), size=1.0, reflectivity=1.5)
+
+
+def test_a_list_center_scene_hashes_and_renders_as_its_tuple_twin():
+    twins = [
+        S.Scene(ground_height=-1.5, primitives=(S.Primitive(kind="cylinder", center=center, size=2, reflectivity=0.7),),
+                ambient_brightness=0.8)
+        for center in ([12, 1, -0.5], (12.0, 1.0, -0.5))
+    ]
+    assert twins[0] == twins[1] and hash(twins[0]) == hash(twins[1])
+    assert all(type(c) is float for c in twins[0].primitives[0].center)
+    renders = []
+    for scene in twins:
+        _clear_caches()
+        renders.append((S.render_camera(scene, 32, 24).tobytes(), S.render_depth(scene, 32, 24).tobytes()))
+    assert renders[0] == renders[1]
+
+
+def test_scenes_equal_but_for_a_zero_sign_render_equal_bytes():
+    # -0.0 == 0.0, so the two scenes are one key of the kept camera cast
+    plus, minus = (_box_scene(size=8.0, refl=r) for r in (0.0, -0.0))
+    assert plus == minus
+    _clear_caches()
+    alone = S.render_camera(minus, 8, 6).tobytes()
+    _clear_caches()
+    S.render_camera(plus, 8, 6)
+    assert S.render_camera(minus, 8, 6).tobytes() == alone
 
 
 def test_scene_validation():
@@ -274,6 +305,57 @@ def test_camera_rays_reject_empty_images():
         S._camera_rays(0, 4)
 
 
+def test_cached_ray_tables_and_camera_casts_are_read_only():
+    scene = _box_scene()
+    cached = (S._lidar_rays(C.toy_config().grid), S._camera_rays(8, 6), *S._camera_cast(scene, 8, 6))
+    assert not any(arr.flags.writeable for arr in cached)
+    # a second call is a hit: it hands back the same read-only arrays
+    assert S._camera_rays(8, 6) is cached[1]
+    assert S._camera_cast(scene, 8, 6)[0] is cached[2]
+    with pytest.raises(ValueError, match="read-only"):
+        S._camera_rays(8, 6)[0, 0, 0] = 0.0
+
+
+def _cast_bytes(scene, cfg):
+    arrays = S.build_sample(scene, cfg.grid, cfg.radar, cfg.cam_width, cfg.cam_height, seed=0)
+    return {name: arrays[name].tobytes() for name in ("camera", "depth", "target_raster")}
+
+
+def test_cached_casts_give_the_bytes_of_fresh_and_full_casts(monkeypatch):
+    cfg = C.toy_config()
+    a, b = S.generate_scene(3, S.PROFILES["garage_night"]), S.generate_scene(4, S.PROFILES["plaza_day"])
+    fresh = {}
+    for scene in (a, b):
+        _clear_caches()
+        fresh[scene] = _cast_bytes(scene, cfg)
+    assert fresh[a] != fresh[b]
+    _clear_caches()
+    assert [_cast_bytes(scene, cfg) for scene in (a, b, a)] == [fresh[a], fresh[b], fresh[a]]
+    monkeypatch.setattr(S, "_cast", full_cast)
+    _clear_caches()
+    assert [_cast_bytes(scene, cfg) for scene in (a, b, a)] == [fresh[a], fresh[b], fresh[a]]
+    monkeypatch.undo()
+    _clear_caches()
+
+
+def test_build_sample_casts_the_camera_rays_once(monkeypatch):
+    cfg = C.toy_config()
+    counts = []
+    cast = S._cast
+
+    def counting(scene, dirs):
+        counts.append(dirs.shape[0])
+        return cast(scene, dirs)
+
+    monkeypatch.setattr(S, "_cast", counting)
+    _clear_caches()
+    for seed in (5, 6):
+        S.build_sample(S.generate_scene(seed, S.PROFILES["roadside_dusk"]), cfg.grid, cfg.radar,
+                       cfg.cam_width, cfg.cam_height, seed)
+    camera, lidar = cfg.cam_width * cfg.cam_height, cfg.grid.n_rows * cfg.grid.n_cols
+    assert counts == [camera, lidar] * 2
+
+
 # -- radar simulation ------------------------------------------------------------------
 
 
@@ -417,6 +499,15 @@ def test_export_sample_writes_expected_files(tmp_path):
     for name, arr in arrays.items():
         np.testing.assert_array_equal(F.read_lstf(out / f"{name}.lstf"),
                                       arr.astype(np.float32))
+
+
+def test_export_sample_leaves_no_meta_txt_it_could_not_write(tmp_path):
+    cfg = C.toy_config()
+    with pytest.raises(UnicodeEncodeError):
+        S.export_sample(S.generate_scene(5, S.PROFILES["plaza_day"]), cfg.grid, cfg.radar, cfg.cam_width,
+                        cfg.cam_height, tmp_path, seed=5, scenario="plaza\ud800day")
+    assert not (tmp_path / "meta.txt").exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -1,6 +1,5 @@
 """Loss, masking, splits, schedule, training loop, checkpoints, evaluation."""
 
-import ctypes
 import gc
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from lidarsynth.optim import adam_step
 from lidarsynth.synthgen import PROFILE_ORDER, PROFILES, export_sample, generate_scene, plan_scenes
 from lidarsynth.tensor import Tensor
 
-from helpers import grad_norms, synthetic_dataset
+from helpers import glibc_mallopt, grad_norms, synthetic_dataset
 
 
 # -- weight mask --------------------------------------------------------------------
@@ -238,19 +237,12 @@ def test_each_training_step_starts_with_no_graph_alive(monkeypatch, tiny_cfg, ti
     assert graph_nodes == [0] * len(graph_nodes)
 
 
-def _glibc_mallopt():
-    try:
-        return ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return None
-
-
-def test_steps_after_train_reuse_the_heap_without_page_faults(tiny_run, tiny_cfg):
-    # train() (run by the tiny_run fixture) keeps freed memory mapped, so a
-    # batch-32 toy step reuses the previous step's temporaries; without it
-    # glibc trims the heap top and every step faults about 15k pages back
+def test_training_steps_reuse_the_heap_without_page_faults(tiny_cfg):
+    # loading the package keeps freed memory mapped, so a batch-32 toy step
+    # reuses the previous step's temporaries; without it glibc trims the heap
+    # top and every step faults about 8.5k pages back
     resource = pytest.importorskip("resource")
-    if _glibc_mallopt() is None:
+    if glibc_mallopt() is None:
         pytest.skip("the C library has no mallopt")
     grid, cfg = tiny_cfg.grid, tiny_cfg.train
     model = Model(tiny_cfg.model)
@@ -265,16 +257,6 @@ def test_steps_after_train_reuse_the_heap_without_page_faults(tiny_run, tiny_cfg
         adam_step(model.store, cfg.lr_early, cfg.beta1, cfg.beta2, cfg.eps)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 1000
-
-
-def _no_c_library(name):
-    raise OSError("no C library")
-
-
-@pytest.mark.parametrize("loader", [lambda name: object(), _no_c_library], ids=["no_symbol", "no_library"])
-def test_keep_heap_mapped_is_quiet_without_glibc_mallopt(monkeypatch, loader):
-    monkeypatch.setattr(ctypes, "CDLL", loader)
-    assert TR._keep_heap_mapped() is None
 
 
 def test_training_diverges_on_nan_input(tiny_cfg, tiny_dataset):
