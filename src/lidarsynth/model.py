@@ -499,7 +499,10 @@ class Model:
         return {name: arr.copy() for name, arr in self.bn_stats.items()}
 
     def load_bn_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace every running statistic with a float32 copy of its entry in `arrays`."""
+        """Replace every running statistic with a float32 copy of its entry in `arrays`, which holds no other name."""
+        unknown = [name for name in arrays if name not in self.bn_stats]
+        if unknown:
+            raise KeyError(f"unknown batch-norm statistic {unknown[0]!r}")
         loaded = {}
         for name, arr in self.bn_stats.items():
             new = arrays.get(name)

@@ -16,8 +16,8 @@ so the result is bit-identical to testing every ray against every primitive.
 
 The ray tables depend only on the grid or the image size, so each is built
 once per process and kept read-only.  The camera and the depth image see
-the same rays, so a scene's camera rays are cast once: the last cast is
-kept, read-only, for the next call with the same scene and image size.
+the same rays: ``build_sample`` casts them once with ``cast_camera`` and
+hands the hits to ``render_camera`` and ``render_depth``.
 
 The sensor sits at the origin; +x is the boresight, +z is up, azimuth is
 measured counterclockwise from +x (positive toward +y).
@@ -51,6 +51,7 @@ __all__ = [
     "plan_scenes",
     "generate_scene",
     "raycast_lidar",
+    "cast_camera",
     "render_camera",
     "render_depth",
     "simulate_radar",
@@ -97,11 +98,6 @@ class Primitive:
             raise ValueError(f"size must be positive, got {self.size}")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
-        # a tuple of floats, so every scene hashes; a zero reflectivity is
-        # stored as +0.0, since -0.0 == 0.0 and scenes that compare equal must
-        # render equal bytes (the camera cast is kept per scene)
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "reflectivity", self.reflectivity + 0.0)
 
 
 @dataclass(frozen=True)
@@ -157,42 +153,45 @@ class SceneProfile:
 
 
 PROFILES: dict[str, SceneProfile] = {
-    "plaza_day": SceneProfile(
-        name="plaza_day",
-        n_primitives=(2, 5),
-        distance=(6.0, 45.0),
-        size=(0.8, 3.5),
-        brightness=(0.7, 1.0),
-        noise_sigma=0.02,
-    ),
-    "garage_night": SceneProfile(
-        name="garage_night",
-        n_primitives=(4, 8),
-        distance=(4.0, 30.0),
-        size=(0.6, 2.5),
-        brightness=(0.05, 0.25),
-        noise_sigma=0.05,
-    ),
-    "roadside_dusk": SceneProfile(
-        name="roadside_dusk",
-        n_primitives=(3, 6),
-        distance=(8.0, 55.0),
-        size=(1.0, 4.0),
-        brightness=(0.3, 0.6),
-        noise_sigma=0.03,
-        max_speed=25.0,
-    ),
-    "campus_day": SceneProfile(
-        name="campus_day",
-        n_primitives=(1, 3),
-        distance=(5.0, 40.0),
-        size=(0.8, 3.0),
-        brightness=(0.6, 0.95),
-        noise_sigma=0.02,
-    ),
+    prof.name: prof
+    for prof in (
+        SceneProfile(
+            name="plaza_day",
+            n_primitives=(2, 5),
+            distance=(6.0, 45.0),
+            size=(0.8, 3.5),
+            brightness=(0.7, 1.0),
+            noise_sigma=0.02,
+        ),
+        SceneProfile(
+            name="garage_night",
+            n_primitives=(4, 8),
+            distance=(4.0, 30.0),
+            size=(0.6, 2.5),
+            brightness=(0.05, 0.25),
+            noise_sigma=0.05,
+        ),
+        SceneProfile(
+            name="roadside_dusk",
+            n_primitives=(3, 6),
+            distance=(8.0, 55.0),
+            size=(1.0, 4.0),
+            brightness=(0.3, 0.6),
+            noise_sigma=0.03,
+            max_speed=25.0,
+        ),
+        SceneProfile(
+            name="campus_day",
+            n_primitives=(1, 3),
+            distance=(5.0, 40.0),
+            size=(0.8, 3.0),
+            brightness=(0.6, 0.95),
+            noise_sigma=0.02,
+        ),
+    )
 }
 
-PROFILE_ORDER = ("plaza_day", "garage_night", "roadside_dusk", "campus_day")
+PROFILE_ORDER = tuple(PROFILES)
 
 
 def resolve_profiles(name: str) -> tuple[SceneProfile, ...]:
@@ -398,26 +397,20 @@ def _camera_rays(width: int, height: int) -> np.ndarray:
     return dirs
 
 
-@functools.lru_cache(maxsize=1)
-def _camera_cast(scene: Scene, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """The camera rays' hit distances and reflectivities, read-only; the last scene's are kept for the next call."""
-    t, refl = _cast(scene, _camera_rays(width, height).reshape(-1, 3))
-    t.flags.writeable = False
-    refl.flags.writeable = False
-    return t, refl
+def cast_camera(scene: Scene, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hit distance and reflectivity of every camera ray, flat in pixel order; (inf, 0) for misses."""
+    return _cast(scene, _camera_rays(width, height).reshape(-1, 3))
 
 
-def render_camera(scene: Scene, width: int, height: int) -> np.ndarray:
-    """Flat-shaded grayscale frame: reflectivity x brightness x distance falloff."""
-    t, refl = _camera_cast(scene, width, height)
+def render_camera(scene: Scene, t: np.ndarray, refl: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Flat-shaded grayscale frame from ``cast_camera``'s hits: reflectivity x brightness x distance falloff."""
     shade = refl * scene.ambient_brightness / (1.0 + t / FALLOFF_SCALE)
     shade = np.where(np.isfinite(t), shade, BACKGROUND_SHADE * scene.ambient_brightness)
     return shade.reshape(height, width).astype(np.float32)
 
 
-def render_depth(scene: Scene, width: int, height: int) -> np.ndarray:
-    """Ground-truth inverse depth in [0, 1]; 0 where no surface is seen."""
-    t, _ = _camera_cast(scene, width, height)
+def render_depth(t: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Ground-truth inverse depth in [0, 1] from ``cast_camera``'s hit distances; 0 where no surface is seen."""
     depth = np.where(np.isfinite(t), 1.0 / (1.0 + t), 0.0)
     return depth.reshape(height, width).astype(np.float32)
 
@@ -493,9 +486,10 @@ def build_sample(
     """All per-sample arrays, keyed by modality name."""
     cube = simulate_radar(scene, radar, seed)
     ranged = range_transform(cube)
+    t, refl = cast_camera(scene, cam_width, cam_height)
     return {
-        "camera": render_camera(scene, cam_width, cam_height),
-        "depth": render_depth(scene, cam_width, cam_height),
+        "camera": render_camera(scene, t, refl, cam_width, cam_height),
+        "depth": render_depth(t, cam_width, cam_height),
         "radar_cube": cube.to_interleaved(),
         "range_angle": range_angle_map(ranged),
         "range_velocity": range_velocity_map(ranged),

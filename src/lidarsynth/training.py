@@ -183,8 +183,9 @@ def split(samples: list[Sample], spec: SplitSpec = SplitSpec()) -> tuple[list[Sa
 
     Counts use floor for train and val, with the same 1e-9 slack that
     ``SplitSpec`` allows, so a product such as 0.7 * 90 = 62.99999999999999
-    counts 63; the remainder goes to test.  Original sample order is
-    preserved inside every part.
+    counts 63; the remainder goes to test.  Each part is grouped by
+    scenario: it lists the scenarios in the order they first appear in
+    ``samples``, and each scenario's samples in their order there.
     """
     by_scenario: dict[str, list[Sample]] = {}
     for s in samples:

@@ -385,6 +385,10 @@ def test_training_pass_updates_running_stats_draws_from_rng_and_repeats(toy_cfg)
 
 def test_load_bn_state_arrays_names_a_missing_or_misshaped_statistic(toy_cfg, toy_model):
     before = toy_model.bn_state_arrays()
+    stray = dict(before, **{"decoder.bn.7.running_mean": np.zeros(3, dtype=np.float32),
+                            "fusion.running_var": np.ones(3, dtype=np.float32)})
+    with pytest.raises(KeyError, match=r"decoder\.bn\.7\.running_mean"):
+        toy_model.load_bn_state_arrays(stray)
     missing = dict(before)
     del missing["decoder.bn.2.running_var"]
     with pytest.raises(KeyError, match=r"decoder\.bn\.2\.running_var"):
