@@ -9,16 +9,27 @@ band-weighted mean squared error objective.
 
 Setting LIDARSYNTH_THREADS caps BLAS thread pools; it must take effect
 before numpy loads its backend, hence the env handling ahead of imports.
+When numpy is already loaded and a BLAS variable does not already hold that
+count, the cap may not apply, and the "lidarsynth" logger warns once.
 Loading the package also sets glibc's allocator to keep freed memory mapped
 (see _keep_heap_mapped), for every stage of the process.
 """
 
 import ctypes as _ctypes
+import logging as _logging
 import os as _os
+import sys as _sys
 
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _threads = _os.environ.get("LIDARSYNTH_THREADS")
 if _threads and _threads.isdigit():
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    if "numpy" in _sys.modules and any(_os.environ.get(_var) != _threads for _var in _BLAS_VARS):
+        _logging.getLogger("lidarsynth").warning(
+            "LIDARSYNTH_THREADS=%s is set after numpy loaded its BLAS, which may not keep to it: "
+            "import lidarsynth before numpy, or set %s to %s too",
+            _threads, ", ".join(_BLAS_VARS), _threads,
+        )
+    for _var in _BLAS_VARS:
         _os.environ.setdefault(_var, _threads)
 
 # glibc mallopt parameters and the values the package sets: blocks under

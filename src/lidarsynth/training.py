@@ -207,7 +207,7 @@ def split(samples: list[Sample], spec: SplitSpec = SplitSpec()) -> tuple[list[Sa
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; training was aborted."""
+    """A training loss or a validation MMSE became non-finite; training was aborted."""
 
 
 @dataclass
@@ -256,19 +256,37 @@ def _stacked_targets(samples: list[Sample], grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _cached_embeddings(model: Model, samples: list[Sample], batch_size: int) -> np.ndarray:
+# rows of the longest encoder sequence that one ``Model.embed`` call may hold:
+# 361 samples of the toy config's 17 tokens, where a call's cost is mostly
+# streaming the frozen weights, and 31 of the paper config's 197, where a
+# call is compute-bound and peaks about 15 MB higher per sample
+_EMBED_ROWS = 6144
+
+
+def _embed_chunk(cfg: ModelConfig) -> int:
+    """Samples per ``Model.embed`` call: the row budget over the longest encoder sequence, at least 1."""
+    longest = max(enc.n_patches + 1 for enc in cfg.encoders.values())
+    return max(1, _EMBED_ROWS // longest)
+
+
+def _cached_embeddings(model: Model, samples: list[Sample]) -> np.ndarray:
     """[N, 4, EMBED_DIM] embeddings of the frozen encoders, which record no graph.
 
-    ``train`` computes them once per run for its train and validation
-    splits, and ``evaluate`` once for its split.
-    Each chunk of up to ``batch_size`` samples is one ``Model.embed`` call.
+    ``train`` computes them once per run for its training and validation
+    splits together, and ``evaluate`` once for its split.  Each chunk of up
+    to ``_embed_chunk`` samples is one ``Model.embed`` call: a call streams
+    every frozen weight whatever its row count, so a toy split takes one
+    call, while the paper config's chunks stay at or under 32 samples.
     Encoders hold no batch statistics, so a chunk embeds each sample as it
-    would alone, up to the GEMM's summation order (at most 2.5e-6 on values
-    up to 2.3 on the toy config).
+    would alone, up to the GEMM's summation order: with OpenBLAS on one
+    thread, a chunk of 24 or more samples gives the same bits as any larger
+    one, and smaller chunks differ by up to 2.6e-6 on toy-config values up
+    to 2.4.
     """
+    chunk = _embed_chunk(model.cfg)
     out = np.empty((len(samples), len(MODALITIES), EMBED_DIM), dtype=np.float32)
-    for start in range(0, len(samples), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(samples)))
+    for start in range(0, len(samples), chunk):
+        idx = np.arange(start, min(start + chunk, len(samples)))
         out[idx] = model.embed(_batch_arrays(samples, idx)).data
     return out
 
@@ -318,11 +336,14 @@ def train(
 
     The dataset is split internally (sequential per scenario), and only the
     training and validation splits are read: each model input once, when the
-    frozen encoders embed it, and each target once, into the stacked targets.
+    frozen encoders embed both splits in passes sized by the row budget (see
+    ``_cached_embeddings``), and each target once, into the stacked targets.
+    Training steps and validation passes take ``batch_size`` samples.
     Batches are drawn in a seeded shuffled order each epoch; a trailing short
     batch is kept only if it has at least 2 samples.
     A training split under 2 samples or an empty validation split raises
-    ValueError; non-finite loss aborts.
+    ValueError; a non-finite training loss or validation MMSE raises
+    TrainingDiverged, naming the epoch.
     """
     tr, va, _ = split(dataset, split_spec)
     if len(tr) < 2:
@@ -343,8 +364,8 @@ def train(
     targets_tr *= scale
     targets_va *= scale
 
-    emb_tr = _cached_embeddings(model, tr, train_cfg.batch_size)
-    emb_va = _cached_embeddings(model, va, train_cfg.batch_size)
+    emb = _cached_embeddings(model, tr + va)
+    emb_tr, emb_va = emb[: len(tr)], emb[len(tr) :]
 
     history: list[EpochStats] = []
     best: Checkpoint | None = None
@@ -368,6 +389,8 @@ def train(
             seen += len(idx)
         train_mmse = loss_sum / max(seen, 1)
         val_mmse = _eval_mmse(model, emb_va, targets_va, mask, train_cfg.batch_size)
+        if not np.isfinite(val_mmse):
+            raise TrainingDiverged(f"non-finite validation MMSE {val_mmse} at epoch {epoch}")
         history.append(EpochStats(epoch=epoch, lr=lr, train_mmse=train_mmse, val_mmse=val_mmse))
         log.debug("epoch %d lr %.2g train %.6f val %.6f", epoch, lr, train_mmse, val_mmse)
         if best is None or val_mmse < best.val_mmse:
@@ -495,6 +518,9 @@ def evaluate(
 ) -> EvalReport:
     """Evaluation passes of ``batch_size`` samples; per-sample MMSE in meters, grouped by scenario.
 
+    The frozen encoders embed the split in passes sized by the row budget,
+    not by ``batch_size`` (see ``_cached_embeddings``), so a toy split is
+    one pass; the fusion and decoder passes take ``batch_size`` samples.
     Only these samples are read, each array once: the targets are stacked
     once, for the model's MMSE and the all-zeros baseline alike.
     """
@@ -503,7 +529,7 @@ def evaluate(
     grid = model.cfg.grid
     mask = weight_mask(grid, train_cfg.band, train_cfg.alpha)
     scale = grid.max_range if train_cfg.normalize_ranges else 1.0
-    preds = _predict(model, _cached_embeddings(model, samples, batch_size), batch_size)
+    preds = _predict(model, _cached_embeddings(model, samples), batch_size)
     targets = _stacked_targets(samples, grid)  # read after the passes, so not held through them
     per_sample = _per_sample_mmse(np.clip(preds * scale, 0.0, grid.max_range), targets, mask)
     per_scenario: dict[str, float] = {}

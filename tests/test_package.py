@@ -1,4 +1,4 @@
-"""The package surface: every exported name resolves and has a caller in the program; the allocator setting it makes on load."""
+"""The package surface: every exported name resolves and has a caller in the program; the thread cap and allocator setting it makes on load."""
 
 import ast
 import ctypes
@@ -95,6 +95,31 @@ def _no_c_library(name):
 def test_keep_heap_mapped_is_quiet_without_glibc_mallopt(monkeypatch, loader):
     monkeypatch.setattr(ctypes, "CDLL", loader)
     assert lidarsynth._keep_heap_mapped() is None
+
+
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _import_in_fresh_process(imports: str, **blas: str) -> subprocess.CompletedProcess:
+    """Run ``imports`` in a new interpreter under LIDARSYNTH_THREADS=1 and the given BLAS variables only."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(blas, LIDARSYNTH_THREADS="1", PYTHONPATH=str(Path(lidarsynth.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", imports], env=env, capture_output=True, text=True, check=True)
+
+
+def test_a_thread_cap_after_numpy_is_logged_once():
+    done = _import_in_fresh_process("import numpy, lidarsynth")
+    assert done.stderr.count("LIDARSYNTH_THREADS=1") == 1, done.stderr
+    assert "before numpy" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "imports, blas",
+    [("import lidarsynth, numpy", {}), ("import numpy, lidarsynth", dict.fromkeys(_BLAS_VARS, "1"))],
+    ids=["lidarsynth_first", "numpy_first_with_blas_caps_set"],
+)
+def test_a_thread_cap_that_applies_logs_nothing(imports, blas):
+    assert _import_in_fresh_process(imports, **blas).stderr == ""
 
 
 def _minor_faults_in_fresh_process(script: str, *args: str) -> list[int]:

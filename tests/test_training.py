@@ -293,16 +293,48 @@ def test_train_rejects_empty_validation_split(tiny_cfg, tiny_dataset):
         TR.train(twelve, tiny_cfg.model, tiny_cfg.train, tiny_cfg.split)
 
 
-def test_cached_embeddings_match_per_sample_embed(tiny_cfg, tiny_dataset):
+def _embed_in_chunks_of(monkeypatch, cfg: M.ModelConfig, chunk: int) -> None:
+    """Shrink the row budget so that ``_cached_embeddings`` embeds ``chunk`` samples per call."""
+    longest = max(enc.n_patches + 1 for enc in cfg.encoders.values())
+    monkeypatch.setattr(TR, "_EMBED_ROWS", chunk * longest)
+    assert TR._embed_chunk(cfg) == chunk
+
+
+def _embed_call_sizes(monkeypatch) -> list[int]:
+    """Record the samples of every later ``Model.embed`` call, in call order."""
+    sizes: list[int] = []
+    embed = Model.embed
+
+    def counting(self, batch):
+        sizes.append(len(batch[MODALITIES[0]]))
+        return embed(self, batch)
+
+    monkeypatch.setattr(Model, "embed", counting)
+    return sizes
+
+
+def test_embed_chunks_hold_the_paper_config_to_32_samples_and_a_toy_split_in_one(monkeypatch):
+    assert TR._embed_chunk(C.default_config().model) <= 32
+    assert TR._embed_chunk(C.toy_config().model) >= 200
+    # a budget under one sequence still embeds one sample per call
+    monkeypatch.setattr(TR, "_EMBED_ROWS", 1)
+    assert TR._embed_chunk(C.toy_config().model) == 1
+
+
+def test_cached_embeddings_match_per_sample_embed(monkeypatch, tiny_cfg, tiny_dataset):
     model = Model(tiny_cfg.model)
     samples = tiny_dataset[:7]  # two full chunks of 3 and a trailing chunk of 1
-    cached = TR._cached_embeddings(model, samples, batch_size=3)
+    _embed_in_chunks_of(monkeypatch, tiny_cfg.model, 3)
+    sizes = _embed_call_sizes(monkeypatch)
+    cached = TR._cached_embeddings(model, samples)
+    assert sizes == [3, 3, 1]
     assert cached.shape == (7, len(MODALITIES), EMBED_DIM)
     with T.no_grad():
         batched = model.embed(TR._batch_arrays(samples, np.arange(len(samples)))).data
-        chunk = model.embed(TR._batch_arrays(samples, np.arange(3, 6))).data
-    # each chunk is one embed call: its rows are the cache's rows bit for bit
-    np.testing.assert_array_equal(cached[3:6], chunk)
+        # each chunk is one embed call: its rows are the cache's rows bit for bit
+        for start in range(0, len(samples), 3):
+            idx = np.arange(start, min(start + 3, len(samples)))
+            np.testing.assert_array_equal(cached[idx], model.embed(TR._batch_arrays(samples, idx)).data)
     # other batch sizes agree up to the GEMM's summation order
     np.testing.assert_allclose(cached, batched, rtol=0, atol=1e-5)
     for i, s in enumerate(samples):
@@ -311,16 +343,48 @@ def test_cached_embeddings_match_per_sample_embed(tiny_cfg, tiny_dataset):
         np.testing.assert_allclose(batched[i], single[0], rtol=0, atol=1e-5)
 
 
-def test_eval_mmse_from_raw_samples_matches_forward_batch_oracle(tiny_cfg, tiny_dataset):
+def test_train_embeds_its_training_and_validation_splits_in_one_call(monkeypatch, tiny_cfg, tiny_dataset):
+    tr, va, _ = TR.split(tiny_dataset, tiny_cfg.split)
+    sizes = _embed_call_sizes(monkeypatch)
+    TR.train(tiny_dataset, tiny_cfg.model, replace(tiny_cfg.train, epochs=1), tiny_cfg.split)
+    assert sizes == [len(tr) + len(va)]
+
+
+def test_evaluate_embeds_its_split_in_one_call(monkeypatch, tiny_cfg, tiny_dataset):
+    _, _, test = TR.split(tiny_dataset, tiny_cfg.split)
+    model = Model(tiny_cfg.model)
+    sizes = _embed_call_sizes(monkeypatch)
+    TR.evaluate(model, test, tiny_cfg.train, batch_size=3)
+    assert sizes == [len(test)]
+
+
+@pytest.mark.parametrize("bad_epoch, value", [(1, np.nan), (3, np.inf)], ids=["nan_first", "inf_later"])
+def test_a_non_finite_validation_mmse_aborts_naming_its_epoch(monkeypatch, tiny_cfg, tiny_dataset, bad_epoch, value):
+    # NaN compares False against every MMSE, so a NaN epoch kept as best would stay best
+    eval_mmse = TR._eval_mmse
+    epochs: list[int] = []
+
+    def failing(*args):
+        epochs.append(len(epochs) + 1)
+        return value if len(epochs) == bad_epoch else eval_mmse(*args)
+
+    monkeypatch.setattr(TR, "_eval_mmse", failing)
+    with pytest.raises(TR.TrainingDiverged, match=rf"at epoch {bad_epoch}$"):
+        TR.train(tiny_dataset, tiny_cfg.model, replace(tiny_cfg.train, epochs=4), tiny_cfg.split)
+    assert epochs[-1] == bad_epoch
+
+
+def test_eval_mmse_from_raw_samples_matches_forward_batch_oracle(monkeypatch, tiny_cfg, tiny_dataset):
     # embeddings cached over the same chunks as the raw forward_batch oracle
     cfg = tiny_cfg.model
     model = Model(cfg)
+    _embed_in_chunks_of(monkeypatch, cfg, 3)
     bn_before = model.bn_state_arrays()
     samples = tiny_dataset[:7]
     targets = np.stack([s.target.data for s in samples]) / np.float32(cfg.grid.max_range)
     mask = TR.weight_mask(cfg.grid, tiny_cfg.train.band, tiny_cfg.train.alpha)
 
-    got = TR._eval_mmse(model, TR._cached_embeddings(model, samples, 3), targets, mask, batch_size=3)
+    got = TR._eval_mmse(model, TR._cached_embeddings(model, samples), targets, mask, batch_size=3)
     for name, arr in model.bn_state_arrays().items():
         np.testing.assert_array_equal(arr, bn_before[name])
 
@@ -371,7 +435,7 @@ def test_step_one_loss_and_gradient_norms_match_golden(toy_cfg):
     assert toy_cfg.train.normalize_ranges
     targets = np.array([s.target.data for s in samples], dtype=np.float32) / toy_cfg.grid.max_range
     mask = TR.weight_mask(toy_cfg.grid, toy_cfg.train.band, toy_cfg.train.alpha)
-    emb = TR._cached_embeddings(model, samples, len(samples))
+    emb = TR._cached_embeddings(model, samples)
     out = model.forward_batch(embeddings=Tensor(emb), train_rng=np.random.default_rng(5))
     loss = TR.mmse_loss(out, targets, mask)
     loss.backward()
@@ -393,7 +457,7 @@ def test_whole_model_gradient_matches_central_differences_along_random_direction
     store = model.store
     targets = np.array([s.target.data for s in samples], dtype=np.float32) / cfg.grid.max_range
     mask = TR.weight_mask(cfg.grid, cfg.train.band, cfg.train.alpha)
-    emb = Tensor(TR._cached_embeddings(model, samples, len(samples)))
+    emb = Tensor(TR._cached_embeddings(model, samples))
 
     def loss():
         out = model.forward_batch(embeddings=emb, train_rng=np.random.default_rng(5))
