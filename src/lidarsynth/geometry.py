@@ -178,7 +178,7 @@ def derasterize_arrays(raster: PolarRaster) -> np.ndarray:
     """Nonzero bins as an [N, 3] float64 point array at bin-center directions."""
     rows, cols = np.divmod(np.flatnonzero(raster.data != 0), raster.grid.n_cols)  # row-major, as np.nonzero
     r = raster.data[rows, cols].astype(np.float64)
-    theta = np.radians(raster.grid.theta_lo + (cols + 0.5) * raster.grid.theta_step)
+    theta = np.radians(raster.grid.col_centers()[cols])
     phi = np.radians(raster.grid.row_centers()[rows])
     cos_phi = np.cos(phi)
     return np.stack(

@@ -360,7 +360,7 @@ class Model:
         x = T.concat([cls, x])
         x = T.add(x, s[f"{name}.pos_embed"])
         for i in range(cfg.depth):
-            x, _ = self._block(x, f"{name}.layers.{i}", cfg.n_heads, n_queries=1 if i == cfg.depth - 1 else None)
+            x = self._block(x, f"{name}.layers.{i}", cfg.n_heads, n_queries=1 if i == cfg.depth - 1 else None)
         cls_out = T.layer_norm(x[:, 0], s[f"{name}.final_ln.gain"], s[f"{name}.final_ln.bias"])
         return T.linear(cls_out, s[f"{name}.head.weight"], s[f"{name}.head.bias"])
 
@@ -379,8 +379,8 @@ class Model:
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
         n_queries: int | None = None,
-    ) -> tuple[Tensor, np.ndarray]:
-        """One pre-norm block; returns its output and the attention weights it computed.
+    ) -> Tensor:
+        """One pre-norm block.
 
         Only the first ``n_queries`` tokens (default all) query and go on
         through the feedforward, so the output has that many rows; they
@@ -389,39 +389,32 @@ class Model:
         """
         s = self.store
         h = T.layer_norm(x, s[f"{p}.ln1.gain"], s[f"{p}.ln1.bias"])
-        att, weights = T.multi_head_self_attention(h, self._attn_params(f"{p}.attn"), n_heads, n_queries=n_queries)
+        att = T.multi_head_self_attention(h, self._attn_params(f"{p}.attn"), n_heads, n_queries=n_queries)
         if n_queries is not None:
             x = x[:, :n_queries]
         x = T.add(x, T.dropout(att, dropout, rng))
         h = T.layer_norm(x, s[f"{p}.ln2.gain"], s[f"{p}.ln2.bias"])
         h = T.relu(T.linear(h, s[f"{p}.ffn.w1"], s[f"{p}.ffn.b1"]))
         h = T.linear(h, s[f"{p}.ffn.w2"], s[f"{p}.ffn.b2"])
-        return T.add(x, T.dropout(h, dropout, rng)), weights
+        return T.add(x, T.dropout(h, dropout, rng))
 
     # fusion
 
-    def fuse(
-        self, embeddings: Tensor, train_rng: np.random.Generator | None = None
-    ) -> tuple[Tensor, np.ndarray | None]:
-        """[B, 4, 768] modality embeddings -> [B, 1024] latent and the fusion attention weights.
-
-        The weights are [B, n_heads, 4, 4], or None under ``fusion_bypass``,
-        which has no attention.  Dropout draws from ``train_rng``.
-        """
+    def fuse(self, embeddings: Tensor, train_rng: np.random.Generator | None = None) -> Tensor:
+        """[B, 4, 768] modality embeddings -> [B, 1024] latent; dropout draws from ``train_rng``."""
         s = self.store
         f = self.cfg.fusion
         x = embeddings
         if x.ndim != 3 or x.shape[1:] != (len(MODALITIES), EMBED_DIM):
             raise ValueError(f"fuse expects [B, {len(MODALITIES)}, {EMBED_DIM}], got {x.shape}")
         b, t, d = x.shape
-        attn_weights = None
         if not self.cfg.fusion_bypass:
             x = T.add(x, s["fusion.type_embed"])
-            x, attn_weights = self._block(x, _FUSION_BLOCK, f.n_heads, f.dropout, train_rng)
+            x = self._block(x, _FUSION_BLOCK, f.n_heads, f.dropout, train_rng)
             x = T.layer_norm(x, s["fusion.final_ln.gain"], s["fusion.final_ln.bias"])
 
         flat = T.reshape(x, (b, t * d))
-        return T.linear(flat, s["fusion.proj.weight"], s["fusion.proj.bias"]), attn_weights
+        return T.linear(flat, s["fusion.proj.weight"], s["fusion.proj.bias"])
 
     # decoder
 
@@ -475,7 +468,7 @@ class Model:
         with T.no_grad() if train_rng is None else contextlib.nullcontext():
             if embeddings is None:
                 embeddings = self.embed(batch)
-            latent, _ = self.fuse(embeddings, train_rng=train_rng)
+            latent = self.fuse(embeddings, train_rng=train_rng)
             out = self.decode(latent, training=train_rng is not None)  # [B, 1, n_cols, n_rows]
             out = T.reshape(out, (out.shape[0], out.shape[2], out.shape[3]))
             return T.transpose(out, (0, 2, 1))

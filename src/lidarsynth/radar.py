@@ -68,25 +68,24 @@ def _normalize(mag: np.ndarray) -> np.ndarray:
     return ((compressed - lo) / span).astype(np.float32)
 
 
-def range_angle_map(range_cube: RadarCube) -> np.ndarray:
-    """FFT over rx, sum |.| over chirps, center-shift angle axis, log1p, min-max.
+def _fft_map(range_cube: RadarCube, fft_axis: int, sum_axis: int) -> np.ndarray:
+    """FFT over ``fft_axis``, sum |.| over ``sum_axis``, center-shift the FFT axis, log1p, min-max.
 
     Input must already be range-transformed.  Returns float32 values in [0, 1],
-    shape (n_rx, n_samples).
+    shape (n along ``fft_axis``, n_samples).
     """
-    spec = np.fft.fft(range_cube.data.astype(np.complex128), axis=0)
-    mag = np.abs(spec).sum(axis=2)  # (n_rx, n_samples)
-    mag = np.fft.fftshift(mag, axes=0)
-    return _normalize(mag)
+    spec = np.fft.fft(range_cube.data.astype(np.complex128), axis=fft_axis)
+    mag = np.abs(spec).sum(axis=sum_axis)  # the FFT axis and the samples axis, in cube order
+    if fft_axis > sum_axis:
+        mag = mag.T
+    return _normalize(np.fft.fftshift(mag, axes=0))
+
+
+def range_angle_map(range_cube: RadarCube) -> np.ndarray:
+    """FFT over rx, sum over chirps (see ``_fft_map``); shape (n_rx, n_samples)."""
+    return _fft_map(range_cube, fft_axis=0, sum_axis=2)
 
 
 def range_velocity_map(range_cube: RadarCube) -> np.ndarray:
-    """FFT over chirps, sum |.| over rx, center-shift velocity axis, log1p, min-max.
-
-    Input must already be range-transformed.  Returns float32 values in [0, 1],
-    shape (n_chirps, n_samples).
-    """
-    spec = np.fft.fft(range_cube.data.astype(np.complex128), axis=2)
-    mag = np.abs(spec).sum(axis=0)  # (n_samples, n_chirps)
-    mag = np.fft.fftshift(mag.T, axes=0)  # (n_chirps, n_samples)
-    return _normalize(mag)
+    """FFT over chirps, sum over rx (see ``_fft_map``); shape (n_chirps, n_samples)."""
+    return _fft_map(range_cube, fft_axis=2, sum_axis=0)

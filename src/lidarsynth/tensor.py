@@ -553,14 +553,14 @@ def multi_head_self_attention(
     params: AttentionParams,
     n_heads: int,
     n_queries: int | None = None,
-) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product self-attention over tokens; returns the output and the attention weights.
+) -> Tensor:
+    """Scaled dot-product self-attention over tokens.
 
     x: [N, T, D].  D must divide evenly into n_heads; each head
     uses scale 1/sqrt(D / n_heads).  Heads are concatenated and passed
     through the output projection.  Only the first ``n_queries`` tokens
     (default all T) query and every token is attended to, so the output is
-    [N, n_queries, D] and the weights [N, heads, n_queries, T].
+    [N, n_queries, D].
 
     With fewer queries than tokens no key or value is formed: each head h
     folds its projections into the query side instead,
@@ -608,4 +608,4 @@ def multi_head_self_attention(
         wv = transpose(reshape(params.wv, (d, n_heads, dh)), (1, 0, 2))  # Wv_h, [heads, D, dh]
         ctx = add(matmul(ax, wv), reshape(params.bv, (n_heads, 1, dh)))  # [heads, N*nq, dh]
         ctx = transpose(reshape(ctx, (n_heads, n, nq, dh)), (1, 2, 0, 3))  # [N, nq, heads, dh]
-    return linear(reshape(ctx, (n, nq, d)), params.wo, params.bo), attn.data
+    return linear(reshape(ctx, (n, nq, d)), params.wo, params.bo)

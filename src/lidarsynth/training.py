@@ -45,7 +45,6 @@ __all__ = [
     "train",
     "write_history",
     "evaluate",
-    "baseline_all_zeros",
     "model_from_checkpoint",
     "save_checkpoint",
     "load_checkpoint",
@@ -522,7 +521,9 @@ def evaluate(
     not by ``batch_size`` (see ``_cached_embeddings``), so a toy split is
     one pass; the fusion and decoder passes take ``batch_size`` samples.
     Only these samples are read, each array once: the targets are stacked
-    once, for the model's MMSE and the all-zeros baseline alike.
+    once, for the model's MMSE and the all-zeros baseline alike.  A sample
+    whose MMSE is not finite (a checkpoint holding a NaN, say) raises
+    ValueError, so no report is made of it.
     """
     if not samples:
         raise ValueError("evaluation split is empty")
@@ -532,26 +533,22 @@ def evaluate(
     preds = _predict(model, _cached_embeddings(model, samples), batch_size)
     targets = _stacked_targets(samples, grid)  # read after the passes, so not held through them
     per_sample = _per_sample_mmse(np.clip(preds * scale, 0.0, grid.max_range), targets, mask)
+    bad = np.flatnonzero(~np.isfinite(per_sample))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"test sample {i} ({samples[i].scenario_id}) has a non-finite MMSE {per_sample[i]}")
     per_scenario: dict[str, float] = {}
     counts: dict[str, int] = {}
     for value, s in zip(per_sample, samples):
         per_scenario[s.scenario_id] = per_scenario.get(s.scenario_id, 0.0) + value
         counts[s.scenario_id] = counts.get(s.scenario_id, 0) + 1
     per_scenario = {k: v / counts[k] for k, v in per_scenario.items()}
+    zeros = np.zeros((grid.n_rows, grid.n_cols), dtype=np.float32)
     return EvalReport(
         per_scenario=per_scenario,
         overall=float(per_sample.mean()),
-        baseline_zeros=baseline_all_zeros(targets, grid, train_cfg.band, train_cfg.alpha),
+        baseline_zeros=float(np.mean(_per_sample_mmse([zeros] * len(targets), targets, mask))),
     )
-
-
-def baseline_all_zeros(targets: np.ndarray, grid: GridSpec, band: tuple[float, float], alpha: float) -> float:
-    """MMSE of predicting zero everywhere, averaged over a split's [N, rows, cols] targets."""
-    if not len(targets):
-        raise ValueError("empty split")
-    mask = weight_mask(grid, band, alpha)
-    zeros = np.zeros((grid.n_rows, grid.n_cols), dtype=np.float32)
-    return float(np.mean(_per_sample_mmse([zeros] * len(targets), targets, mask)))
 
 
 # -- dataset assembly ---------------------------------------------------------

@@ -143,7 +143,7 @@ def full_encode(model: M.Model, name: str, images: np.ndarray) -> T.Tensor:
     cls = T.mul(T.reshape(s[f"{name}.cls_token"], (1, 1, cfg.d_model)), ones)
     x = T.add(T.concat([cls, x]), s[f"{name}.pos_embed"])
     for i in range(cfg.depth):
-        x, _ = model._block(x, f"{name}.layers.{i}", cfg.n_heads)
+        x = model._block(x, f"{name}.layers.{i}", cfg.n_heads)
     x = T.layer_norm(x, s[f"{name}.final_ln.gain"], s[f"{name}.final_ln.bias"])
     return T.linear(x[:, 0], s[f"{name}.head.weight"], s[f"{name}.head.bias"])
 
@@ -298,7 +298,7 @@ def _attention_case(label, x_shape, n_heads, n_queries=None):
                 wq=ts[1], wk=ts[2], wv=ts[3], wo=ts[4],
                 bq=ts[5], bk=ts[6], bv=ts[7], bo=ts[8],
             )
-            return T.multi_head_self_attention(ts[0], params, n_heads, n_queries=n_queries)[0]
+            return T.multi_head_self_attention(ts[0], params, n_heads, n_queries=n_queries)
 
         return [x] + ws + bs, build
 

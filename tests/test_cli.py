@@ -438,6 +438,19 @@ def test_eval_on_a_non_finite_sample_is_bad_input(workspace, tmp_path, capsys):
     assert not report.exists()
 
 
+def test_eval_of_a_checkpoint_holding_a_nan_is_bad_input(workspace, tmp_path, capsys):
+    # a NaN decoder bias makes every prediction NaN, so no MMSE of the report is finite
+    config_text, tensors = formats.read_lsck(workspace["ckpt"])
+    tensors["decoder.fc.bias"][0] = np.nan
+    ckpt = tmp_path / "nan.lsck"
+    formats.write_lsck(ckpt, config_text, tensors)
+    report = tmp_path / "report.txt"
+    assert cli.main(["eval", "--data", str(workspace["data"]), "--ckpt", str(ckpt),
+                     "--report", str(report)]) == cli.EXIT_BAD_INPUT
+    assert "test sample 0 (" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "command, sample, name",
     [("train", "sample_000000", "target_raster"), ("eval", "sample_000023", "range_angle")],

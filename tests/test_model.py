@@ -266,28 +266,19 @@ def test_toy_encoders_match_full_encoder(toy_cfg, toy_model, batch):
 def test_fuse_produces_latent(toy_cfg, toy_model):
     rng = np.random.default_rng(4)
     emb = T.Tensor(rng.standard_normal((1, 4, 768)).astype(np.float32))
-    latent, _ = toy_model.fuse(emb)
+    latent = toy_model.fuse(emb)
     assert latent.shape == (1, toy_cfg.model.fusion.latent_dim)
-    batched, _ = toy_model.fuse(T.Tensor(rng.standard_normal((2, 4, 768)).astype(np.float32)))
+    batched = toy_model.fuse(T.Tensor(rng.standard_normal((2, 4, 768)).astype(np.float32)))
     assert batched.shape == (2, toy_cfg.model.fusion.latent_dim)
 
 
 def test_fuse_is_sensitive_to_slot_order(toy_model):
     rng = np.random.default_rng(5)
     emb = rng.standard_normal((1, 4, 768)).astype(np.float32)
-    a = toy_model.fuse(T.Tensor(emb))[0].data
-    b = toy_model.fuse(T.Tensor(emb[:, ::-1].copy()))[0].data
+    a = toy_model.fuse(T.Tensor(emb)).data
+    b = toy_model.fuse(T.Tensor(emb[:, ::-1].copy())).data
     # modality type embeddings break permutation symmetry
     assert np.abs(a - b).max() > 1e-6
-
-
-def test_fuse_attention_weights_shape(toy_model):
-    rng = np.random.default_rng(6)
-    emb = T.Tensor(rng.standard_normal((1, 4, 768)).astype(np.float32))
-    _, weights = toy_model.fuse(emb)
-    n_heads = toy_model.cfg.fusion.n_heads
-    assert weights.shape == (1, n_heads, 4, 4)
-    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-4)
 
 
 def test_fuse_rejects_wrong_token_count(toy_model):
@@ -308,8 +299,7 @@ def test_fusion_bypass_skips_transformer(toy_cfg):
     fusion_params = [n for n in model.store.params if n.startswith("fusion.")]
     assert sorted(fusion_params) == ["fusion.proj.bias", "fusion.proj.weight"]
     emb = T.Tensor(np.random.default_rng(7).standard_normal((1, 4, 768)).astype(np.float32))
-    latent, weights = model.fuse(emb)
-    assert weights is None  # no attention to report
+    latent = model.fuse(emb)
     # bypass is a plain affine map of the concatenated embeddings
     want = emb.data.reshape(1, -1) @ model.store["fusion.proj.weight"].data
     want = want + model.store["fusion.proj.bias"].data

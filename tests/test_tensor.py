@@ -482,22 +482,25 @@ def test_attention_matches_numpy_single_head():
     raw = {n: rng.standard_normal((d, d)) / np.sqrt(d) for n in ("wq", "wk", "wv", "wo")}
     raw.update({n: rng.standard_normal(d) * 0.1 for n in ("bq", "bk", "bv", "bo")})
     params = T.AttentionParams(**{n: T.Tensor(v) for n, v in raw.items()})
-    out = T.multi_head_self_attention(T.Tensor(x[None]), params, n_heads=1)[0].data
+    out = T.multi_head_self_attention(T.Tensor(x[None]), params, n_heads=1).data
     np.testing.assert_allclose(out[0], _naive_attention_single_head(x, raw), rtol=1e-8)
 
 
 def test_attention_weights_rows_sum_to_one():
+    # with wv zero every value row is bv, so each output row is its weights'
+    # sum times bv, projected by wo
     rng = np.random.default_rng(6)
     d, t, heads = 8, 5, 2
     x = rng.standard_normal((1, t, d))
+    wq, wk, wo = (rng.standard_normal((d, d)) * 0.3 for _ in range(3))
+    bv = rng.standard_normal(d)
     params = T.AttentionParams(
-        *(T.Tensor(rng.standard_normal((d, d)) * 0.3) for _ in range(4)),
-        *(T.Tensor(np.zeros(d)) for _ in range(4)),
+        *(T.Tensor(w) for w in (wq, wk, np.zeros((d, d)), wo)),
+        *(T.Tensor(b) for b in (np.zeros(d), np.zeros(d), bv, np.zeros(d))),
     )
-    out, weights = T.multi_head_self_attention(T.Tensor(x), params, heads)
+    out = T.multi_head_self_attention(T.Tensor(x), params, heads)
     assert out.shape == (1, t, d)
-    assert weights.shape == (1, heads, t, t)
-    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-5)
+    np.testing.assert_allclose(out.data, np.broadcast_to(bv @ wo, (1, t, d)), rtol=1e-12, atol=1e-14)
 
 
 def _zero_attention_params(d):
@@ -525,9 +528,9 @@ def test_attention_batched_matches_per_sample():
         *(T.Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)),
         *(T.Tensor(rng.standard_normal(d) * 0.1) for _ in range(4)),
     )
-    batched = T.multi_head_self_attention(T.Tensor(x), params, 2)[0].data
+    batched = T.multi_head_self_attention(T.Tensor(x), params, 2).data
     for i in range(2):
-        single = T.multi_head_self_attention(T.Tensor(x[i : i + 1]), params, 2)[0].data
+        single = T.multi_head_self_attention(T.Tensor(x[i : i + 1]), params, 2).data
         np.testing.assert_allclose(batched[i], single[0], rtol=1e-6)
 
 
@@ -539,13 +542,11 @@ def test_attention_query_subset_is_the_first_rows_of_the_full_call():
         *(T.Tensor(rng.standard_normal((d, d)) / np.sqrt(d)) for _ in range(4)),
         *(T.Tensor(rng.standard_normal(d) * 0.1) for _ in range(4)),
     )
-    full, full_w = T.multi_head_self_attention(x, params, heads)
+    full = T.multi_head_self_attention(x, params, heads)
     for k in (1, 2, t):
-        out, w = T.multi_head_self_attention(x, params, heads, n_queries=k)
+        out = T.multi_head_self_attention(x, params, heads, n_queries=k)
         assert out.shape == (2, k, d)
-        assert w.shape == (2, heads, k, t)
         np.testing.assert_allclose(out.data, full.data[:, :k], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(w, full_w[:, :, :k], rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -561,7 +562,7 @@ def test_attention_query_subset_backward_matches_the_full_call(k):
 
     def grads(n_queries):
         ts = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
-        out, _ = T.multi_head_self_attention(ts[0], T.AttentionParams(*ts[1:]), heads, n_queries=n_queries)
+        out = T.multi_head_self_attention(ts[0], T.AttentionParams(*ts[1:]), heads, n_queries=n_queries)
         T.tensor_sum(T.mul(out[:, :k], proj)).backward()
         return [tt.grad for tt in ts]
 

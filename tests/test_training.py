@@ -684,9 +684,9 @@ def test_evaluate_denormalizes_when_configured(toy_cfg, tiny_dataset):
     assert report.overall == pytest.approx(want, rel=1e-5)
 
 
-def test_baseline_requires_samples(toy_cfg):
-    with pytest.raises(ValueError):
-        TR.baseline_all_zeros([], toy_cfg.grid, toy_cfg.train.band, toy_cfg.train.alpha)
+def test_evaluate_refuses_an_empty_split(tiny_run, tiny_cfg):
+    with pytest.raises(ValueError, match="evaluation split is empty"):
+        TR.evaluate(tiny_run.model, [], tiny_cfg.train, tiny_cfg.train.batch_size)
 
 
 def test_eval_report_text_round_trip():
