@@ -429,6 +429,8 @@ GRAD_SUITE: list[tuple[str, Callable]] = [
     ("matmul/batched", _binary_case("mm/c", T.matmul, (2, 3, 4), (2, 4, 2))),
     ("matmul/stacked-weight", _binary_case("mm/d", T.matmul, (2, 3, 4), (4, 5))),
     ("matmul/4d-weight", _binary_case("mm/e", T.matmul, (2, 2, 3, 4), (4, 3))),
+    # a single-sample fusion input, [1, tokens, D], takes the row-by-row forward
+    ("matmul/few-rows", _binary_case("mm/f", T.matmul, (1, 4, 6), (6, 5))),
     ("reshape/flatten", _reshape_case("rs/a", (2, 3), (6,))),
     ("reshape/split", _reshape_case("rs/b", (4, 3), (2, 2, 3))),
     ("reshape/swap", _reshape_case("rs/c", (2, 3, 2), (3, 4))),

@@ -220,6 +220,24 @@ def test_matmul_folded_weight_matches_numpy(a_shape, grad_a, grad_b):
         assert tb.grad is None
 
 
+@pytest.mark.parametrize("a_shape", [(1, 96), (3, 96), (1, 4, 96)])
+def test_matmul_of_few_rows_is_one_gemv_per_row(a_shape):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(a_shape).astype(np.float32)
+    w = rng.standard_normal((96, 40)).astype(np.float32)
+    a2 = a.reshape(-1, 96)
+    rows = np.stack([np.matmul(a2[r], w) for r in range(a2.shape[0])])
+    out = T.matmul(T.Tensor(a), T.Tensor(w)).data
+    np.testing.assert_array_equal(out, rows.reshape(a_shape[:-1] + (40,)))
+
+
+def test_matmul_of_five_rows_is_one_gemm():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((5, 96)).astype(np.float32)
+    w = rng.standard_normal((96, 40)).astype(np.float32)
+    np.testing.assert_array_equal(T.matmul(T.Tensor(a), T.Tensor(w)).data, a @ w)
+
+
 def test_concat_shape_and_order():
     a = T.Tensor(np.zeros((2, 3)))
     b = T.Tensor(np.ones((2, 2)))

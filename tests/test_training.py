@@ -549,6 +549,18 @@ def test_model_from_checkpoint_restores_predictions(tiny_run, tiny_cfg, tiny_dat
     assert a.overall == pytest.approx(b.overall, rel=1e-6)
 
 
+def test_single_sample_forward_matches_its_batched_row(tiny_run, tiny_cfg, tiny_dataset):
+    # a one-sample pass runs its few-row products one row at a time, a batched pass as GEMMs
+    _, _, test = TR.split(tiny_dataset, tiny_cfg.split)
+    batch = {m: np.stack([s.modality(m) for s in test]) for m in MODALITIES}
+    rows = np.clip(tiny_run.model.forward_batch(batch).data, 0.0, tiny_cfg.grid.max_range)
+    bound = 1e-5 * np.max(np.abs(rows))
+    assert bound > 0.0
+    for i, s in enumerate(test):
+        raster = tiny_run.model.forward({m: s.modality(m) for m in MODALITIES})
+        assert np.max(np.abs(raster.data - rows[i])) <= bound, i
+
+
 def test_model_from_checkpoint_draws_no_fresh_weights(monkeypatch, tiny_run, tiny_cfg):
     def no_init(*args, **kwargs):
         raise AssertionError("init_params must not run when loading a checkpoint")
