@@ -1,36 +1,10 @@
 """lidarsynth: synthesize LiDAR polar range images from camera and radar inputs.
 
-The package bundles a small reverse-mode autodiff engine over numpy, the
-polar-grid geometry used for rasterizing point clouds, FMCW radar cube
-preprocessing, a multimodal transformer (per-modality patch encoders, a
-fusion layer, and a transposed-convolution decoder), procedural scene
-generation for desk-scale experiments, and a training loop with a
-band-weighted mean squared error objective.
-
-Setting LIDARSYNTH_THREADS caps BLAS thread pools; it must take effect
-before numpy loads its backend, hence the env handling ahead of imports.
-When numpy is already loaded and a BLAS variable does not already hold that
-count, the cap may not apply, and the "lidarsynth" logger warns once.
-Loading the package also sets glibc's allocator to keep freed memory mapped
-(see _keep_heap_mapped), for every stage of the process.
+Loading the package sets glibc's allocator to keep freed memory mapped (see
+_keep_heap_mapped), for every stage of the process.
 """
 
 import ctypes as _ctypes
-import logging as _logging
-import os as _os
-import sys as _sys
-
-_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-_threads = _os.environ.get("LIDARSYNTH_THREADS")
-if _threads and _threads.isdigit():
-    if "numpy" in _sys.modules and any(_os.environ.get(_var) != _threads for _var in _BLAS_VARS):
-        _logging.getLogger("lidarsynth").warning(
-            "LIDARSYNTH_THREADS=%s is set after numpy loaded its BLAS, which may not keep to it: "
-            "import lidarsynth before numpy, or set %s to %s too",
-            _threads, ", ".join(_BLAS_VARS), _threads,
-        )
-    for _var in _BLAS_VARS:
-        _os.environ.setdefault(_var, _threads)
 
 # glibc mallopt parameters and the values the package sets: blocks under
 # 32 MiB come from the heap, and a free heap top under 1 GiB is never given back
@@ -57,33 +31,3 @@ def _keep_heap_mapped() -> None:
 
 
 _keep_heap_mapped()
-
-from lidarsynth.geometry import (
-    GridSpec,
-    PolarRaster,
-    derasterize_arrays,
-    rasterize_with_stats,
-)
-from lidarsynth.radar import (
-    RadarCube,
-    range_angle_map,
-    range_transform,
-    range_velocity_map,
-)
-from lidarsynth.tensor import Tensor, no_grad
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "GridSpec",
-    "PolarRaster",
-    "RadarCube",
-    "Tensor",
-    "derasterize_arrays",
-    "no_grad",
-    "range_angle_map",
-    "range_transform",
-    "range_velocity_map",
-    "rasterize_with_stats",
-    "__version__",
-]

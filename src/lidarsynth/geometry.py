@@ -78,6 +78,7 @@ class GridSpec:
         centers = np.concatenate(
             [lo + (np.arange(n) + 0.5) * step for (lo, hi, step), n in zip(self.phi_regions, rows)]
         )
+        centers.flags.writeable = False  # shared by every caller and by the cached LiDAR rays
         object.__setattr__(self, "_row_centers", centers)
 
     @property

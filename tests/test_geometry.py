@@ -44,6 +44,13 @@ def test_row_centers_are_region_midpoints():
     assert (np.diff(centers) > 0).all()
 
 
+def test_row_centers_are_read_only():
+    # the table is the grid's own, and the cached LiDAR rays of every equal grid are cast from it
+    centers = G.GridSpec().row_centers()
+    with pytest.raises(ValueError):
+        centers += 1.0
+
+
 def test_col_centers_span_azimuth():
     grid = G.GridSpec()
     centers = grid.col_centers()

@@ -1,8 +1,9 @@
-"""The package surface: every exported name resolves and has a caller in the program; the thread cap and allocator setting it makes on load."""
+"""The package surface: every exported name resolves and has a caller in the program; importing the package sets only the allocator."""
 
 import ast
 import ctypes
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -100,26 +101,26 @@ def test_keep_heap_mapped_is_quiet_without_glibc_mallopt(monkeypatch, loader):
 _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _import_in_fresh_process(imports: str, **blas: str) -> subprocess.CompletedProcess:
-    """Run ``imports`` in a new interpreter under LIDARSYNTH_THREADS=1 and the given BLAS variables only."""
+def _import_in_fresh_process(imports: str) -> subprocess.CompletedProcess:
+    """Run ``imports`` in a new interpreter under LIDARSYNTH_THREADS=1 and none of the BLAS variables."""
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
-    env.update(blas, LIDARSYNTH_THREADS="1", PYTHONPATH=str(Path(lidarsynth.__file__).resolve().parents[1]))
+    env.update(LIDARSYNTH_THREADS="1", PYTHONPATH=str(Path(lidarsynth.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, "-c", imports], env=env, capture_output=True, text=True, check=True)
 
 
-def test_a_thread_cap_after_numpy_is_logged_once():
-    done = _import_in_fresh_process("import numpy, lidarsynth")
-    assert done.stderr.count("LIDARSYNTH_THREADS=1") == 1, done.stderr
-    assert "before numpy" in done.stderr
-
-
-@pytest.mark.parametrize(
-    "imports, blas",
-    [("import lidarsynth, numpy", {}), ("import numpy, lidarsynth", dict.fromkeys(_BLAS_VARS, "1"))],
-    ids=["lidarsynth_first", "numpy_first_with_blas_caps_set"],
-)
-def test_a_thread_cap_that_applies_logs_nothing(imports, blas):
-    assert _import_in_fresh_process(imports, **blas).stderr == ""
+@pytest.mark.parametrize("first, second", [("lidarsynth", "numpy"), ("numpy", "lidarsynth")])
+def test_importing_the_package_sets_no_thread_variable_in_either_order(first, second):
+    # the BLAS thread caps are the caller's to set, before Python starts
+    done = _import_in_fresh_process(
+        f"import json, os, sys, {first}\n"
+        "loaded = sorted(m for m in ('lidarsynth', 'numpy') if m in sys.modules)\n"
+        f"import {second}\n"
+        f"print(json.dumps([loaded, [v for v in {_BLAS_VARS!r} if v in os.environ]]))"
+    )
+    assert done.stderr == ""
+    loaded_by_first, blas_set = json.loads(done.stdout)
+    assert loaded_by_first == [first]
+    assert blas_set == []
 
 
 def _minor_faults_in_fresh_process(script: str, *args: str) -> list[int]:
