@@ -13,12 +13,16 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
+from lidarsynth import optim
 from lidarsynth.geometry import GridSpec
 from lidarsynth.model import (
+    FUSION_DROPOUT,
+    FUSION_FFN_DIM,
+    FUSION_HEADS,
+    LATENT_DIM,
+    MODALITIES,
     DecoderConfig,
     EncoderConfig,
-    FusionConfig,
-    MODALITIES,
     ModelConfig,
 )
 from lidarsynth.synthgen import RadarParams
@@ -101,24 +105,12 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
     ("camera.height", "224", _parse_int, "camera and depth image height, pixels"),
     ("encoder.camera.patch_size", "16", _parse_int, "camera encoder patch edge, pixels"),
     ("encoder.camera.depth", "4", _parse_int, "camera encoder transformer layers"),
-    ("encoder.camera.n_heads", "12", _parse_int, "camera encoder attention heads"),
-    ("encoder.camera.ffn_dim", "3072", _parse_int, "camera encoder feedforward width"),
     ("encoder.depth.patch_size", "16", _parse_int, "depth encoder patch edge, pixels"),
     ("encoder.depth.depth", "4", _parse_int, "depth encoder transformer layers"),
-    ("encoder.depth.n_heads", "12", _parse_int, "depth encoder attention heads"),
-    ("encoder.depth.ffn_dim", "3072", _parse_int, "depth encoder feedforward width"),
     ("encoder.range_angle.patch_size", "4", _parse_int, "range-angle encoder patch edge"),
     ("encoder.range_angle.depth", "4", _parse_int, "range-angle encoder transformer layers"),
-    ("encoder.range_angle.n_heads", "12", _parse_int, "range-angle encoder attention heads"),
-    ("encoder.range_angle.ffn_dim", "3072", _parse_int, "range-angle encoder feedforward width"),
     ("encoder.range_velocity.patch_size", "16", _parse_int, "range-velocity encoder patch edge"),
     ("encoder.range_velocity.depth", "4", _parse_int, "range-velocity encoder transformer layers"),
-    ("encoder.range_velocity.n_heads", "12", _parse_int, "range-velocity encoder attention heads"),
-    ("encoder.range_velocity.ffn_dim", "3072", _parse_int, "range-velocity encoder feedforward width"),
-    ("fusion.n_heads", "12", _parse_int, "fusion encoder attention heads"),
-    ("fusion.ffn_dim", "2048", _parse_int, "fusion encoder feedforward width"),
-    ("fusion.dropout", "0.1", _parse_float, "fusion encoder dropout probability, applied in training steps only"),
-    ("fusion.latent_dim", "1024", _parse_int, "latent width fed to the decoder"),
     (
         "decoder.filters",
         "256,128,64,64",
@@ -137,9 +129,6 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
     ("train.lr_early", "0.001", _parse_float, "learning rate through train.lr_switch_epoch"),
     ("train.lr_late", "0.0001", _parse_float, "learning rate after train.lr_switch_epoch"),
     ("train.lr_switch_epoch", "10", _parse_int, "last 1-based epoch that still uses lr_early"),
-    ("train.beta1", "0.9", _parse_float, "Adam first-moment decay"),
-    ("train.beta2", "0.999", _parse_float, "Adam second-moment decay"),
-    ("train.eps", "1e-08", _parse_float, "Adam denominator epsilon"),
     ("train.seed", "0", _parse_int, "shuffling and dropout seed"),
     (
         "train.band",
@@ -148,7 +137,7 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
         "elevation band (degrees, lo:hi) that gets extra loss weight",
     ),
     ("train.alpha", "10.0", _parse_float, "loss weight inside train.band (1 elsewhere)"),
-    ("train.normalize_ranges", "false", _parse_bool, "train on ranges divided by grid.max_range"),
+    ("train.normalize_ranges", "true", _parse_bool, "train on ranges divided by grid.max_range"),
     ("split.train", "0.6", _parse_float, "leading fraction of each scenario used for training"),
     ("split.val", "0.2", _parse_float, "next fraction used for validation"),
 ]
@@ -156,13 +145,28 @@ _REGISTRY: list[tuple[str, str, Callable[[str, str], Any], str]] = [
 _DEFAULTS = {key: value for key, value, _, _ in _REGISTRY}
 _PARSERS = {key: parse for key, _, parse, _ in _REGISTRY}
 
-# Keys that set nothing: the architecture fixes them (frozen, n_layers), the grid
-# or the split implies them (the seed map is the grid over 32; test gets the rest),
-# or nothing reads them (profiles set the radar noise).  Older config text carries
-# them, so each is parsed, checked against the config the other keys build, and dropped.
+
+def _equals(fixed: Any) -> Callable[[Any, AppConfig], bool]:
+    return lambda v, cfg: v == fixed
+
+
+# Keys that set nothing: the architecture or the optimizer fixes them (frozen,
+# n_layers, the encoder and fusion widths, Adam's constants), the grid or the split
+# implies them (the seed map is the grid over 32; test gets the rest), or nothing
+# reads them (profiles set the radar noise).  Older config text carries them, so each is parsed, checked
+# against the config the other keys build, and dropped.
 _REMOVED: dict[str, tuple[Callable[[str, str], Any], Callable[[Any, AppConfig], bool]]] = {
     **{f"encoder.{name}.frozen": (_parse_bool, lambda v, cfg: v) for name in MODALITIES},
-    "fusion.n_layers": (_parse_int, lambda v, cfg: v == 1),
+    **{f"encoder.{name}.n_heads": (_parse_int, _equals(EncoderConfig.n_heads)) for name in MODALITIES},
+    **{f"encoder.{name}.ffn_dim": (_parse_int, _equals(EncoderConfig.ffn_dim)) for name in MODALITIES},
+    "fusion.n_heads": (_parse_int, _equals(FUSION_HEADS)),
+    "fusion.ffn_dim": (_parse_int, _equals(FUSION_FFN_DIM)),
+    "fusion.dropout": (_parse_float, _equals(FUSION_DROPOUT)),
+    "fusion.latent_dim": (_parse_int, _equals(LATENT_DIM)),
+    "fusion.n_layers": (_parse_int, _equals(1)),
+    "train.beta1": (_parse_float, _equals(optim.BETA1)),
+    "train.beta2": (_parse_float, _equals(optim.BETA2)),
+    "train.eps": (_parse_float, _equals(optim.EPS)),
     "decoder.seed_h": (_parse_int, lambda v, cfg: v == cfg.model.seed_shape[0]),
     "decoder.seed_w": (_parse_int, lambda v, cfg: v == cfg.model.seed_shape[1]),
     "split.test": (_parse_float, lambda v, cfg: abs(v - (1.0 - cfg.split.train - cfg.split.val)) <= 1e-9),
@@ -182,7 +186,6 @@ TOY_OVERRIDES: dict[str, str] = {
     "encoder.range_angle.depth": "1",
     "encoder.range_velocity.depth": "1",
     "decoder.filters": "8,8,4,4",
-    "train.normalize_ranges": "true",
 }
 
 
@@ -266,7 +269,7 @@ def _build(values: dict[str, str], lines: dict[str, int] | None = None) -> AppCo
     }
     model = checked(
         ModelConfig, "model", "grid",
-        encoders=encoders, fusion=checked(FusionConfig, "fusion"), decoder=checked(DecoderConfig, "decoder"), grid=grid,
+        encoders=encoders, decoder=checked(DecoderConfig, "decoder"), grid=grid,
     )
     train = checked(TrainConfig, "train")
     # the loss band must weight some grid row; training's own weight_mask checks it here, at parse time

@@ -35,8 +35,11 @@ from lidarsynth.tensor import AttentionParams, Tensor
 __all__ = [
     "MODALITIES",
     "EMBED_DIM",
+    "FUSION_HEADS",
+    "FUSION_FFN_DIM",
+    "FUSION_DROPOUT",
+    "LATENT_DIM",
     "EncoderConfig",
-    "FusionConfig",
     "DecoderConfig",
     "ModelConfig",
     "Model",
@@ -48,13 +51,23 @@ MODALITIES = ("camera", "depth", "range_angle", "range_velocity")
 # every encoder projects its class token to this width; the fusion stage
 # and its modality type embeddings are defined in terms of it
 EMBED_DIM = 768
+# the fusion stage: one pre-norm layer that wide, then a projection of the
+# concatenated tokens to the latent the decoder reads
+FUSION_HEADS = 12
+FUSION_FFN_DIM = 2048
+FUSION_DROPOUT = 0.1  # applied in training steps only
+LATENT_DIM = 1024
 N_DECONV = 5
 UPSCALE = 2 ** N_DECONV  # each transposed convolution doubles H and W
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """One single-channel modality encoder: patchify, embed, ``depth`` pre-norm layers, project."""
+    """One single-channel modality encoder: patchify, embed, ``depth`` pre-norm layers, project.
+
+    No config key sets the widths: every encoder is ViT-Base wide (768, 12
+    heads, feedforward 3072); tests build small stub encoders with them.
+    """
 
     image_size: tuple[int, int]
     patch_size: int = 16
@@ -91,26 +104,6 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class FusionConfig:
-    """The cross-modality encoder layer (EMBED_DIM wide) and the latent projection."""
-
-    n_heads: int = 12
-    ffn_dim: int = 2048
-    dropout: float = 0.1
-    latent_dim: int = 1024
-
-    def __post_init__(self):
-        if self.n_heads < 1:
-            raise ValueError(f"n_heads {self.n_heads} must be at least 1")
-        if EMBED_DIM % self.n_heads:
-            raise ValueError(f"width {EMBED_DIM} not divisible by {self.n_heads} heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout {self.dropout} outside [0, 1)")
-        if self.latent_dim < 1 or self.ffn_dim < 1:
-            raise ValueError("latent_dim, ffn_dim must be positive")
-
-
-@dataclass(frozen=True)
 class DecoderConfig:
     """The four hidden transposed-convolution widths; the grid fixes the seed map."""
 
@@ -129,7 +122,6 @@ class DecoderConfig:
 @dataclass(frozen=True)
 class ModelConfig:
     encoders: dict[str, EncoderConfig]  # one per MODALITIES name
-    fusion: FusionConfig = field(default_factory=FusionConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     grid: GridSpec = field(default_factory=GridSpec)
     seed: int = 0
@@ -209,24 +201,23 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
     for name in MODALITIES:
         shapes.extend(_encoder_shapes(name, cfg.encoders[name]))
 
-    f = cfg.fusion
     d = EMBED_DIM
     if not cfg.fusion_bypass:
         shapes.append(("fusion.type_embed", (len(MODALITIES), d), _INIT_NORMAL, True))
-        shapes += _block_shapes(_FUSION_BLOCK, d, f.ffn_dim, True)
+        shapes += _block_shapes(_FUSION_BLOCK, d, FUSION_FFN_DIM, True)
         shapes += [
             ("fusion.final_ln.gain", (d,), _INIT_ONES, True),
             ("fusion.final_ln.bias", (d,), _INIT_ZEROS, True),
         ]
     concat_dim = len(MODALITIES) * d
     shapes += [
-        ("fusion.proj.weight", (concat_dim, f.latent_dim), _INIT_NORMAL, True),
-        ("fusion.proj.bias", (f.latent_dim,), _INIT_ZEROS, True),
+        ("fusion.proj.weight", (concat_dim, LATENT_DIM), _INIT_NORMAL, True),
+        ("fusion.proj.bias", (LATENT_DIM,), _INIT_ZEROS, True),
     ]
 
     seed_h, seed_w = cfg.seed_shape
     shapes += [
-        ("decoder.fc.weight", (f.latent_dim, seed_h * seed_w), _INIT_NORMAL, True),
+        ("decoder.fc.weight", (LATENT_DIM, seed_h * seed_w), _INIT_NORMAL, True),
         ("decoder.fc.bias", (seed_h * seed_w,), _INIT_ZEROS, True),
     ]
     chain = cfg.decoder.channel_chain
@@ -403,14 +394,13 @@ class Model:
     def fuse(self, embeddings: Tensor, train_rng: np.random.Generator | None = None) -> Tensor:
         """[B, 4, 768] modality embeddings -> [B, 1024] latent; dropout draws from ``train_rng``."""
         s = self.store
-        f = self.cfg.fusion
         x = embeddings
         if x.ndim != 3 or x.shape[1:] != (len(MODALITIES), EMBED_DIM):
             raise ValueError(f"fuse expects [B, {len(MODALITIES)}, {EMBED_DIM}], got {x.shape}")
         b, t, d = x.shape
         if not self.cfg.fusion_bypass:
             x = T.add(x, s["fusion.type_embed"])
-            x = self._block(x, _FUSION_BLOCK, f.n_heads, f.dropout, train_rng)
+            x = self._block(x, _FUSION_BLOCK, FUSION_HEADS, FUSION_DROPOUT, train_rng)
             x = T.layer_norm(x, s["fusion.final_ln.gain"], s["fusion.final_ln.bias"])
 
         flat = T.reshape(x, (b, t * d))
@@ -426,7 +416,7 @@ class Model:
         """
         s = self.store
         if latent.ndim != 2:
-            raise ValueError(f"decode expects [B, {self.cfg.fusion.latent_dim}], got {latent.shape}")
+            raise ValueError(f"decode expects [B, {LATENT_DIM}], got {latent.shape}")
         x = T.linear(latent, s["decoder.fc.weight"], s["decoder.fc.bias"])
         x = T.reshape(x, (x.shape[0], 1, *self.cfg.seed_shape))
         for i in range(N_DECONV):
@@ -477,8 +467,8 @@ class Model:
         """Inference surface: one sample in, a raster on the model grid out.
 
         The values are the network's own output clipped to [0, max_range].
-        A model trained with ``train.normalize_ranges`` (the toy profile sets
-        it) outputs training units, fractions of ``grid.max_range``, not
+        A model trained with ``train.normalize_ranges`` (the default)
+        outputs training units, fractions of ``grid.max_range``, not
         meters; multiply by ``grid.max_range`` for meters, as ``evaluate`` does.
         """
         batch = {name: np.asarray(sample[name])[None] for name in MODALITIES}

@@ -2,7 +2,9 @@
 
 Trainable values, their gradients and Adam's two moments live in four flat
 float32 buffers; each trainable tensor's ``data`` and ``grad`` view the
-first two.  Frozen parameters stay separate read-only arrays.
+first two.  Frozen parameters stay separate read-only arrays.  Adam runs
+with its published constants (Kingma & Ba 2015): ``BETA1`` = 0.9,
+``BETA2`` = 0.999 and ``EPS`` = 1e-8.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ __all__ = ["ParamStore", "adam_step"]
 
 # adam_step's scratch is two arrays of this many elements, whatever the model size
 _CHUNK = 1 << 16
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class ParamStore:
@@ -68,8 +74,8 @@ class ParamStore:
         return {n: p.data.copy() if p.requires_grad else p.data for n, p in self.params.items()}
 
 
-def adam_step(store: ParamStore, lr: float, beta1: float, beta2: float, eps: float) -> None:
-    """One bias-corrected Adam update of the whole arena.
+def adam_step(store: ParamStore, lr: float) -> None:
+    """One bias-corrected Adam update of the whole arena, at BETA1, BETA2 and EPS.
 
     It reads the gradients the last backward wrote and leaves them in place.
     A tensor whose ``data`` or ``grad`` was rebound off its arena view raises
@@ -79,7 +85,7 @@ def adam_step(store: ParamStore, lr: float, beta1: float, beta2: float, eps: flo
         if store[name].data is not data or store[name].grad is not grad:
             raise ValueError(f"adam_step: parameter {name!r} no longer views the store's buffers")
     store.t += 1
-    c1, c2 = 1.0 - beta1**store.t, 1.0 - beta2**store.t
+    c1, c2 = 1.0 - BETA1**store.t, 1.0 - BETA2**store.t
     scratch = np.empty((2, min(_CHUNK, store.values.size)), dtype=np.float32)
     for lo in range(0, store.values.size, _CHUNK):
         g, m, v, p = (buf[lo : lo + _CHUNK] for buf in (store.grads, store.m, store.v, store.values))
@@ -88,17 +94,17 @@ def adam_step(store: ParamStore, lr: float, beta1: float, beta2: float, eps: flo
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         #   p = p - lr * (m/c1) / (sqrt(v/c2) + eps)
         # so every float32 rounding matches the out-of-place formula
-        np.multiply(g, 1.0 - beta1, out=a)
-        m *= beta1
+        np.multiply(g, 1.0 - BETA1, out=a)
+        m *= BETA1
         m += a
         np.multiply(g, g, out=a)
-        a *= 1.0 - beta2
-        v *= beta2
+        a *= 1.0 - BETA2
+        v *= BETA2
         v += a
         np.divide(m, c1, out=a)
         a *= lr
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += eps
+        b += EPS
         a /= b
         p -= a

@@ -162,7 +162,8 @@ def test_synth_config_with_a_zero_head_count_or_patch_size_is_bad_input(tmp_path
     cfg.write_text(line + "\n", encoding="utf-8")
     out = tmp_path / "x"
     assert cli.main(["synth", "--out", str(out), "--num", "1", "--config", str(cfg)]) == cli.EXIT_BAD_INPUT
-    assert "line 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 1" in err and line.partition(" = ")[0] in err
     assert not out.exists()
 
 

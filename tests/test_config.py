@@ -8,7 +8,7 @@ import pytest
 
 from lidarsynth import config as C
 from lidarsynth.geometry import GridSpec
-from lidarsynth.model import MODALITIES, DecoderConfig, EncoderConfig, FusionConfig, ModelConfig
+from lidarsynth.model import MODALITIES, DecoderConfig, EncoderConfig, ModelConfig
 from lidarsynth.synthgen import RadarParams
 from lidarsynth.training import SplitSpec, TrainConfig
 
@@ -22,6 +22,7 @@ def test_default_config_dimensions():
     assert cfg.model.seed_shape == (45, 34)
     assert cfg.train.batch_size == 32
     assert cfg.split.train == 0.6
+    assert cfg.train.normalize_ranges is True
 
 
 def test_toy_config_dimensions(toy_cfg):
@@ -93,7 +94,10 @@ def test_bad_value_names_its_line_even_when_the_key_repeats():
 def test_failed_dataclass_check_names_its_section_and_lines(line, section):
     key = line.partition(" = ")[0]
     text = "# a comment\ntrain.epochs = 5\n" + line + "\n"
-    with pytest.raises(ValueError, match=rf"^{re.escape(section)}: .*; set at .*line 3: {re.escape(key)}"):
+    want = rf"^{re.escape(section)}: .*; set at .*line 3: {re.escape(key)}"
+    if key in C._REMOVED:  # head counts are fixed now: any other value is refused at its line
+        want = rf"^line 3: removed key {re.escape(key)} = "
+    with pytest.raises(ValueError, match=want):
         C.parse_config(text)
 
 
@@ -182,8 +186,8 @@ def test_every_registry_key_has_doc_and_default():
 
 # sha256 of the canonical texts: the text is embedded in every checkpoint, so a
 # change to it is a change to every checkpoint written from now on
-DEFAULT_DOCS_SHA256 = "aaad1b8203366dcf899f42e5ba660d7a46b7f0dc0d0c16152c79a6f85e493a5c"
-TOY_TEXT_SHA256 = "4e43d888c8b500c48df961c78ec16aa9f6f20f97b99e9ffd3b81b65ca8566ebb"
+DEFAULT_DOCS_SHA256 = "a8bcd26b5a05b4b57f7eef771a736c286856bbf5d4324df642e9c247791785fb"
+TOY_TEXT_SHA256 = "aea019c2e65f868fe43641d6d6ec2ba0ee1e628dfa9056e1b47aca5833b8d1d0"
 
 
 def _digest(text):
@@ -197,9 +201,33 @@ def test_config_text_is_pinned():
 
 # Canonical texts of earlier versions are today's texts plus the lines removed
 # since, each listed with the key it followed, its doc comment and its value
-# in the config at hand.  The digests pinned while each text was current
-# identify them.
-DERIVED_LINES = [  # keys the grid or the split implies, or nothing reads
+# in the config at hand.  Every earlier default text also said
+# train.normalize_ranges = false, the default of its day.  The digests pinned
+# while each text was current identify them.
+FIXED_LINES = [  # the encoder and fusion widths and Adam's constants, which the code fixes
+    *(
+        line
+        for name in MODALITIES
+        for line in (
+            (f"encoder.{name}.depth", f"encoder.{name}.n_heads",
+             f"{name.replace('_', '-')} encoder attention heads", lambda cfg: "12"),
+            (f"encoder.{name}.n_heads", f"encoder.{name}.ffn_dim",
+             f"{name.replace('_', '-')} encoder feedforward width", lambda cfg: "3072"),
+        )
+    ),
+    ("encoder.range_velocity.ffn_dim", "fusion.n_heads", "fusion encoder attention heads", lambda cfg: "12"),
+    ("fusion.n_heads", "fusion.ffn_dim", "fusion encoder feedforward width", lambda cfg: "2048"),
+    ("fusion.ffn_dim", "fusion.dropout", "fusion encoder dropout probability, applied in training steps only",
+     lambda cfg: "0.1"),
+    ("fusion.dropout", "fusion.latent_dim", "latent width fed to the decoder", lambda cfg: "1024"),
+    ("train.lr_switch_epoch", "train.beta1", "Adam first-moment decay", lambda cfg: "0.9"),
+    ("train.beta1", "train.beta2", "Adam second-moment decay", lambda cfg: "0.999"),
+    ("train.beta2", "train.eps", "Adam denominator epsilon", lambda cfg: "1e-08"),
+]
+FIXED_DEFAULT_DOCS_SHA256 = "aaad1b8203366dcf899f42e5ba660d7a46b7f0dc0d0c16152c79a6f85e493a5c"
+FIXED_TOY_TEXT_SHA256 = "4e43d888c8b500c48df961c78ec16aa9f6f20f97b99e9ffd3b81b65ca8566ebb"
+DERIVED_LINES = [  # before those, keys the grid or the split implies, or nothing reads
+    *FIXED_LINES,
     ("radar.n_chirps", "radar.noise_sigma", "circular Gaussian noise level of the simulated cube",
      lambda cfg: "0.02"),
     ("fusion.latent_dim", "decoder.seed_h", "decoder seed map height (azimuth axis); x32 gives output columns",
@@ -233,16 +261,20 @@ def _old_text(cfg, removed, docs):
 
 
 def test_old_canonical_texts_parse_to_todays_configs():
+    # the old default trained in meters, and its text still does
+    in_meters = C.parse_config("train.normalize_ranges = false\n")
+    assert in_meters.train.normalize_ranges is False
     for removed, default_sha, toy_sha in [
+        (FIXED_LINES, FIXED_DEFAULT_DOCS_SHA256, FIXED_TOY_TEXT_SHA256),
         (DERIVED_LINES, DERIVED_DEFAULT_DOCS_SHA256, DERIVED_TOY_TEXT_SHA256),
         (REMOVED_LINES, OLD_DEFAULT_DOCS_SHA256, OLD_TOY_TEXT_SHA256),
     ]:
-        old_default = _old_text(C.default_config(), removed, docs=True)
+        old_default = _old_text(in_meters, removed, docs=True)
         old_toy = _old_text(C.toy_config(), removed, docs=False)
         # today's texts are the old ones minus exactly the removed lines
         assert _digest(old_default) == default_sha
         assert _digest(old_toy) == toy_sha
-        assert C.parse_config(old_default) == C.default_config()
+        assert C.parse_config(old_default) == in_meters
         assert C.parse_config(old_toy) == C.toy_config()
 
 
@@ -250,6 +282,9 @@ def test_removed_keys_accept_other_spellings_of_their_value():
     text = (
         "encoder.depth.frozen = yes\nencoder.camera.frozen = 1\nfusion.n_layers = 01\n"
         "decoder.seed_h = 045\ndecoder.seed_w = +34\nsplit.test = 2e-1\nradar.noise_sigma = 0.5\n"
+        "encoder.camera.n_heads = 012\nencoder.range_angle.ffn_dim = +3072\nfusion.n_heads = 12\n"
+        "fusion.ffn_dim = 2048\nfusion.dropout = 0.10\nfusion.latent_dim = 1024\n"
+        "train.beta1 = .9\ntrain.beta2 = 9.99e-1\ntrain.eps = 1e-8\n"
     )
     assert C.parse_config(text) == C.default_config()
     # the seed keys and split.test are checked against the grid and split they come with
@@ -275,11 +310,21 @@ def test_removed_keys_accept_other_spellings_of_their_value():
         "split.test = nan",
         "radar.noise_sigma = -0.1",
         "radar.noise_sigma = inf",
+        "encoder.camera.n_heads = 8",
+        "encoder.camera.ffn_dim = 2048",
+        "encoder.range_velocity.ffn_dim = 3072.0",
+        "fusion.n_heads = 8",
+        "fusion.ffn_dim = 3072",
+        "fusion.dropout = 0",
+        "fusion.latent_dim = 512",
+        "train.beta1 = 0.8",
+        "train.beta2 = 0.99",
+        "train.eps = 1e-7",
     ],
 )
 def test_removed_keys_reject_any_other_value(line):
     key = line.partition(" = ")[0]
-    with pytest.raises(ValueError, match=re.escape(key)):
+    with pytest.raises(ValueError, match=rf"^line 2: .*{re.escape(key)}"):
         C.parse_config("train.epochs = 5\n" + line + "\n")
 
 
@@ -288,6 +333,8 @@ def test_removed_key_rejection_names_its_line():
         C.parse_config("train.epochs = 5\n# the grid implies 45\ndecoder.seed_h = 6\n")
     with pytest.raises(ValueError, match="line 2: removed key split.test"):
         C.parse_config("split.train = 0.5\nsplit.test = 0.2\n")
+    with pytest.raises(ValueError, match="line 4: removed key fusion.n_heads"):
+        C.parse_config("fusion.n_heads = 12\ntrain.beta1 = 0.9\n\nfusion.n_heads = 8\n")
 
 
 def test_removed_keys_are_not_overrides():
@@ -298,9 +345,9 @@ def test_removed_keys_are_not_overrides():
 # fields no key sets: derived from other keys, or fixed by the architecture
 UNKEYED_FIELDS = {
     GridSpec: {"theta_lo", "theta_hi", "theta_step"},  # all three from grid.theta
-    EncoderConfig: {"image_size", "d_model"},
+    EncoderConfig: {"image_size", "d_model", "n_heads", "ffn_dim"},  # ViT-Base widths; stub encoders set them
     RadarParams: {"noise_sigma"},  # set per sample from the scenario profile
-    ModelConfig: {"encoders", "fusion", "decoder", "grid"},  # sections of their own
+    ModelConfig: {"encoders", "decoder", "grid"},  # sections of their own
 }
 
 
@@ -310,7 +357,6 @@ UNKEYED_FIELDS = {
         ("grid", GridSpec),
         ("radar", RadarParams),
         *((f"encoder.{name}", EncoderConfig) for name in MODALITIES),
-        ("fusion", FusionConfig),
         ("decoder", DecoderConfig),
         ("train", TrainConfig),
         ("split", SplitSpec),
@@ -333,7 +379,6 @@ def test_registry_defaults_match_dataclass_defaults():
     assert cfg.split == SplitSpec()
     assert cfg.radar == RadarParams()
     assert cfg.grid == GridSpec()
-    assert cfg.model.fusion == FusionConfig()
     assert cfg.model.decoder == DecoderConfig()
     assert cfg.model == ModelConfig(encoders=cfg.model.encoders)
     # the range-angle map is 4 antennas tall, so its encoder's patch edge is 4

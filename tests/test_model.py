@@ -267,9 +267,9 @@ def test_fuse_produces_latent(toy_cfg, toy_model):
     rng = np.random.default_rng(4)
     emb = T.Tensor(rng.standard_normal((1, 4, 768)).astype(np.float32))
     latent = toy_model.fuse(emb)
-    assert latent.shape == (1, toy_cfg.model.fusion.latent_dim)
+    assert latent.shape == (1, M.LATENT_DIM)
     batched = toy_model.fuse(T.Tensor(rng.standard_normal((2, 4, 768)).astype(np.float32)))
-    assert batched.shape == (2, toy_cfg.model.fusion.latent_dim)
+    assert batched.shape == (2, M.LATENT_DIM)
 
 
 def test_fuse_is_sensitive_to_slot_order(toy_model):

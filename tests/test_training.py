@@ -254,7 +254,7 @@ def test_training_steps_reuse_the_heap_without_page_faults(tiny_cfg):
     for _ in range(3):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         TR._step_loss(model, emb, targets, mask, dropout_rng)
-        adam_step(model.store, cfg.lr_early, cfg.beta1, cfg.beta2, cfg.eps)
+        adam_step(model.store, cfg.lr_early)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 1000
 
@@ -445,13 +445,13 @@ def test_step_one_loss_and_gradient_norms_match_golden(toy_cfg):
         assert got[key] == pytest.approx(want, rel=1e-4), key
 
 
-def test_whole_model_gradient_matches_central_differences_along_random_directions():
+def test_whole_model_gradient_matches_central_differences_along_random_directions(monkeypatch):
     # a mini model (narrow fusion feedforward and latent, thin decoder) on one
     # fixed batch of four toy samples; every loss evaluation redraws dropout
     # from a generator seeded 5, so all of them see the same mask
-    cfg = C.toy_config(overrides={
-        "fusion.n_heads": "4", "fusion.ffn_dim": "32", "fusion.latent_dim": "32", "decoder.filters": "4,4,2,2",
-    })
+    for name, value in (("FUSION_HEADS", 4), ("FUSION_FFN_DIM", 32), ("LATENT_DIM", 32)):
+        monkeypatch.setattr(M, name, value)
+    cfg = C.toy_config(overrides={"decoder.filters": "4,4,2,2"})
     samples = synthetic_dataset(4, "mixed", cfg.grid, cfg.radar, cfg.cam_width, cfg.cam_height, seed=11)
     model = Model(cfg.model)
     store = model.store
@@ -588,7 +588,7 @@ def test_adam_step_on_loaded_model_leaves_checkpoint_unchanged(tiny_run, tiny_cf
     before = {name: tiny_run.best.params[name].copy() for name in trainable}
     for name in trainable:
         model.store[name].grad[...] = 1.0
-    adam_step(model.store, 1e-2, tiny_cfg.train.beta1, tiny_cfg.train.beta2, tiny_cfg.train.eps)
+    adam_step(model.store, 1e-2)
     assert not np.array_equal(model.store["fusion.proj.weight"].data, before["fusion.proj.weight"])
     for name in trainable:
         np.testing.assert_array_equal(tiny_run.best.params[name], before[name])
@@ -605,7 +605,7 @@ def test_backward_leaves_no_trace_of_the_previous_step(tiny_cfg, tiny_dataset):
 
     model = Model(tiny_cfg.model)
     backward(model)
-    adam_step(model.store, 1e-3, tiny_cfg.train.beta1, tiny_cfg.train.beta2, tiny_cfg.train.eps)
+    adam_step(model.store, 1e-3)
     step1 = TR.Checkpoint(
         params=model.store.copy_values(), bn_state=model.bn_state_arrays(), epoch=1, val_mmse=0.0
     )
@@ -647,7 +647,7 @@ def test_snapshots_share_frozen_params_and_copy_trainable_ones(tiny_cfg, tiny_da
     before = {name: (result.best.params[name].copy(), final.params[name].copy()) for name in trainable}
     for name in trainable:
         store[name].grad[...] = 1.0
-    adam_step(store, 1e-2, tiny_cfg.train.beta1, tiny_cfg.train.beta2, tiny_cfg.train.eps)
+    adam_step(store, 1e-2)
     for name in trainable:
         np.testing.assert_array_equal(result.best.params[name], before[name][0])
         np.testing.assert_array_equal(final.params[name], before[name][1])
