@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,41 +236,85 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
     return shapes
 
 
+# (model seed, modality, EncoderConfig) -> that encoder's frozen buffer, held
+# weakly: an entry lives as long as some model, snapshot or checkpoint holds
+# one of its views, so a model built while another holds the same encoder
+# draws nothing and adds no memory for it
+_frozen_encoders: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[str, tuple, str, bool]]) -> list[np.ndarray]:
+    """Consecutive pieces of the 1-D ``flat``, one per entry of ``shapes``, each viewed in its shape."""
+    out, lo = [], 0
+    for _, shape, _, _ in shapes:
+        out.append(flat[lo : lo + math.prod(shape)].reshape(shape))
+        lo += math.prod(shape)
+    return out
+
+
+def _frozen_encoder(seed: int, name: str, enc_cfg: EncoderConfig) -> np.ndarray:
+    """Every parameter of encoder ``name`` in ``_encoder_shapes`` order, in one read-only float32 buffer.
+
+    Drawn from child ``MODALITIES.index(name)`` of ``SeedSequence(seed)``, or
+    shared with the live model that already drew it.  ``normal`` weights stand
+    in for pre-trained ones, which nothing trains, so they take the cheaper
+    uniform draw with standard deviation 0.02: U(-0.02*sqrt(3), 0.02*sqrt(3)).
+    """
+    key = (seed, name, enc_cfg)
+    flat = _frozen_encoders.get(key)
+    if flat is not None:
+        return flat
+    shapes = _encoder_shapes(name, enc_cfg)
+    # zeros, so the biases need no write; the draw overwrites every weight
+    flat = np.zeros(sum(math.prod(shape) for _, shape, _, _ in shapes), dtype=np.float32)
+    # the child SeedSequence(seed).spawn() gives at this index
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(MODALITIES.index(name),)))
+    limit = 0.02 * math.sqrt(3.0)  # a Python float, so the arithmetic stays in float32
+    for (_, _, kind, _), a in zip(shapes, _views(flat, shapes)):
+        if kind == _INIT_ONES:
+            a.fill(1.0)
+        elif kind == _INIT_NORMAL:
+            rng.random(dtype=np.float32, out=a)
+            a -= 0.5
+            a *= 2 * limit
+    flat.flags.writeable = False
+    _frozen_encoders[key] = flat
+    return flat
+
+
 def init_params(cfg: ModelConfig) -> ParamStore:
     """Fresh float32 parameters drawn from ``cfg.seed``, each value once, into the array that keeps it.
 
-    ``SeedSequence(cfg.seed)`` spawns one child per encoder, in MODALITIES
+    ``SeedSequence(cfg.seed)`` has one child per encoder, in MODALITIES
     order, and one more for every trainable parameter, so no encoder's size
     moves another encoder's or a trainable draw.  Each generator draws in
     ``_param_shapes`` order.
 
-    - Frozen ``normal`` weights stand in for pre-trained ones, which nothing
-      trains, so they take the cheaper uniform draw with the same standard
-      deviation: U(-0.02*sqrt(3), 0.02*sqrt(3)).
+    - Each encoder's parameters are read-only views of ``_frozen_encoder``'s
+      buffer, which every live model with the same seed and encoder config
+      shares.
     - Trainable ``normal`` weights are Normal(0, 0.02) and batch-norm gains
       Normal(1, 0.02), drawn straight into the store's arena views.
     - Biases are zeros and layer-norm gains ones.
     """
-    *encoder_seeds, trainable_seed = np.random.SeedSequence(cfg.seed).spawn(len(MODALITIES) + 1)
-    encoder_rngs = {name: np.random.default_rng(s) for name, s in zip(MODALITIES, encoder_seeds)}
-    limit = 0.02 * math.sqrt(3.0)  # a Python float, so the arithmetic stays in float32
+    frozen: dict[str, np.ndarray] = {}
+    for modality in MODALITIES:
+        enc_shapes = _encoder_shapes(modality, cfg.encoders[modality])
+        flat = _frozen_encoder(cfg.seed, modality, cfg.encoders[modality])
+        frozen.update(zip((name for name, _, _, _ in enc_shapes), _views(flat, enc_shapes)))
     shapes = _param_shapes(cfg)
 
     def initial(name: str, shape: tuple, kind: str, trainable: bool) -> np.ndarray:
+        if not trainable:
+            return frozen[name]
         if kind == _INIT_ONES:
             return np.ones(shape, dtype=np.float32)
-        if kind == _INIT_NORMAL and not trainable:
-            a = np.empty(shape, dtype=np.float32)  # the draw overwrites every element
-            encoder_rngs[name.split(".", 1)[0]].random(dtype=np.float32, out=a)
-            a -= 0.5
-            a *= 2 * limit
-            return a
-        return np.zeros(shape, dtype=np.float32)  # a trainable draw is made below, in the store's own buffer
+        return np.zeros(shape, dtype=np.float32)  # a draw is made below, in the store's own buffer
 
     store = ParamStore(
         (name, initial(name, shape, kind, trainable), trainable) for name, shape, kind, trainable in shapes
     )
-    rng = np.random.default_rng(trainable_seed)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(len(MODALITIES),)))
     for name, _, kind, trainable in shapes:
         if trainable and kind in (_INIT_NORMAL, _INIT_BN_GAIN):
             view = store[name].data

@@ -23,6 +23,7 @@ from lidarsynth import model as M
 from lidarsynth import synthgen as S
 from lidarsynth import tensor as T
 from lidarsynth import training as TR
+from lidarsynth.optim import ParamStore
 
 H = 1e-5  # float64 central differences: truncation ~h^2, roundoff ~1e-16/h
 RTOL = 1e-4
@@ -146,6 +147,45 @@ def full_encode(model: M.Model, name: str, images: np.ndarray) -> T.Tensor:
         x = model._block(x, f"{name}.layers.{i}", cfg.n_heads)
     x = T.layer_norm(x, s[f"{name}.final_ln.gain"], s[f"{name}.final_ln.bias"])
     return T.linear(x[:, 0], s[f"{name}.head.weight"], s[f"{name}.head.bias"])
+
+
+def reference_init_params(cfg: M.ModelConfig) -> ParamStore:
+    """Every parameter drawn into its own array, one generator per encoder: the oracle for init_params.
+
+    ``SeedSequence(cfg.seed)`` spawns one child per encoder, in MODALITIES
+    order, and one more for every trainable parameter; each generator draws
+    in ``_param_shapes`` order.  Frozen ``normal`` weights are
+    U(-0.02*sqrt(3), 0.02*sqrt(3)), trainable ones Normal(0, 0.02),
+    batch-norm gains Normal(1, 0.02), biases zeros and layer-norm gains ones.
+    """
+    *encoder_seeds, trainable_seed = np.random.SeedSequence(cfg.seed).spawn(len(M.MODALITIES) + 1)
+    encoder_rngs = {name: np.random.default_rng(s) for name, s in zip(M.MODALITIES, encoder_seeds)}
+    limit = 0.02 * math.sqrt(3.0)  # a Python float, so the arithmetic stays in float32
+    shapes = M._param_shapes(cfg)
+
+    def initial(name: str, shape: tuple, kind: str, trainable: bool) -> np.ndarray:
+        if kind == M._INIT_ONES:
+            return np.ones(shape, dtype=np.float32)
+        if kind == M._INIT_NORMAL and not trainable:
+            a = np.empty(shape, dtype=np.float32)  # the draw overwrites every element
+            encoder_rngs[name.split(".", 1)[0]].random(dtype=np.float32, out=a)
+            a -= 0.5
+            a *= 2 * limit
+            return a
+        return np.zeros(shape, dtype=np.float32)  # a trainable draw is made below, in the store's own buffer
+
+    store = ParamStore(
+        (name, initial(name, shape, kind, trainable), trainable) for name, shape, kind, trainable in shapes
+    )
+    rng = np.random.default_rng(trainable_seed)
+    for name, _, kind, trainable in shapes:
+        if trainable and kind in (M._INIT_NORMAL, M._INIT_BN_GAIN):
+            view = store[name].data
+            rng.standard_normal(dtype=np.float32, out=view)
+            view *= 0.02
+            if kind == M._INIT_BN_GAIN:
+                view += 1.0
+    return store
 
 
 def grad_norms(store) -> dict[str, float]:

@@ -1,13 +1,15 @@
 """Model architecture: embedding widths, fusion, decoder chain, freezing, init."""
 
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from helpers import full_encode, legacy_grid
+from helpers import full_encode, legacy_grid, reference_init_params
 from lidarsynth import config as C
 from lidarsynth import model as M
 from lidarsynth import tensor as T
@@ -151,6 +153,71 @@ def test_encoder_size_moves_no_other_draw(toy_cfg):
         np.testing.assert_array_equal(a[name].data, b[name].data, err_msg=name)
 
 
+def _frozen_names(cfg):
+    return [name for name, _, _, trainable in M._param_shapes(cfg) if not trainable]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("label", ["toy", "mini"])
+def test_init_params_matches_reference_draw(toy_cfg, monkeypatch, label, seed):
+    # an empty registry, so every encoder is drawn here rather than shared
+    monkeypatch.setattr(M, "_frozen_encoders", weakref.WeakValueDictionary())
+    cfg = replace(toy_cfg.model if label == "toy" else _mini_cfg(toy_cfg, 2), seed=seed)
+    got, want = M.init_params(cfg), reference_init_params(cfg)
+    assert list(got.params) == list(want.params)
+    assert got.trainable_names() == want.trainable_names()
+    for name, p in want.params.items():
+        a = got[name].data
+        assert (a.shape, a.dtype, got[name].requires_grad) == (p.shape, p.dtype, p.requires_grad), name
+        np.testing.assert_array_equal(a.view(np.uint32), p.data.view(np.uint32), err_msg=name)
+
+
+def test_live_models_share_frozen_arrays_only(toy_cfg):
+    a, b = M.Model(toy_cfg.model), M.Model(toy_cfg.model)
+    for name in _frozen_names(toy_cfg.model):
+        assert np.shares_memory(a.store[name].data, b.store[name].data), name
+    for name in a.store.trainable_names():
+        assert not np.shares_memory(a.store[name].data, b.store[name].data), name
+
+
+def test_model_seed_keys_the_frozen_encoders(toy_cfg):
+    a, b = M.Model(toy_cfg.model), M.Model(replace(toy_cfg.model, seed=1))
+    drawn = {name for name, _, kind, trainable in M._param_shapes(toy_cfg.model) if kind == M._INIT_NORMAL}
+    for name in _frozen_names(toy_cfg.model):
+        assert not np.shares_memory(a.store[name].data, b.store[name].data), name
+        if name in drawn:
+            assert (a.store[name].data != b.store[name].data).any(), name
+
+
+def test_encoder_config_keys_its_own_encoder_only(toy_cfg):
+    deeper = C.toy_config({"encoder.camera.depth": "2"}).model
+    a, b = M.Model(toy_cfg.model), M.Model(deeper)
+    for name in _frozen_names(toy_cfg.model):
+        assert np.shares_memory(a.store[name].data, b.store[name].data) == (not name.startswith("camera.")), name
+    a_camera = [a.store[name].data for name in _frozen_names(toy_cfg.model) if name.startswith("camera.")]
+    for name in _frozen_names(deeper):
+        if name.startswith("camera."):
+            assert not any(np.shares_memory(b.store[name].data, other) for other in a_camera), name
+
+
+def test_frozen_encoders_live_as_long_as_a_holder(toy_cfg, monkeypatch):
+    registry = weakref.WeakValueDictionary()
+    monkeypatch.setattr(M, "_frozen_encoders", registry)
+    model = M.Model(toy_cfg.model)
+    first = {name: model.store[name].data.copy() for name in _frozen_names(toy_cfg.model)}
+    snapshot = model.store.copy_values()
+    assert len(registry) == len(M.MODALITIES)
+    del model
+    gc.collect()
+    assert len(registry) == len(M.MODALITIES)  # the snapshot still views every encoder
+    del snapshot
+    gc.collect()
+    assert len(registry) == 0
+    again = M.Model(toy_cfg.model)
+    for name, values in first.items():
+        np.testing.assert_array_equal(again.store[name].data.view(np.uint32), values.view(np.uint32), err_msg=name)
+
+
 def test_model_rejects_incomplete_store(toy_cfg):
     store = M.init_params(toy_cfg.model)
     del store.params["decoder.fc.bias"]
@@ -230,10 +297,14 @@ def test_model_config_needs_one_encoder_per_modality(toy_cfg):
             replace(toy_cfg.model, encoders=wrong)
 
 
-def _mini_model(toy_cfg, depth):
+def _mini_cfg(toy_cfg, depth):
     # 6 patches + the class token, 8 wide, 2 heads
     enc = M.EncoderConfig(image_size=(8, 12), patch_size=4, depth=depth, n_heads=2, d_model=8, ffn_dim=16)
-    return M.Model(replace(toy_cfg.model, encoders=dict.fromkeys(M.MODALITIES, enc)))
+    return replace(toy_cfg.model, encoders=dict.fromkeys(M.MODALITIES, enc))
+
+
+def _mini_model(toy_cfg, depth):
+    return M.Model(_mini_cfg(toy_cfg, depth))
 
 
 @pytest.mark.parametrize("depth", [1, 2])
