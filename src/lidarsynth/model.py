@@ -243,43 +243,35 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str, bool]]:
 _frozen_encoders: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _views(flat: np.ndarray, shapes: list[tuple[str, tuple, str, bool]]) -> list[np.ndarray]:
-    """Consecutive pieces of the 1-D ``flat``, one per entry of ``shapes``, each viewed in its shape."""
-    out, lo = [], 0
-    for _, shape, _, _ in shapes:
-        out.append(flat[lo : lo + math.prod(shape)].reshape(shape))
-        lo += math.prod(shape)
-    return out
+def _frozen_encoder(seed: int, name: str, enc_cfg: EncoderConfig) -> dict[str, np.ndarray]:
+    """Every parameter of encoder ``name``, keyed by parameter name: read-only float32 views of one buffer.
 
-
-def _frozen_encoder(seed: int, name: str, enc_cfg: EncoderConfig) -> np.ndarray:
-    """Every parameter of encoder ``name`` in ``_encoder_shapes`` order, in one read-only float32 buffer.
-
-    Drawn from child ``MODALITIES.index(name)`` of ``SeedSequence(seed)``, or
+    The buffer holds the parameters in ``_encoder_shapes`` order.  It is
+    drawn from child ``MODALITIES.index(name)`` of ``SeedSequence(seed)``, or
     shared with the live model that already drew it.  ``normal`` weights stand
     in for pre-trained ones, which nothing trains, so they take the cheaper
     uniform draw with standard deviation 0.02: U(-0.02*sqrt(3), 0.02*sqrt(3)).
     """
+    shapes = _encoder_shapes(name, enc_cfg)
+    bounds = np.cumsum([math.prod(shape) for _, shape, _, _ in shapes])
     key = (seed, name, enc_cfg)
     flat = _frozen_encoders.get(key)
-    if flat is not None:
-        return flat
-    shapes = _encoder_shapes(name, enc_cfg)
-    # zeros, so the biases need no write; the draw overwrites every weight
-    flat = np.zeros(sum(math.prod(shape) for _, shape, _, _ in shapes), dtype=np.float32)
-    # the child SeedSequence(seed).spawn() gives at this index
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(MODALITIES.index(name),)))
-    limit = 0.02 * math.sqrt(3.0)  # a Python float, so the arithmetic stays in float32
-    for (_, _, kind, _), a in zip(shapes, _views(flat, shapes)):
-        if kind == _INIT_ONES:
-            a.fill(1.0)
-        elif kind == _INIT_NORMAL:
-            rng.random(dtype=np.float32, out=a)
-            a -= 0.5
-            a *= 2 * limit
-    flat.flags.writeable = False
-    _frozen_encoders[key] = flat
-    return flat
+    if flat is None:
+        # zeros, so the biases need no write; the draw overwrites every weight
+        flat = np.zeros(int(bounds[-1]), dtype=np.float32)
+        # the child SeedSequence(seed).spawn() gives at this index
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(MODALITIES.index(name),)))
+        limit = 0.02 * math.sqrt(3.0)  # a Python float, so the arithmetic stays in float32
+        for (_, _, kind, _), a in zip(shapes, np.split(flat, bounds[:-1])):
+            if kind == _INIT_ONES:
+                a.fill(1.0)
+            elif kind == _INIT_NORMAL:
+                rng.random(dtype=np.float32, out=a)
+                a -= 0.5
+                a *= 2 * limit
+        flat.flags.writeable = False
+        _frozen_encoders[key] = flat
+    return {pname: a.reshape(shape) for (pname, shape, _, _), a in zip(shapes, np.split(flat, bounds[:-1]))}
 
 
 def init_params(cfg: ModelConfig) -> ParamStore:
@@ -299,9 +291,7 @@ def init_params(cfg: ModelConfig) -> ParamStore:
     """
     frozen: dict[str, np.ndarray] = {}
     for modality in MODALITIES:
-        enc_shapes = _encoder_shapes(modality, cfg.encoders[modality])
-        flat = _frozen_encoder(cfg.seed, modality, cfg.encoders[modality])
-        frozen.update(zip((name for name, _, _, _ in enc_shapes), _views(flat, enc_shapes)))
+        frozen.update(_frozen_encoder(cfg.seed, modality, cfg.encoders[modality]))
     shapes = _param_shapes(cfg)
 
     def initial(name: str, shape: tuple, kind: str, trainable: bool) -> np.ndarray:

@@ -141,15 +141,20 @@ def test_frozen_weights_are_read_only_float32_uniform_draws(toy_cfg):
         assert abs(a.std() - 0.02) < 0.001, name
 
 
-def test_encoder_size_moves_no_other_draw(toy_cfg):
-    # every encoder and the trainable parameters draw from their own seeds
+def test_encoder_size_moves_no_other_draw(toy_cfg, monkeypatch):
+    # every encoder and the trainable parameters draw from their own seeds;
+    # each store starts from an empty registry, so b draws its own encoders
+    # rather than viewing a's
+    monkeypatch.setattr(M, "_frozen_encoders", weakref.WeakValueDictionary())
     a = M.init_params(toy_cfg.model)
     deeper = C.toy_config({"encoder.camera.depth": "2"}).model
     assert deeper.encoders["camera"].depth != toy_cfg.model.encoders["camera"].depth
+    monkeypatch.setattr(M, "_frozen_encoders", weakref.WeakValueDictionary())
     b = M.init_params(deeper)
     kept = [name for name in a.params if not name.startswith("camera.")]
     assert set(a.trainable_names()) < set(kept)
     for name in kept:
+        assert not np.shares_memory(a[name].data, b[name].data), name
         np.testing.assert_array_equal(a[name].data, b[name].data, err_msg=name)
 
 
